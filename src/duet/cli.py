@@ -24,7 +24,7 @@ from .checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
-from .diagnostics import merge_distance, sign_conflicts
+from .diagnostics import SignConflictReport, merge_distance, sign_conflicts
 from .errors import CheckpointFormatError, DTypeError, DuetError
 from .losses import (
     DcLossConfig,
@@ -32,6 +32,7 @@ from .losses import (
     dc_loss_grad,
     distill_loss,
     load_prediction_batch,
+    successive_updates,
 )
 from .merge import (
     MergeConfig,
@@ -42,6 +43,7 @@ from .merge import (
     weight_average_merge,
 )
 from .metrics import compute_metrics, load_protocol, load_records
+from .tensors import check_same_keys
 from .task_vectors import (
     TaskVector,
     compute_task_vector,
@@ -63,6 +65,13 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+def positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
+    return value
+
+
 def _default_threads() -> int:
     raw = os.environ.get("DUET_THREADS", "1")
     try:
@@ -76,7 +85,7 @@ def _common_parent() -> argparse.ArgumentParser:
     parent.add_argument("-o", "--output", help="output file or directory")
     parent.add_argument(
         "--threads",
-        type=int,
+        type=positive_int,
         default=_default_threads(),
         help="worker threads for per-layer tensor work (default: DUET_THREADS or 1)",
     )
@@ -325,7 +334,7 @@ def _cmd_sequence(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     summaries = []
     for step in iter_incremental_sequence(
-        args.base, args.fine_tuned, spec, config, head_order=args.head_order
+        args.base, args.fine_tuned, spec, config, head_order=args.head_order, threads=args.threads
     ):
         ckpt_path = out_dir / f"task{step.task_index:02d}.safetensors"
         write_checkpoint(step.checkpoint, ckpt_path)
@@ -365,8 +374,7 @@ def _cmd_dc_loss(args) -> int:
             return dc_loss(TaskVector(deltas, tau_t.base_fingerprint), tau_prev, tau_prev2, config)
 
         for name, layer_grad in grad.items():
-            d_curr = tau_t.deltas[name].astype(np.float64) - tau_prev.deltas[name].astype(np.float64)
-            d_prev = tau_prev.deltas[name].astype(np.float64) - tau_prev2.deltas[name].astype(np.float64)
+            d_curr, d_prev = successive_updates(name, tau_t, tau_prev, tau_prev2)
             flat_grad = layer_grad.reshape(-1)
             flat_prev = d_prev.reshape(-1)
             if config.granularity == "tensor":
@@ -424,15 +432,12 @@ def _cmd_diagnose(args) -> int:
         tau_curr = load_task_vector(args.curr)
         if args.preset == "updates":
             tau_prev2 = _load_tv_maybe_zero(args.prev2, tau_old, "zero")
-            left = {
-                name: tau_curr.deltas[name].astype(np.float64) - tau_old.deltas[name].astype(np.float64)
-                for name in tau_curr.deltas
-            }
-            right = {
-                name: tau_old.deltas[name].astype(np.float64) - tau_prev2.deltas[name].astype(np.float64)
-                for name in tau_old.deltas
-            }
-            report = sign_conflicts(left, right)
+            check_same_keys(tau_curr.deltas, tau_old.deltas, "sign_conflicts")
+            report = SignConflictReport()
+            for name in tau_curr.deltas:
+                # One tensor at a time: the float64 update maps are never held whole.
+                d_curr, d_prev = successive_updates(name, tau_curr, tau_old, tau_prev2)
+                report.per_tensor.update(sign_conflicts({name: d_curr}, {name: d_prev}).per_tensor)
         else:
             report = sign_conflicts(tau_old, tau_curr)
         payload = {"preset": args.preset, **report.to_dict()}

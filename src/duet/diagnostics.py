@@ -16,7 +16,7 @@ from .tensors import (
 from .task_vectors import TaskVector
 
 
-@dataclass
+@dataclass(slots=True)
 class TensorSignConflicts:
     conflicts: int
     comparable: int
@@ -105,13 +105,15 @@ class MergeDistanceReport:
 
 def _flatten_canonical(tensor_map: NamedTensorMap) -> np.ndarray:
     # Sorted-name order makes the result independent of dict insertion order.
-    parts = [
-        tensor_map[name].astype(np.float64, copy=False).reshape(-1)
-        for name in sorted(tensor_map)
-    ]
-    if not parts:
-        return np.zeros(0, dtype=np.float64)
-    return np.concatenate(parts)
+    # Copying into one preallocated buffer avoids a float64 copy per tensor.
+    names = sorted(tensor_map)
+    flat = np.empty(sum(tensor_map[name].size for name in names), dtype=np.float64)
+    offset = 0
+    for name in names:
+        size = tensor_map[name].size
+        flat[offset : offset + size] = tensor_map[name].reshape(-1)
+        offset += size
+    return flat
 
 
 def merge_distance(

@@ -24,15 +24,12 @@ class DcLossConfig:
     supported reduction over terms is a plain sum."""
 
     granularity: str = "tensor"
-    reduction: str = "sum"
 
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
             raise ValueError(
                 f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}"
             )
-        if self.reduction != "sum":
-            raise ValueError(f"reduction must be 'sum', got {self.reduction!r}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +56,16 @@ def _dc_inputs(
     return sorted(tau_t.deltas)
 
 
+def successive_updates(
+    name: str, tau_t: TaskVector, tau_prev: TaskVector, tau_prev2: TaskVector
+) -> tuple[np.ndarray, np.ndarray]:
+    """One tensor's float64 updates ``d_curr = tau_t - tau_prev`` and
+    ``d_prev = tau_prev - tau_prev2``."""
+    prev = tau_prev.deltas[name].astype(np.float64)
+    d_curr = tau_t.deltas[name].astype(np.float64) - prev
+    return d_curr, prev - tau_prev2.deltas[name].astype(np.float64)
+
+
 def dc_loss(
     tau_t: TaskVector,
     tau_prev: TaskVector,
@@ -75,8 +82,7 @@ def dc_loss(
     names = _dc_inputs(tau_t, tau_prev, tau_prev2, "dc_loss")
     total = 0.0
     for name in names:
-        d_curr = tau_t.deltas[name].astype(np.float64) - tau_prev.deltas[name].astype(np.float64)
-        d_prev = tau_prev.deltas[name].astype(np.float64) - tau_prev2.deltas[name].astype(np.float64)
+        d_curr, d_prev = successive_updates(name, tau_t, tau_prev, tau_prev2)
         if config.granularity == "tensor":
             alignment = inner_product(d_curr, d_prev)
             if alignment < 0.0:
@@ -102,8 +108,7 @@ def dc_loss_grad(
     _dc_inputs(tau_t, tau_prev, tau_prev2, "dc_loss_grad")
     grad: NamedTensorMap = {}
     for name in tau_t.deltas:
-        d_curr = tau_t.deltas[name].astype(np.float64) - tau_prev.deltas[name].astype(np.float64)
-        d_prev = tau_prev.deltas[name].astype(np.float64) - tau_prev2.deltas[name].astype(np.float64)
+        d_curr, d_prev = successive_updates(name, tau_t, tau_prev, tau_prev2)
         if config.granularity == "tensor":
             alignment = inner_product(d_curr, d_prev)
             layer_grad = -d_prev if alignment < 0.0 else np.zeros_like(d_prev)

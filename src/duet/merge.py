@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,8 +37,8 @@ from .errors import (
     KeyMismatchError,
     ShapeError,
 )
-from .tensors import NamedTensorMap, check_same_keys, check_tensor, l1_norm
-from .task_vectors import TaskVector, _check_bases, _subtract
+from .tensors import NamedTensorMap, check_same_keys, check_tensor, combine, l1_norm
+from .task_vectors import TaskVector, _check_bases, _check_layer_pair, _subtract
 
 # Slack on the |p| <= 1 bound; the triangle inequality caps the exact ratio at
 # 1, so anything above this is data corruption worth flagging.
@@ -73,7 +74,7 @@ class MergeConfig:
         return {"gamma": self.gamma, "alpha_base": self.alpha_base, "epsilon": self.epsilon}
 
 
-@dataclass
+@dataclass(slots=True)
 class LayerMergeRecord:
     layer_name: str
     p: float
@@ -85,16 +86,7 @@ class LayerMergeRecord:
     norm_sum: float
 
     def to_dict(self) -> dict:
-        return {
-            "layer_name": self.layer_name,
-            "p": self.p,
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "norm_old": self.norm_old,
-            "norm_curr": self.norm_curr,
-            "norm_sum": self.norm_sum,
-        }
+        return {name: getattr(self, name) for name in self.__slots__}
 
 
 @dataclass
@@ -132,23 +124,20 @@ class MergeReport:
         return rows
 
 
-def _map_ordered(fn, items, threads: int = 1) -> list:
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
+def _map_ordered(fn, items: Iterable, threads: int = 1) -> Iterator:
+    """Lazily yield ``fn(item)`` in order, with up to ``2 * threads`` calls in
+    flight; ``items`` is only iterated on the consuming thread."""
+    if threads <= 1:
+        yield from map(fn, items)
+        return
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
-def _check_layer_pair(name: str, old: np.ndarray, curr: np.ndarray):
-    check_tensor(old, name)
-    check_tensor(curr, name)
-    if old.shape != curr.shape:
-        raise ShapeError(f"tensor {name!r}: shape mismatch {old.shape} vs {curr.shape}")
-    if old.dtype != curr.dtype:
-        raise ShapeError(
-            f"tensor {name!r}: mixed dtypes across old/curr ({old.dtype} vs {curr.dtype}) are rejected"
-        )
+        pending: deque = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) >= 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def _layer_coefficients(
@@ -157,7 +146,7 @@ def _layer_coefficients(
     _check_layer_pair(name, tau_old_l, tau_curr_l)
     norm_old = l1_norm(tau_old_l)
     norm_curr = l1_norm(tau_curr_l)
-    norm_sum = l1_norm(tau_old_l.astype(np.float64) + tau_curr_l.astype(np.float64))
+    norm_sum = l1_norm(np.add(tau_old_l, tau_curr_l, dtype=np.float64))
     p = (norm_old - norm_curr) / (norm_sum + config.epsilon)
     warnings: list[str] = []
     if abs(p) > 1.0 + _P_BOUND_SLACK:
@@ -189,23 +178,43 @@ def duet_layer_coefficients(
     return record.p, record.delta, record.alpha, record.beta
 
 
-def _merge_layer(
-    name: str,
-    base_l: np.ndarray,
-    tau_old_l: np.ndarray,
-    tau_curr_l: np.ndarray,
+def _merge_layers(
+    base_shared: NamedTensorMap,
+    base_fingerprint: str,
+    tau_old: NamedTensorMap,
+    tau_curr: NamedTensorMap,
     config: MergeConfig,
-) -> tuple[LayerMergeRecord, np.ndarray, list[str]]:
-    if base_l.shape != tau_old_l.shape:
-        raise ShapeError(f"tensor {name!r}: shape mismatch {base_l.shape} vs {tau_old_l.shape}")
-    record, warnings = _layer_coefficients(name, tau_old_l, tau_curr_l, config)
-    merged = (
-        base_l.astype(np.float64)
-        + record.alpha * tau_old_l.astype(np.float64)
-        + record.beta * tau_curr_l.astype(np.float64)
-    ).astype(base_l.dtype)
-    merged.flags.writeable = False
-    return record, merged, warnings
+    threads: int = 1,
+) -> tuple[MergeReport, Iterator[tuple[str, np.ndarray]]]:
+    """The report (fingerprints and sign conflicts taken now) plus a lazy
+    ``(name, merged_layer)`` stream in base order that adds each layer's record
+    as it goes.  Once a layer is yielded its inputs are never read again."""
+    report = MergeReport(
+        config=config,
+        base_fingerprint=base_fingerprint,
+        old_fingerprint=fingerprint_map(tau_old),
+        curr_fingerprint=fingerprint_map(tau_curr),
+        sign_conflicts=sign_conflicts(tau_old, tau_curr),
+    )
+
+    def merge_one(item) -> tuple[LayerMergeRecord, np.ndarray, list[str]]:
+        name, base_l, old_l, curr_l = item
+        if base_l.shape != old_l.shape:
+            raise ShapeError(f"tensor {name!r}: shape mismatch {base_l.shape} vs {old_l.shape}")
+        record, warnings = _layer_coefficients(name, old_l, curr_l, config)
+        terms = ((1.0, base_l), (record.alpha, old_l), (record.beta, curr_l))
+        return record, combine(terms, base_l.dtype), warnings
+
+    def layers() -> Iterator[tuple[str, np.ndarray]]:
+        # Arrays are fetched here, on the consuming thread, never by a worker.
+        inputs = ((name, base_shared[name], tau_old[name], tau_curr[name]) for name in base_shared)
+        results = _map_ordered(merge_one, inputs, threads=threads)
+        for name, (record, merged_layer, warnings) in zip(base_shared, results):
+            report.layers.append(record)
+            report.warnings.extend(warnings)
+            yield name, merged_layer
+
+    return report, layers()
 
 
 def duet_merge(
@@ -226,27 +235,10 @@ def duet_merge(
     check_same_keys(base_shared, tau_old.deltas, "duet_merge", "base", "tau_old")
     check_same_keys(base_shared, tau_curr.deltas, "duet_merge", "base", "tau_curr")
 
-    names = list(base_shared)
-    results = _map_ordered(
-        lambda name: _merge_layer(
-            name, base_shared[name], tau_old.deltas[name], tau_curr.deltas[name], config
-        ),
-        names,
-        threads=threads,
+    report, layers = _merge_layers(
+        base_shared, base_fingerprint, tau_old.deltas, tau_curr.deltas, config, threads
     )
-    merged: NamedTensorMap = {}
-    report = MergeReport(
-        config=config,
-        base_fingerprint=base_fingerprint,
-        old_fingerprint=fingerprint_map(tau_old.deltas),
-        curr_fingerprint=fingerprint_map(tau_curr.deltas),
-        sign_conflicts=sign_conflicts(tau_old, tau_curr),
-    )
-    for name, (record, merged_layer, warnings) in zip(names, results):
-        merged[name] = merged_layer
-        report.layers.append(record)
-        report.warnings.extend(warnings)
-    return merged, report
+    return dict(layers), report
 
 
 def incremental_head_concat(
@@ -356,6 +348,7 @@ def iter_incremental_sequence(
     config: MergeConfig | None = None,
     base_fingerprint: str | None = None,
     head_order: str = "curr-first",
+    threads: int = 1,
 ) -> Iterator[SequenceStep]:
     """Stream the incremental sequence, one task at a time.
 
@@ -363,7 +356,8 @@ def iter_incremental_sequence(
     in-memory map.  Task 1 is yielded verbatim; every later task merges the
     previous incremental model's task vector with the current one and
     concatenates the heads.  Between steps only the base shared map, the
-    rolling old task vector, and the previous concatenated head are retained.
+    rolling old task vector, and the previous concatenated head are retained;
+    ``threads > 1`` adds up to ``2 * threads`` layers in flight.
     """
     config = config or MergeConfig()
 
@@ -378,8 +372,7 @@ def iter_incremental_sequence(
         base_shared = {name: base_source.load(name) for name in base_shared_names}
     finally:
         base_source.close()
-    shared_order = list(base_shared)
-    shared_set = set(shared_order)
+    shared_set = set(base_shared)
 
     tau_old: NamedTensorMap | None = None
     prev_head: NamedTensorMap | None = None
@@ -401,34 +394,24 @@ def iter_incremental_sequence(
             if task_index == 1:
                 full = reader.load_all()
                 tau_old = {
-                    name: _subtract(name, full[name], base_shared[name]) for name in shared_order
+                    name: _subtract(name, full[name], base_shared[name]) for name in base_shared
                 }
                 prev_head = {name: full[name] for name in head_names}
                 yield SequenceStep(task_index, full, None)
                 del full
             else:
                 assert tau_old is not None and prev_head is not None
-                tau_curr: NamedTensorMap = {}
-                for name in shared_order:
-                    arr = reader.load(name)
-                    tau_curr[name] = _subtract(name, arr, base_shared[name])
-                    del arr
+                tau_curr = {
+                    name: _subtract(name, reader.load(name), base_shared[name])
+                    for name in base_shared
+                }
                 curr_head = {name: reader.load(name) for name in head_names}
 
-                report = MergeReport(
-                    config=config,
-                    base_fingerprint=base_fingerprint,
-                    old_fingerprint=fingerprint_map(tau_old),
-                    curr_fingerprint=fingerprint_map(tau_curr),
-                    sign_conflicts=sign_conflicts(tau_old, tau_curr),
+                report, layers = _merge_layers(
+                    base_shared, base_fingerprint, tau_old, tau_curr, config, threads
                 )
                 merged: NamedTensorMap = {}
-                for name in shared_order:
-                    record, merged_layer, warnings = _merge_layer(
-                        name, base_shared[name], tau_old[name], tau_curr[name], config
-                    )
-                    report.layers.append(record)
-                    report.warnings.extend(warnings)
+                for name, merged_layer in layers:
                     merged[name] = merged_layer
                     # Rotate in place: the next stage's old vector is the drift
                     # of this merged layer, so tau_curr can be released as we go.
@@ -500,14 +483,10 @@ def weight_average_merge(
                 raise ShapeError(
                     f"tensor {name!r}: shape mismatch {delta.shape} vs {total.shape}"
                 )
-            total += delta.astype(np.float64)
-        out = (base_shared[name].astype(np.float64) + scale * total).astype(base_shared[name].dtype)
-        out.flags.writeable = False
-        return out
+            total += delta
+        return combine(((1.0, base_shared[name]), (scale, total)), base_shared[name].dtype)
 
-    names = list(base_shared)
-    merged_layers = _map_ordered(merge_one, names, threads=threads)
-    return dict(zip(names, merged_layers))
+    return dict(zip(base_shared, _map_ordered(merge_one, base_shared, threads=threads)))
 
 
 def magmax_merge(
@@ -531,12 +510,6 @@ def magmax_merge(
                 raise ShapeError(f"tensor {name!r}: shape mismatch {delta.shape} vs {best.shape}")
             take = np.abs(delta) > np.abs(best)
             best[take] = delta[take]
-        out = (base_shared[name].astype(np.float64) + best.astype(np.float64)).astype(
-            base_shared[name].dtype
-        )
-        out.flags.writeable = False
-        return out
+        return combine(((1.0, base_shared[name]), (1.0, best)), base_shared[name].dtype)
 
-    names = list(base_shared)
-    merged_layers = _map_ordered(merge_one, names, threads=threads)
-    return dict(zip(names, merged_layers))
+    return dict(zip(base_shared, _map_ordered(merge_one, base_shared, threads=threads)))

@@ -10,7 +10,7 @@ import numpy as np
 
 from .checkpoint import read_checkpoint, write_checkpoint
 from .errors import BaseMismatchError, CheckpointFormatError, ShapeError
-from .tensors import NamedTensorMap, check_same_keys, check_tensor
+from .tensors import NamedTensorMap, check_same_keys, check_tensor, combine
 
 _DELTAS_FILE = "deltas.safetensors"
 _META_FILE = "meta.json"
@@ -41,18 +41,18 @@ def _check_bases(op: str, base_fingerprint: str, *vectors: TaskVector):
             )
 
 
+def _check_layer_pair(name: str, a: np.ndarray, b: np.ndarray):
+    check_tensor(a, name)
+    check_tensor(b, name)
+    if a.shape != b.shape:
+        raise ShapeError(f"tensor {name!r}: shape mismatch {a.shape} vs {b.shape}")
+    if a.dtype != b.dtype:
+        raise ShapeError(f"tensor {name!r}: dtype mismatch {a.dtype} vs {b.dtype}")
+
+
 def _subtract(name: str, minuend: np.ndarray, subtrahend: np.ndarray) -> np.ndarray:
-    check_tensor(minuend, name)
-    check_tensor(subtrahend, name)
-    if minuend.shape != subtrahend.shape:
-        raise ShapeError(
-            f"tensor {name!r}: shape mismatch {minuend.shape} vs {subtrahend.shape}"
-        )
-    if minuend.dtype != subtrahend.dtype:
-        raise ShapeError(f"tensor {name!r}: dtype mismatch {minuend.dtype} vs {subtrahend.dtype}")
-    delta = (minuend.astype(np.float64) - subtrahend.astype(np.float64)).astype(subtrahend.dtype)
-    delta.flags.writeable = False
-    return delta
+    _check_layer_pair(name, minuend, subtrahend)
+    return combine(((1.0, minuend), (-1.0, subtrahend)), subtrahend.dtype)
 
 
 def compute_task_vector(
@@ -95,9 +95,7 @@ def apply_task_vector(
         delta = vector.deltas[name]
         if base.shape != delta.shape:
             raise ShapeError(f"tensor {name!r}: shape mismatch {base.shape} vs {delta.shape}")
-        merged = (base.astype(np.float64) + float(scale) * delta.astype(np.float64)).astype(base.dtype)
-        merged.flags.writeable = False
-        out[name] = merged
+        out[name] = combine(((1.0, base), (float(scale), delta)), base.dtype)
     return out
 
 

@@ -62,12 +62,28 @@ def _check_pair(x: np.ndarray, y: np.ndarray, op: str, x_name: str = "x", y_name
         raise DTypeError(f"{op}: dtype mismatch between {x_name} ({x.dtype}) and {y_name} ({y.dtype})")
 
 
+def combine(terms, dtype) -> np.ndarray:
+    """Read-only ``sum(c * x for c, x in terms)``, rounded once to ``dtype``.
+
+    Products and the left-to-right sum are float64 (under numpy 2 a Python
+    float times a float32 array stays float32).  Callers check shapes.
+    """
+    terms = iter(terms)
+    c, x = next(terms)
+    total = np.multiply(c, x, dtype=np.float64)
+    for c, x in terms:
+        # Not ``+=``: that left the heap more fragmented on many small tensors.
+        # Large sums reuse the product's buffer (numpy elides the temporary).
+        total = total + np.multiply(c, x, dtype=np.float64)
+    out = total.astype(dtype, copy=False)
+    out.flags.writeable = False
+    return out
+
+
 def linear_combine(a: float, x: np.ndarray, b: float, y: np.ndarray) -> np.ndarray:
     """Elementwise ``a*x + b*y`` computed in float64, cast back to the input dtype."""
     _check_pair(x, y, "linear_combine")
-    out = (float(a) * x.astype(np.float64) + float(b) * y.astype(np.float64)).astype(x.dtype)
-    out.flags.writeable = False
-    return out
+    return combine(((float(a), x), (float(b), y)), x.dtype)
 
 
 def l1_norm(x: np.ndarray) -> float:

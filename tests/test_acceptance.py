@@ -312,14 +312,16 @@ def _write_sequence_fixture(tmp_path: Path, n_tasks: int) -> tuple[Path, list[Pa
     return base_path, paths
 
 
-def _streaming_peak(base_path: Path, task_paths: list[Path]) -> tuple[int, bool]:
+def _streaming_peak(base_path: Path, task_paths: list[Path], threads: int = 1) -> tuple[int, bool]:
     """Peak traced bytes for the streaming driver, plus a liveness check that
     consumed checkpoints' shared tensors are released."""
     gc.collect()
     tracemalloc.start()
     stale_refs: list[weakref.ref] = []
     leaked = False
-    for step in iter_incremental_sequence(base_path, task_paths, _SEQ_SPEC, MergeConfig()):
+    for step in iter_incremental_sequence(
+        base_path, task_paths, _SEQ_SPEC, MergeConfig(), threads=threads
+    ):
         gc.collect()
         leaked = leaked or any(ref() is not None for ref in stale_refs)
         stale_refs = [
@@ -383,6 +385,21 @@ def test_criterion_6_sequence_driver_memory(tmp_path):
     assert constant, "streaming peak grew with the number of tasks"
     assert linear_contrast, "naive all-vectors harness did not grow linearly"
     assert naive_worse
+    assert live_ok_2 and live_ok_6, "driver retained shared tensors of consumed checkpoints"
+
+
+def test_criterion_6_threaded_sequence_memory_is_constant(tmp_path):
+    base_path, task_paths = _write_sequence_fixture(tmp_path, 6)
+    stream_peak_2, live_ok_2 = _streaming_peak(base_path, task_paths[:2], threads=2)
+    stream_peak_6, live_ok_6 = _streaming_peak(base_path, task_paths, threads=2)
+    s = _SHARED_BYTES
+    constant = (stream_peak_6 - stream_peak_2) <= 0.75 * s
+    _report(
+        "criterion 6 (--threads 2): sequence driver peak stays constant in the task count",
+        constant and live_ok_2 and live_ok_6,
+        f"stream {stream_peak_2 / s:.2f}S->{stream_peak_6 / s:.2f}S",
+    )
+    assert constant, "threaded streaming peak grew with the number of tasks"
     assert live_ok_2 and live_ok_6, "driver retained shared tensors of consumed checkpoints"
 
 

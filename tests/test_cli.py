@@ -453,6 +453,17 @@ class TestCliContract:
         args = build_parser().parse_args(["distill", "--curr", "a", "--old", "b"])
         assert args.threads == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["sequence", "base", "ft1", "--partition", "p.json", "-o", "out"],
+        ["merge", "average", "base", "--tv", "tv", "-o", "out"],
+        ["task-vector", "base", "ft1", "--partition", "p.json", "-o", "out"],
+    ])
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_non_positive_threads_rejected(self, capsys, argv, threads):
+        code, _, err = run_cli(capsys, argv + ["--threads", threads])
+        assert code == 1
+        assert "--threads" in err
+
     def test_merge_hyperparameter_flags(self, capsys, trio, tmp_path):
         tv_old = make_task_vector(capsys, trio, trio["task1"], tmp_path / "a", "old")
         tv_curr = make_task_vector(capsys, trio, trio["task2"], tmp_path / "b", "curr")

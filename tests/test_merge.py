@@ -23,6 +23,7 @@ from duet.merge import (
     duet_merge,
     incremental_head_concat,
     incremental_sequence,
+    iter_incremental_sequence,
     magmax_merge,
     weight_average_merge,
 )
@@ -397,6 +398,36 @@ class TestIncrementalSequence:
         for got, want in zip(from_files, in_memory):
             for name in want:
                 np.testing.assert_array_equal(got[name], want[name])
+
+    def test_thread_count_does_not_change_bits(self, simple_spec, rng):
+        # More shared layers than the 2 * threads in-flight window, so later
+        # layers are read while earlier ones are rotated.
+        sizes = [int(n) for n in rng.integers(1, 64, size=12)]
+
+        def model(head_rows: int) -> dict:
+            ckpt = {
+                f"backbone.l{i:02d}": rng.normal(size=n).astype(np.float32)
+                for i, n in enumerate(sizes)
+            }
+            ckpt["head.cls"] = rng.normal(size=(head_rows, 6)).astype(np.float32)
+            return ckpt
+
+        base = model(2)
+        fine = [model(int(rng.integers(1, 4))) for _ in range(4)]
+        serial, threaded = (
+            list(iter_incremental_sequence(base, fine, simple_spec, threads=threads))
+            for threads in (1, 2)
+        )
+        assert len(serial) == len(threaded) == 4
+        for one, two in zip(serial, threaded):
+            assert list(one.checkpoint) == list(two.checkpoint)
+            for name, arr in one.checkpoint.items():
+                assert arr.dtype == two.checkpoint[name].dtype
+                assert arr.tobytes() == two.checkpoint[name].tobytes(), name
+            if one.report is None:
+                assert two.report is None
+            else:
+                assert one.report.to_json() == two.report.to_json()
 
     def test_empty_sequence_rejected(self, simple_spec, rng):
         base, _ = build_sequence_inputs(rng, 1, simple_spec)

@@ -12,6 +12,7 @@ from duet.errors import DTypeError, ShapeError
 from duet.tensors import (
     cosine_similarity,
     inner_product,
+    combine,
     l1_norm,
     linear_combine,
     tensor,
@@ -60,6 +61,21 @@ class TestLinearCombine:
     def test_identity_coefficients_return_first_operand(self, pair):
         x, y = pair
         assert linear_combine(1.0, x, 0.0, y).tolist() == x.tolist()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_combine_matches_inline_float64_expression(self, dtype):
+        # signed zeros, cancellation and magnitudes far apart
+        b = np.array([0.0, -0.0, -0.0, 1e30, -1e-30, 3.0, 1.0, 2.5], dtype=dtype)
+        x = np.array([-0.0, -0.0, 0.0, -1e-8, 1e30, 1e-7, 1e-9, -2.5], dtype=dtype)
+        y = np.array([0.0, -0.0, -0.0, 7.0, -1e30, -3e-7, 1e-12, 2.5], dtype=dtype)
+        b64, x64, y64 = (v.astype(np.float64) for v in (b, x, y))
+        for a, c in ((0.3, 0.7), (1.0, -1.0), (-0.5, 2.5), (0.1, 0.0)):
+            expected = (b64 + a * x64 + c * y64).astype(dtype)
+            got = combine(((1.0, b), (a, x), (c, y)), dtype)
+            assert got.dtype == dtype and not got.flags.writeable
+            assert got.tobytes() == expected.tobytes()
+            pair = linear_combine(a, x, c, y)
+            assert pair.tobytes() == (a * x64 + c * y64).astype(dtype).tobytes()
 
     def test_float32_storage_rounds_result(self):
         x = tensor([1.0], dtype="f32")
