@@ -17,6 +17,7 @@ import hashlib
 import io
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
@@ -31,6 +32,8 @@ _HEADER_LEN_BYTES = 8
 _TAG_TO_DTYPE = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _KIND_TO_TAG = {4: "F32", 8: "F64"}
 _HASH_CHUNK = 1 << 20
+# Header key that carries free-form metadata, not a tensor; readers skip it.
+_METADATA_KEY = "__metadata__"
 
 
 def _dtype_tag(arr: np.ndarray, name: str) -> str:
@@ -82,6 +85,14 @@ class CheckpointReader:
     def _fail(self, message: str) -> CheckpointFormatError:
         return CheckpointFormatError(f"{self._path}: {message}")
 
+    def _json_object(self, pairs: list[tuple[str, object]]) -> dict:
+        obj = dict(pairs)
+        if len(obj) != len(pairs):
+            counts = Counter(key for key, _ in pairs)
+            duplicate = next(key for key, count in counts.items() if count > 1)
+            raise self._fail(f"header JSON repeats the key {duplicate!r}")
+        return obj
+
     def _parse_header(self):
         fh = self._fh
         fh.seek(0, io.SEEK_END)
@@ -97,7 +108,7 @@ class CheckpointReader:
             )
         header_bytes = fh.read(header_len)
         try:
-            header = json.loads(header_bytes.decode("utf-8"))
+            header = json.loads(header_bytes.decode("utf-8"), object_pairs_hook=self._json_object)
         except UnicodeDecodeError as exc:
             raise self._fail(f"header is not valid UTF-8 at byte offset {8 + exc.start}") from exc
         except json.JSONDecodeError as exc:
@@ -110,7 +121,7 @@ class CheckpointReader:
         self._entries: dict[str, _Entry] = {}
         prev: _Entry | None = None
         for name, meta in header.items():
-            if name == "__metadata__":
+            if name == _METADATA_KEY:
                 continue
             if not isinstance(meta, dict):
                 raise self._fail(f"tensor {name!r}: header entry must be an object")
@@ -120,16 +131,17 @@ class CheckpointReader:
                 offsets = meta["data_offsets"]
             except KeyError as exc:
                 raise self._fail(f"tensor {name!r}: missing header field {exc.args[0]!r}") from exc
-            if tag not in _TAG_TO_DTYPE:
+            if not isinstance(tag, str) or tag not in _TAG_TO_DTYPE:
                 raise self._fail(f"tensor {name!r}: unknown dtype {tag!r} (expected F32 or F64)")
+            # bool is an int subclass, so JSON true/false would pass isinstance(x, int)
             if not isinstance(shape_raw, list) or any(
-                not isinstance(extent, int) or extent < 0 for extent in shape_raw
+                type(extent) is not int or extent < 0 for extent in shape_raw
             ):
                 raise self._fail(f"tensor {name!r}: shape must be a list of non-negative integers")
             if (
                 not isinstance(offsets, list)
                 or len(offsets) != 2
-                or any(not isinstance(off, int) for off in offsets)
+                or any(type(off) is not int for off in offsets)
             ):
                 raise self._fail(f"tensor {name!r}: data_offsets must be [begin, end]")
             begin, end = offsets
@@ -213,6 +225,10 @@ def _iter_chunks(tensor_map: NamedTensorMap) -> Iterator[bytes]:
     """Yield the canonical byte stream of a map: length, header, then payload."""
     if not tensor_map:
         raise EmptyInputError("cannot serialize an empty tensor map")
+    if _METADATA_KEY in tensor_map:
+        raise CheckpointFormatError(
+            f"tensor name {_METADATA_KEY!r} is reserved for the header metadata entry"
+        )
     header: dict[str, dict] = {}
     offset = 0
     for name, arr in tensor_map.items():

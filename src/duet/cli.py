@@ -16,8 +16,6 @@ import sys
 from json import JSONDecodeError
 from pathlib import Path
 
-import numpy as np
-
 from .checkpoint import (
     load_partition_spec,
     partition_checkpoint,
@@ -29,7 +27,6 @@ from .errors import CheckpointFormatError, DTypeError, DuetError
 from .losses import (
     DcLossConfig,
     dc_loss,
-    dc_loss_grad,
     distill_loss,
     load_prediction_batch,
     successive_updates,
@@ -51,7 +48,6 @@ from .task_vectors import (
     save_task_vector,
     zero_task_vector,
 )
-from . import selftest
 
 _IO_ERRORS = (CheckpointFormatError, OSError, JSONDecodeError)
 
@@ -80,24 +76,31 @@ def _default_threads() -> int:
         return 1
 
 
-def _common_parent() -> argparse.ArgumentParser:
-    parent = _Parser(add_help=False)
-    parent.add_argument("-o", "--output", help="output file or directory")
-    parent.add_argument(
+def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
+    """Shared flags: ``--threads`` and ``--format`` go on every subcommand,
+    ``-o`` and ``--dtype-check`` only on the subcommands that act on them."""
+    common = _Parser(add_help=False)
+    common.add_argument(
         "--threads",
         type=positive_int,
         default=_default_threads(),
         help="worker threads for per-layer tensor work (default: DUET_THREADS or 1)",
     )
-    parent.add_argument(
-        "--format", choices=("json", "csv"), default="json", help="report format (default json)"
+    common.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default="json",
+        help="report and error format (default json)",
     )
-    parent.add_argument(
+    output = _Parser(add_help=False)
+    output.add_argument("-o", "--output", help="output file or directory")
+    dtype_check = _Parser(add_help=False)
+    dtype_check.add_argument(
         "--dtype-check",
         action="store_true",
         help="require a single uniform element type across all input tensors",
     )
-    return parent
+    return common, output, dtype_check
 
 
 def build_parser() -> _Parser:
@@ -105,10 +108,14 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--self-test", action="store_true", help="run the offline fixture self-test and exit"
     )
-    common = _common_parent()
+    common, output, dtype_check = _parent_parsers()
+    with_output = [common, output]
+    with_dtype_check = [common, output, dtype_check]
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
 
-    p = sub.add_parser("task-vector", parents=[common], help="compute a shared-partition task vector")
+    p = sub.add_parser(
+        "task-vector", parents=with_dtype_check, help="compute a shared-partition task vector"
+    )
     p.add_argument("base", help="pretrained base checkpoint")
     p.add_argument("fine_tuned", help="fine-tuned checkpoint")
     p.add_argument("--partition", required=True, help="partition manifest JSON")
@@ -117,7 +124,9 @@ def build_parser() -> _Parser:
     merge = sub.add_parser("merge", parents=[], help="merge task vectors onto a base checkpoint")
     merge_sub = merge.add_subparsers(dest="algorithm", parser_class=_Parser)
 
-    p = merge_sub.add_parser("duet", parents=[common], help="layer-wise retention/adaptation merge")
+    p = merge_sub.add_parser(
+        "duet", parents=with_dtype_check, help="layer-wise retention/adaptation merge"
+    )
     p.add_argument("base", help="pretrained base checkpoint")
     p.add_argument("--old", required=True, help="old task vector bundle")
     p.add_argument("--curr", required=True, help="current task vector bundle")
@@ -130,17 +139,19 @@ def build_parser() -> _Parser:
         ("average", "uniform mean of task vectors added to base"),
         ("magmax", "elementwise largest-magnitude delta added to base"),
     ):
-        p = merge_sub.add_parser(name, parents=[common], help=help_text)
+        p = merge_sub.add_parser(name, parents=with_dtype_check, help=help_text)
         p.add_argument("base", help="pretrained base checkpoint")
         p.add_argument("--tv", action="append", required=True, help="task vector bundle (repeatable)")
 
-    p = sub.add_parser("head-concat", parents=[common], help="concatenate task-specific heads")
+    p = sub.add_parser(
+        "head-concat", parents=with_dtype_check, help="concatenate task-specific heads"
+    )
     p.add_argument("prev", help="previous incremental checkpoint")
     p.add_argument("curr", help="current fine-tuned checkpoint")
     p.add_argument("--partition", required=True)
     p.add_argument("--head-order", choices=("curr-first", "prev-first"), default="curr-first")
 
-    p = sub.add_parser("sequence", parents=[common], help="run the full incremental sequence")
+    p = sub.add_parser("sequence", parents=with_output, help="run the full incremental sequence")
     p.add_argument("base", help="pretrained base checkpoint")
     p.add_argument("fine_tuned", nargs="+", help="fine-tuned checkpoints, in task order")
     p.add_argument("--partition", required=True)
@@ -167,7 +178,7 @@ def build_parser() -> _Parser:
     diagnose = sub.add_parser("diagnose", parents=[], help="merge diagnostics")
     diagnose_sub = diagnose.add_subparsers(dest="probe", parser_class=_Parser)
 
-    p = diagnose_sub.add_parser("signs", parents=[common], help="sign-conflict statistics")
+    p = diagnose_sub.add_parser("signs", parents=with_output, help="sign-conflict statistics")
     p.add_argument("--old", required=True, help="old task vector bundle")
     p.add_argument("--curr", required=True, help="current task vector bundle")
     p.add_argument(
@@ -178,13 +189,15 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--prev2", help="task vector two steps back (updates preset; default zero)")
 
-    p = diagnose_sub.add_parser("distance", parents=[common], help="L2/cosine to old and current")
+    p = diagnose_sub.add_parser(
+        "distance", parents=with_output, help="L2/cosine to old and current"
+    )
     p.add_argument("--merged", required=True, help="merged checkpoint")
     p.add_argument("--old", required=True, help="old checkpoint")
     p.add_argument("--curr", required=True, help="current checkpoint")
     p.add_argument("--partition", help="restrict the comparison to the shared partition")
 
-    p = sub.add_parser("metrics", parents=[common], help="retention/generalization metrics")
+    p = sub.add_parser("metrics", parents=with_output, help="retention/generalization metrics")
     p.add_argument("--protocol", required=True, help="protocol manifest JSON")
     p.add_argument("--records", required=True, help="mAP records (.jsonl or .csv)")
 
@@ -209,7 +222,7 @@ def _csv_text(rows: list[list]) -> str:
 
 
 def _enforce_uniform_dtype(args, *tensor_maps):
-    if not getattr(args, "dtype_check", False):
+    if not args.dtype_check:
         return
     dtypes = set()
     for tensor_map in tensor_maps:
@@ -349,10 +362,6 @@ def _cmd_sequence(args) -> int:
     return 0
 
 
-def _rel_error(a: float, b: float) -> float:
-    return abs(a - b) / max(abs(a), abs(b), 1e-12)
-
-
 def _cmd_dc_loss(args) -> int:
     config = DcLossConfig(granularity=args.granularity)
     tau_t = load_task_vector(args.tau_t)
@@ -361,41 +370,13 @@ def _cmd_dc_loss(args) -> int:
     loss = dc_loss(tau_t, tau_prev, tau_prev2, config)
     payload = {"loss": loss, "granularity": args.granularity}
     if args.grad_check:
-        grad = dc_loss_grad(tau_t, tau_prev, tau_prev2, config)
-        h = 1e-5
-        worst = 0.0
-        skipped = 0
+        from .selftest import central_difference_check
 
-        def perturbed(name: str, flat_index: int, bump: float) -> float:
-            # float64 copy so the bump is applied exactly even for f32 storage
-            deltas = {k: v.astype(np.float64) for k, v in tau_t.deltas.items()}
-            flat = deltas[name].reshape(-1)
-            flat[flat_index] += bump
-            return dc_loss(TaskVector(deltas, tau_t.base_fingerprint), tau_prev, tau_prev2, config)
-
-        for name, layer_grad in grad.items():
-            d_curr, d_prev = successive_updates(name, tau_t, tau_prev, tau_prev2)
-            flat_grad = layer_grad.reshape(-1)
-            flat_prev = d_prev.reshape(-1)
-            if config.granularity == "tensor":
-                alignment = np.full(flat_prev.size, float(np.sum(d_curr * d_prev)))
-            else:
-                alignment = (d_curr * d_prev).reshape(-1)
-            for flat_index in range(flat_grad.size):
-                # A +/-h bump moves this term's alignment by h*|d_prev[i]|; if
-                # that can cross the hinge, the stencil straddles the kink.
-                if abs(alignment[flat_index]) <= 2.0 * h * abs(flat_prev[flat_index]):
-                    skipped += 1
-                    continue
-                fd = (perturbed(name, flat_index, h) - perturbed(name, flat_index, -h)) / (2 * h)
-                analytic = float(flat_grad[flat_index])
-                if abs(fd) < 1e-9 and abs(analytic) < 1e-9:
-                    continue
-                worst = max(worst, _rel_error(fd, analytic))
+        check = central_difference_check(tau_t, tau_prev, tau_prev2, config)
         payload["grad_check"] = {
-            "max_rel_error": worst,
-            "near_hinge_skipped": skipped,
-            "passed": worst <= 1e-4,
+            "max_rel_error": check.max_rel_error,
+            "near_hinge_skipped": check.near_hinge_skipped,
+            "passed": check.passed,
         }
     _print_json(payload)
     return 0
@@ -509,6 +490,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     if args.self_test:
+        from . import selftest
+
         return selftest.run()
     if not args.command:
         parser.print_usage(sys.stderr)

@@ -101,9 +101,17 @@ class TestRoundtrip:
             name: rng.normal(size=tuple(shape)).astype(dtype)
             for name, (dtype, shape) in schema.items()
         }
+        if "__metadata__" in tensor_map:
+            with pytest.raises(CheckpointFormatError, match="reserved"):
+                serialize_checkpoint(tensor_map)
+            return
         blob = serialize_checkpoint(tensor_map)
         loaded, _ = parse_checkpoint(blob)
         assert serialize_checkpoint(loaded) == blob
+
+    def test_reserved_metadata_name_rejected_on_write(self):
+        with pytest.raises(CheckpointFormatError, match="'__metadata__' is reserved"):
+            serialize_checkpoint({"a": np.float32([1]), "__metadata__": np.float32([2])})
 
 
 class TestMalformedContainers:
@@ -126,6 +134,28 @@ class TestMalformedContainers:
         header = {"weird": {"dtype": "BF16", "shape": [1], "data_offsets": [0, 2]}}
         with pytest.raises(CheckpointFormatError, match="'weird'.*unknown dtype"):
             parse_checkpoint(build_container(header, b"\x00\x00"))
+
+    def test_non_string_dtype_rejected(self):
+        header = {"a": {"dtype": ["F32"], "shape": [1], "data_offsets": [0, 4]}}
+        with pytest.raises(CheckpointFormatError, match="'a'.*unknown dtype"):
+            parse_checkpoint(build_container(header, b"\x00" * 4))
+
+    def test_boolean_shape_extent_rejected(self):
+        header = {"a": {"dtype": "F32", "shape": [True], "data_offsets": [0, 4]}}
+        with pytest.raises(CheckpointFormatError, match="'a'.*shape"):
+            parse_checkpoint(build_container(header, b"\x00" * 4))
+
+    def test_boolean_data_offsets_rejected(self):
+        header = {"a": {"dtype": "F32", "shape": [1], "data_offsets": [False, 4]}}
+        with pytest.raises(CheckpointFormatError, match="'a'.*data_offsets"):
+            parse_checkpoint(build_container(header, b"\x00" * 4))
+
+    def test_duplicate_tensor_name_rejected(self):
+        entry = '{"dtype":"F32","shape":[1],"data_offsets":[0,4]}'
+        header = f'{{"a":{entry},"a":{entry}}}'.encode()
+        blob = struct.pack("<Q", len(header)) + header + b"\x00" * 4
+        with pytest.raises(CheckpointFormatError, match="repeats the key 'a'"):
+            parse_checkpoint(blob)
 
     def test_overlapping_offsets_name_both_tensors(self):
         header = {

@@ -464,6 +464,28 @@ class TestCliContract:
         assert code == 1
         assert "--threads" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["sequence", "base", "ft1", "--partition", "p.json", "-o", "out"],
+        ["dc-loss", "--t", "a", "--prev", "b"],
+        ["distill", "--curr", "a", "--old", "b"],
+        ["diagnose", "signs", "--old", "a", "--curr", "b"],
+        ["diagnose", "distance", "--merged", "m", "--old", "a", "--curr", "b"],
+        ["metrics", "--protocol", "p.json", "--records", "r.jsonl"],
+    ])
+    def test_dtype_check_rejected_where_it_has_no_effect(self, capsys, argv):
+        code, _, err = run_cli(capsys, argv + ["--dtype-check"])
+        assert code == 1
+        assert "unrecognized arguments: --dtype-check" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["dc-loss", "--t", "a", "--prev", "b"],
+        ["distill", "--curr", "a", "--old", "b"],
+    ])
+    def test_output_rejected_where_nothing_is_written(self, capsys, argv):
+        code, _, err = run_cli(capsys, argv + ["-o", "out.json"])
+        assert code == 1
+        assert "unrecognized arguments: -o" in err
+
     def test_merge_hyperparameter_flags(self, capsys, trio, tmp_path):
         tv_old = make_task_vector(capsys, trio, trio["task1"], tmp_path / "a", "old")
         tv_curr = make_task_vector(capsys, trio, trio["task2"], tmp_path / "b", "curr")
@@ -532,3 +554,30 @@ class TestCliContract:
         second = (tmp_path / "tv" / "deltas.safetensors").read_bytes()
         assert (code_a, out_a) == (code_b, out_b)
         assert first == second
+
+
+class TestSelfTest:
+    CRITERIA = ("1", "2", "3", "4", "5", "7", "8")
+
+    def test_every_check_passes(self, capsys):
+        code, out, _ = run_cli(capsys, ["--self-test"])
+        assert code == 0, out
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"PASS criterion {n}" for n in self.CRITERIA
+        ]
+
+    def test_a_broken_gradient_fails_its_check(self, capsys, monkeypatch):
+        from duet import losses, selftest
+
+        def negated(*args, **kwargs):
+            return {name: -g for name, g in losses.dc_loss_grad(*args, **kwargs).items()}
+
+        monkeypatch.setattr(selftest, "dc_loss_grad", negated)
+        code, out, _ = run_cli(capsys, ["--self-test"])
+        assert code == 1
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            f"{'FAIL' if n == '4' else 'PASS'} criterion {n}" for n in self.CRITERIA
+        ]
+        assert "worst relative error 2.000e+00" in lines[3]
