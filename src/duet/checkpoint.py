@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -113,6 +114,8 @@ class CheckpointReader:
             raise self._fail(f"header is not valid UTF-8 at byte offset {8 + exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise self._fail(f"malformed header JSON at byte offset {8 + exc.pos}") from exc
+        except RecursionError as exc:
+            raise self._fail("header JSON nests too deeply") from exc
         if not isinstance(header, dict):
             raise self._fail("header JSON must be an object")
 
@@ -188,7 +191,10 @@ class CheckpointReader:
         raw = self._fh.read(entry.end - entry.begin)
         if len(raw) != entry.end - entry.begin:
             raise self._fail(f"tensor {name!r}: payload truncated")
-        arr = np.frombuffer(raw, dtype=entry.dtype).reshape(entry.shape)
+        try:
+            arr = np.frombuffer(raw, dtype=entry.dtype).reshape(entry.shape)
+        except ValueError as exc:  # more dimensions or elements than numpy allows
+            raise self._fail(f"tensor {name!r}: shape {list(entry.shape)} is not loadable: {exc}") from exc
         if not self._allow_nonfinite and arr.size and not np.isfinite(arr).all():
             raise self._fail(
                 f"tensor {name!r} contains non-finite values (load with allow_nonfinite=True to keep them)"
@@ -260,13 +266,39 @@ def fingerprint_map(tensor_map: NamedTensorMap) -> str:
     return digest.hexdigest()
 
 
+def write_atomically(path: str | Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a temporary file beside ``path``, then move it onto
+    ``path``.  On any error the temporary file is removed and ``path`` keeps
+    its earlier contents."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_checkpoint(tensor_map: NamedTensorMap, path: str | Path) -> str:
-    """Stream the canonical serialization to ``path``; returns its fingerprint."""
+    """Stream the canonical serialization to ``path`` atomically; returns its
+    fingerprint.  Like the reader, refuses tensors with non-finite values."""
+    for name, arr in tensor_map.items():
+        check_tensor(arr, name)
+        if arr.size and not np.isfinite(arr).all():
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r} contains non-finite values; refusing to write it"
+            )
     digest = hashlib.sha256()
-    with open(path, "wb") as fh:
+
+    def chunks() -> Iterator[bytes]:
         for chunk in _iter_chunks(tensor_map):
-            fh.write(chunk)
             digest.update(chunk)
+            yield chunk
+
+    write_atomically(path, chunks())
     return digest.hexdigest()
 
 
@@ -363,7 +395,7 @@ def load_partition_spec(path: str | Path) -> PartitionSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             payload = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointFormatError(f"{path}: malformed partition JSON: {exc}") from exc
     return PartitionSpec.from_dict(payload)
 

@@ -20,9 +20,10 @@ from .checkpoint import (
     load_partition_spec,
     partition_checkpoint,
     read_checkpoint,
+    write_atomically,
     write_checkpoint,
 )
-from .diagnostics import SignConflictReport, merge_distance, sign_conflicts
+from .diagnostics import SignConflictReport, layer_sign_conflicts, merge_distance, sign_conflicts
 from .errors import CheckpointFormatError, DTypeError, DuetError
 from .losses import (
     DcLossConfig,
@@ -40,7 +41,7 @@ from .merge import (
     weight_average_merge,
 )
 from .metrics import compute_metrics, load_protocol, load_records
-from .tensors import check_same_keys
+from .tensors import map_layers
 from .task_vectors import (
     TaskVector,
     compute_task_vector,
@@ -209,7 +210,7 @@ def _print_json(payload: dict):
 
 
 def _write_text(path: str | Path, text: str):
-    Path(path).write_text(text, encoding="utf-8")
+    write_atomically(path, [text.encode("utf-8")])
 
 
 def _csv_text(rows: list[list]) -> str:
@@ -413,12 +414,10 @@ def _cmd_diagnose(args) -> int:
         tau_curr = load_task_vector(args.curr)
         if args.preset == "updates":
             tau_prev2 = _load_tv_maybe_zero(args.prev2, tau_old, "zero")
-            check_same_keys(tau_curr.deltas, tau_old.deltas, "sign_conflicts")
-            report = SignConflictReport()
-            for name in tau_curr.deltas:
-                # One tensor at a time: the float64 update maps are never held whole.
-                d_curr, d_prev = successive_updates(name, tau_curr, tau_old, tau_prev2)
-                report.per_tensor.update(sign_conflicts({name: d_curr}, {name: d_prev}).per_tensor)
+            # One tensor at a time: the float64 update maps are never held whole.
+            count = lambda name, *layers: layer_sign_conflicts(*successive_updates(*layers))
+            maps = {"curr": tau_curr.deltas, "old": tau_old.deltas, "prev2": tau_prev2.deltas}
+            report = SignConflictReport(dict(map_layers("sign_conflicts", count, maps)))
         else:
             report = sign_conflicts(tau_old, tau_curr)
         payload = {"preset": args.preset, **report.to_dict()}

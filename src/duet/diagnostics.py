@@ -6,13 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError
-from .tensors import (
-    NamedTensorMap,
-    check_same_keys,
-    cosine_similarity,
-    l2_norm,
-)
+from .tensors import NamedTensorMap, cosine_similarity, l2_norm, map_layers
 from .task_vectors import TaskVector
 
 
@@ -65,24 +59,22 @@ def _as_map(vector: TaskVector | NamedTensorMap) -> NamedTensorMap:
     return vector.deltas if isinstance(vector, TaskVector) else vector
 
 
-def sign_conflicts(a: TaskVector | NamedTensorMap, b: TaskVector | NamedTensorMap) -> SignConflictReport:
-    """Count element pairs with strictly opposite nonzero signs.
+def layer_sign_conflicts(left: np.ndarray, right: np.ndarray) -> TensorSignConflicts:
+    """Count one tensor pair's elements with strictly opposite nonzero signs.
 
     Pairs where either element is zero are excluded from ``comparable``.
     """
-    map_a = _as_map(a)
-    map_b = _as_map(b)
-    check_same_keys(map_a, map_b, "sign_conflicts")
-    report = SignConflictReport()
-    for name, left in map_a.items():
-        right = map_b[name]
-        if left.shape != right.shape:
-            raise ShapeError(f"tensor {name!r}: shape mismatch {left.shape} vs {right.shape}")
-        nonzero = (left != 0) & (right != 0)
-        comparable = int(np.count_nonzero(nonzero))
-        conflicts = int(np.count_nonzero(nonzero & (np.sign(left) != np.sign(right))))
-        report.per_tensor[name] = TensorSignConflicts(conflicts=conflicts, comparable=comparable)
-    return report
+    nonzero = (left != 0) & (right != 0)
+    comparable = int(np.count_nonzero(nonzero))
+    conflicts = int(np.count_nonzero(nonzero & (np.sign(left) != np.sign(right))))
+    return TensorSignConflicts(conflicts=conflicts, comparable=comparable)
+
+
+def sign_conflicts(a: TaskVector | NamedTensorMap, b: TaskVector | NamedTensorMap) -> SignConflictReport:
+    """:func:`layer_sign_conflicts` for every tensor of two aligned maps."""
+    count = lambda name, left, right: layer_sign_conflicts(left, right)
+    maps = {"left": _as_map(a), "right": _as_map(b)}
+    return SignConflictReport(dict(map_layers("sign_conflicts", count, maps)))
 
 
 @dataclass
@@ -119,11 +111,9 @@ def _flatten_canonical(tensor_map: NamedTensorMap) -> np.ndarray:
 def merge_distance(
     merged: NamedTensorMap, old: NamedTensorMap, curr: NamedTensorMap
 ) -> MergeDistanceReport:
-    check_same_keys(merged, old, "merge_distance", "merged", "old")
-    check_same_keys(merged, curr, "merge_distance", "merged", "curr")
-    for name in merged:
-        if merged[name].shape != old[name].shape or merged[name].shape != curr[name].shape:
-            raise ShapeError(f"tensor {name!r}: shape mismatch across merged/old/curr")
+    maps = {"merged": merged, "old": old, "curr": curr}
+    for _ in map_layers("merge_distance", lambda name, *layers: None, maps):
+        pass
     flat_merged = _flatten_canonical(merged)
     flat_old = _flatten_canonical(old)
     flat_curr = _flatten_canonical(curr)

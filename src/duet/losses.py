@@ -11,7 +11,7 @@ import numpy as np
 
 from .checkpoint import read_checkpoint
 from .errors import CheckpointFormatError, EmptyInputError, ShapeError
-from .tensors import NamedTensorMap, check_same_keys, inner_product
+from .tensors import NamedTensorMap, inner_product, map_layers
 from .task_vectors import TaskVector, _check_bases
 
 GRANULARITIES = ("tensor", "element")
@@ -42,28 +42,42 @@ class LossWeights:
             raise ValueError("loss weights must be non-negative")
 
 
-def _dc_inputs(
-    tau_t: TaskVector, tau_prev: TaskVector, tau_prev2: TaskVector, op: str
-) -> list[str]:
-    _check_bases(op, tau_t.base_fingerprint, tau_prev, tau_prev2)
-    check_same_keys(tau_t.deltas, tau_prev.deltas, op, "tau_t", "tau_prev")
-    check_same_keys(tau_t.deltas, tau_prev2.deltas, op, "tau_t", "tau_prev2")
-    for name in tau_t.deltas:
-        shape = tau_t.deltas[name].shape
-        if tau_prev.deltas[name].shape != shape or tau_prev2.deltas[name].shape != shape:
-            raise ShapeError(f"tensor {name!r}: shape mismatch across the three task vectors")
-    # Sorted iteration makes the reduction independent of dict insertion order.
-    return sorted(tau_t.deltas)
-
-
 def successive_updates(
-    name: str, tau_t: TaskVector, tau_prev: TaskVector, tau_prev2: TaskVector
+    tau_t: np.ndarray, tau_prev: np.ndarray, tau_prev2: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """One tensor's float64 updates ``d_curr = tau_t - tau_prev`` and
     ``d_prev = tau_prev - tau_prev2``."""
-    prev = tau_prev.deltas[name].astype(np.float64)
-    d_curr = tau_t.deltas[name].astype(np.float64) - prev
-    return d_curr, prev - tau_prev2.deltas[name].astype(np.float64)
+    prev = tau_prev.astype(np.float64)
+    d_curr = tau_t.astype(np.float64) - prev
+    return d_curr, prev - tau_prev2.astype(np.float64)
+
+
+def dc_term(
+    tau_t: np.ndarray, tau_prev: np.ndarray, tau_prev2: np.ndarray, granularity: str
+) -> tuple[float, np.ndarray, np.ndarray | bool]:
+    """One tensor's term of :func:`dc_loss` as ``(penalty, d_prev, active)``.
+
+    ``active`` marks the terms with negative alignment (one flag per tensor or
+    per element); the term's gradient with respect to ``tau_t`` is
+    ``where(active, -d_prev, 0)``, the zero subgradient at the hinge.
+    """
+    d_curr, d_prev = successive_updates(tau_t, tau_prev, tau_prev2)
+    if granularity == "tensor":
+        alignment = inner_product(d_curr, d_prev)
+        active = alignment < 0.0
+        return (-alignment if active else 0.0), d_prev, active
+    products = d_curr * d_prev
+    active = products < 0.0
+    return float(-np.sum(products[active], dtype=np.float64)), d_prev, active
+
+
+def _dc_terms(
+    tau_t: TaskVector, tau_prev: TaskVector, tau_prev2: TaskVector, config: DcLossConfig, op: str
+):
+    _check_bases(op, tau_t.base_fingerprint, tau_prev, tau_prev2)
+    term = lambda name, t, prev, prev2: dc_term(t, prev, prev2, config.granularity)
+    maps = {"tau_t": tau_t.deltas, "tau_prev": tau_prev.deltas, "tau_prev2": tau_prev2.deltas}
+    return map_layers(op, term, maps)
 
 
 def dc_loss(
@@ -79,17 +93,11 @@ def dc_loss(
     or single elements depending on the configured granularity.
     """
     config = config or DcLossConfig()
-    names = _dc_inputs(tau_t, tau_prev, tau_prev2, "dc_loss")
+    terms = _dc_terms(tau_t, tau_prev, tau_prev2, config, "dc_loss")
     total = 0.0
-    for name in names:
-        d_curr, d_prev = successive_updates(name, tau_t, tau_prev, tau_prev2)
-        if config.granularity == "tensor":
-            alignment = inner_product(d_curr, d_prev)
-            if alignment < 0.0:
-                total += -alignment
-        else:
-            products = d_curr * d_prev
-            total += float(-np.sum(products[products < 0.0], dtype=np.float64))
+    # Sorted order makes the sum independent of dict insertion order.
+    for _, penalty in sorted((name, term[0]) for name, term in terms):
+        total += penalty
     return total
 
 
@@ -105,16 +113,9 @@ def dc_loss_grad(
     at the hinge (alignment exactly zero) the zero subgradient is returned.
     """
     config = config or DcLossConfig()
-    _dc_inputs(tau_t, tau_prev, tau_prev2, "dc_loss_grad")
     grad: NamedTensorMap = {}
-    for name in tau_t.deltas:
-        d_curr, d_prev = successive_updates(name, tau_t, tau_prev, tau_prev2)
-        if config.granularity == "tensor":
-            alignment = inner_product(d_curr, d_prev)
-            layer_grad = -d_prev if alignment < 0.0 else np.zeros_like(d_prev)
-        else:
-            active = (d_curr * d_prev) < 0.0
-            layer_grad = np.where(active, -d_prev, 0.0)
+    for name, (_, d_prev, active) in _dc_terms(tau_t, tau_prev, tau_prev2, config, "dc_loss_grad"):
+        layer_grad = np.where(active, -d_prev, 0.0)
         layer_grad.flags.writeable = False
         grad[name] = layer_grad
     return grad
@@ -168,7 +169,7 @@ def load_prediction_batch(path: str | Path) -> PredictionBatch:
     if path.suffix.lower() == ".json":
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointFormatError(f"{path}: malformed prediction JSON: {exc}") from exc
         if not isinstance(payload, dict) or not {"class_logits", "bbox_values"} <= set(payload):
             raise CheckpointFormatError(

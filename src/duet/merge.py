@@ -20,8 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -37,7 +35,7 @@ from .errors import (
     KeyMismatchError,
     ShapeError,
 )
-from .tensors import NamedTensorMap, check_same_keys, check_tensor, combine, l1_norm
+from .tensors import NamedTensorMap, check_same_keys, check_tensor, combine, l1_norm, map_layers
 from .task_vectors import TaskVector, _check_bases, _check_layer_pair, _subtract
 
 # Slack on the |p| <= 1 bound; the triangle inequality caps the exact ratio at
@@ -124,22 +122,6 @@ class MergeReport:
         return rows
 
 
-def _map_ordered(fn, items: Iterable, threads: int = 1) -> Iterator:
-    """Lazily yield ``fn(item)`` in order, with up to ``2 * threads`` calls in
-    flight; ``items`` is only iterated on the consuming thread."""
-    if threads <= 1:
-        yield from map(fn, items)
-        return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        pending: deque = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) >= 2 * threads:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-
-
 def _layer_coefficients(
     name: str, tau_old_l: np.ndarray, tau_curr_l: np.ndarray, config: MergeConfig
 ) -> tuple[LayerMergeRecord, list[str]]:
@@ -189,6 +171,14 @@ def _merge_layers(
     """The report (fingerprints and sign conflicts taken now) plus a lazy
     ``(name, merged_layer)`` stream in base order that adds each layer's record
     as it goes.  Once a layer is yielded its inputs are never read again."""
+
+    def merge_one(name, base_l, old_l, curr_l) -> tuple[LayerMergeRecord, np.ndarray, list[str]]:
+        record, warnings = _layer_coefficients(name, old_l, curr_l, config)
+        terms = ((1.0, base_l), (record.alpha, old_l), (record.beta, curr_l))
+        return record, combine(terms, base_l.dtype), warnings
+
+    maps = {"base": base_shared, "tau_old": tau_old, "tau_curr": tau_curr}
+    results = map_layers("duet_merge", merge_one, maps, threads)
     report = MergeReport(
         config=config,
         base_fingerprint=base_fingerprint,
@@ -197,19 +187,8 @@ def _merge_layers(
         sign_conflicts=sign_conflicts(tau_old, tau_curr),
     )
 
-    def merge_one(item) -> tuple[LayerMergeRecord, np.ndarray, list[str]]:
-        name, base_l, old_l, curr_l = item
-        if base_l.shape != old_l.shape:
-            raise ShapeError(f"tensor {name!r}: shape mismatch {base_l.shape} vs {old_l.shape}")
-        record, warnings = _layer_coefficients(name, old_l, curr_l, config)
-        terms = ((1.0, base_l), (record.alpha, old_l), (record.beta, curr_l))
-        return record, combine(terms, base_l.dtype), warnings
-
     def layers() -> Iterator[tuple[str, np.ndarray]]:
-        # Arrays are fetched here, on the consuming thread, never by a worker.
-        inputs = ((name, base_shared[name], tau_old[name], tau_curr[name]) for name in base_shared)
-        results = _map_ordered(merge_one, inputs, threads=threads)
-        for name, (record, merged_layer, warnings) in zip(base_shared, results):
+        for name, (record, merged_layer, warnings) in results:
             report.layers.append(record)
             report.warnings.extend(warnings)
             yield name, merged_layer
@@ -232,9 +211,6 @@ def duet_merge(
     """
     config = config or MergeConfig()
     _check_bases("duet_merge", base_fingerprint, tau_old, tau_curr)
-    check_same_keys(base_shared, tau_old.deltas, "duet_merge", "base", "tau_old")
-    check_same_keys(base_shared, tau_curr.deltas, "duet_merge", "base", "tau_curr")
-
     report, layers = _merge_layers(
         base_shared, base_fingerprint, tau_old.deltas, tau_curr.deltas, config, threads
     )
@@ -346,7 +322,6 @@ def iter_incremental_sequence(
     fine_tuned: Iterable,
     spec: PartitionSpec,
     config: MergeConfig | None = None,
-    base_fingerprint: str | None = None,
     head_order: str = "curr-first",
     threads: int = 1,
 ) -> Iterator[SequenceStep]:
@@ -363,11 +338,10 @@ def iter_incremental_sequence(
 
     base_source = _open_source(base)
     try:
-        if base_fingerprint is None:
-            if isinstance(base_source, CheckpointReader):
-                base_fingerprint = base_source.fingerprint()
-            else:
-                base_fingerprint = fingerprint_map(base_source.load_all())
+        if isinstance(base_source, CheckpointReader):
+            base_fingerprint = base_source.fingerprint()
+        else:
+            base_fingerprint = fingerprint_map(base_source.load_all())
         base_shared_names, _ = classify_names(base_source.names, spec)
         base_shared = {name: base_source.load(name) for name in base_shared_names}
     finally:
@@ -441,28 +415,25 @@ def incremental_sequence(
     fine_tuned: Iterable,
     spec: PartitionSpec,
     config: MergeConfig | None = None,
-    base_fingerprint: str | None = None,
     head_order: str = "curr-first",
 ) -> tuple[list[NamedTensorMap], list[MergeReport | None]]:
     """Collect the full sequence in memory (small runs and tests)."""
     checkpoints: list[NamedTensorMap] = []
     reports: list[MergeReport | None] = []
-    for step in iter_incremental_sequence(
-        base, fine_tuned, spec, config, base_fingerprint=base_fingerprint, head_order=head_order
-    ):
+    for step in iter_incremental_sequence(base, fine_tuned, spec, config, head_order=head_order):
         checkpoints.append(step.checkpoint)
         reports.append(step.report)
     return checkpoints, reports
 
 
-def _check_vector_stack(
+def _vector_stack(
     base_shared: NamedTensorMap, base_fingerprint: str, task_vectors: list[TaskVector], op: str
-):
+) -> dict[str, NamedTensorMap]:
     if not task_vectors:
         raise EmptyInputError(f"{op}: need at least one task vector")
     _check_bases(op, base_fingerprint, *task_vectors)
-    for vector in task_vectors:
-        check_same_keys(base_shared, vector.deltas, op, "base", f"task vector {vector.label!r}")
+    vectors = {f"task vector {i} {v.label!r}": v.deltas for i, v in enumerate(task_vectors, 1)}
+    return {"base": base_shared, **vectors}
 
 
 def weight_average_merge(
@@ -472,21 +443,16 @@ def weight_average_merge(
     threads: int = 1,
 ) -> NamedTensorMap:
     """Base plus the uniform mean of the task vectors."""
-    _check_vector_stack(base_shared, base_fingerprint, task_vectors, "weight_average_merge")
+    maps = _vector_stack(base_shared, base_fingerprint, task_vectors, "weight_average_merge")
     scale = 1.0 / len(task_vectors)
 
-    def merge_one(name: str) -> np.ndarray:
-        total = np.zeros(base_shared[name].shape, dtype=np.float64)
-        for vector in task_vectors:
-            delta = vector.deltas[name]
-            if delta.shape != total.shape:
-                raise ShapeError(
-                    f"tensor {name!r}: shape mismatch {delta.shape} vs {total.shape}"
-                )
+    def merge_one(name: str, base_l: np.ndarray, *deltas: np.ndarray) -> np.ndarray:
+        total = np.zeros(base_l.shape, dtype=np.float64)
+        for delta in deltas:
             total += delta
-        return combine(((1.0, base_shared[name]), (scale, total)), base_shared[name].dtype)
+        return combine(((1.0, base_l), (scale, total)), base_l.dtype)
 
-    return dict(zip(base_shared, _map_ordered(merge_one, base_shared, threads=threads)))
+    return dict(map_layers("weight_average_merge", merge_one, maps, threads))
 
 
 def magmax_merge(
@@ -500,16 +466,13 @@ def magmax_merge(
     Ties keep the earliest vector in list order.  This is the elementwise
     magnitude-max core only, not any consensus preprocessing around it.
     """
-    _check_vector_stack(base_shared, base_fingerprint, task_vectors, "magmax_merge")
+    maps = _vector_stack(base_shared, base_fingerprint, task_vectors, "magmax_merge")
 
-    def merge_one(name: str) -> np.ndarray:
-        best = task_vectors[0].deltas[name].copy()
-        for vector in task_vectors[1:]:
-            delta = vector.deltas[name]
-            if delta.shape != best.shape:
-                raise ShapeError(f"tensor {name!r}: shape mismatch {delta.shape} vs {best.shape}")
+    def merge_one(name: str, base_l: np.ndarray, *deltas: np.ndarray) -> np.ndarray:
+        best = deltas[0].copy()
+        for delta in deltas[1:]:
             take = np.abs(delta) > np.abs(best)
             best[take] = delta[take]
-        return combine(((1.0, base_shared[name]), (1.0, best)), base_shared[name].dtype)
+        return combine(((1.0, base_l), (1.0, best)), base_l.dtype)
 
-    return dict(zip(base_shared, _map_ordered(merge_one, base_shared, threads=threads)))
+    return dict(map_layers("magmax_merge", merge_one, maps, threads))

@@ -78,7 +78,7 @@ def load_protocol(path: str | Path) -> EvalProtocol:
     path = Path(path)
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointFormatError(f"{path}: malformed protocol JSON: {exc}") from exc
     if not isinstance(payload, dict) or "tasks" not in payload:
         raise ProtocolError(f"{path}: protocol JSON must be an object with a 'tasks' list")
@@ -153,7 +153,7 @@ def load_records(path: str | Path) -> list[EvalRecord]:
         context = f"{path}:line {i + 1}"
         try:
             payload = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise CheckpointFormatError(f"{context}: malformed JSON: {exc}") from exc
         records.append(_record_from_dict(payload, context))
     return records
@@ -326,66 +326,78 @@ class MetricsReport:
         return rows
 
 
-def avg_retention_index(protocol: EvalProtocol, records: list[EvalRecord]) -> float:
-    return compute_metrics(protocol, records, need_generalization=False).avg_ri
-
-
-def avg_generalization_index(protocol: EvalProtocol, records: list[EvalRecord]) -> float:
-    return compute_metrics(protocol, records, need_retention=False).avg_gi
-
-
-def compute_metrics(
-    protocol: EvalProtocol,
-    records: list[EvalRecord],
-    need_retention: bool = True,
-    need_generalization: bool = True,
-) -> MetricsReport:
-    """Evaluate every retention and generalization slot of the protocol.
-
-    Old-class mAPs are taken at the final task only; intermediate old
-    measurements may be present in ``records`` but do not enter Avg RI.
-    """
+def _check_protocol(protocol: EvalProtocol) -> None:
     violations = validate_protocol(protocol)
     if violations:
         raise ProtocolError("invalid protocol: " + "; ".join(violations))
     if len(protocol.tasks) < 2:
         raise ProtocolError("metrics need at least two tasks (one incremental step)")
+
+
+def _retention(protocol: EvalProtocol, records: list[EvalRecord]) -> list[DomainRetention]:
     final_task = protocol.tasks[-1].task_id
-    report = MetricsReport()
-
-    if need_retention:
-        for task in protocol.tasks[:-1]:
-            new_rec = _pick_unique(records, "new", task.domain, task.class_range, task.task_id)
-            old_rec = _pick_unique(records, "old", task.domain, task.class_range, final_task)
-            ri = retention_index(old_rec.map50, new_rec.map50)
-            report.retention.append(
-                DomainRetention(
-                    domain=task.domain,
-                    class_range=task.class_range,
-                    map_old_final=old_rec.map50,
-                    map_new_initial=new_rec.map50,
-                    ri=ri,
-                )
+    retention = []
+    for task in protocol.tasks[:-1]:
+        new_rec = _pick_unique(records, "new", task.domain, task.class_range, task.task_id)
+        old_rec = _pick_unique(records, "old", task.domain, task.class_range, final_task)
+        ri = retention_index(old_rec.map50, new_rec.map50)
+        retention.append(
+            DomainRetention(
+                domain=task.domain,
+                class_range=task.class_range,
+                map_old_final=old_rec.map50,
+                map_new_initial=new_rec.map50,
+                ri=ri,
             )
-        report.avg_ri = sum(entry.ri for entry in report.retention) / len(report.retention)
+        )
+    return retention
 
-    if need_generalization and protocol.unseen_pairs:
-        for pair in protocol.unseen_pairs:
-            unseen_rec = _pick_unique(records, "unseen", pair.domain, pair.class_range, pair.task_id)
-            ref_rec = _pick_unique(records, "ref", pair.domain, pair.class_range, None)
-            gi = generalization_index(unseen_rec.map50, ref_rec.map50)
-            report.generalization.append(
-                PairGeneralization(
-                    domain=pair.domain,
-                    task_id=pair.task_id,
-                    class_range=pair.class_range,
-                    map_unseen=unseen_rec.map50,
-                    map_ref=ref_rec.map50,
-                    gi=gi,
-                )
+
+def _generalization(protocol: EvalProtocol, records: list[EvalRecord]) -> list[PairGeneralization]:
+    generalization = []
+    for pair in protocol.unseen_pairs:
+        unseen_rec = _pick_unique(records, "unseen", pair.domain, pair.class_range, pair.task_id)
+        ref_rec = _pick_unique(records, "ref", pair.domain, pair.class_range, None)
+        gi = generalization_index(unseen_rec.map50, ref_rec.map50)
+        generalization.append(
+            PairGeneralization(
+                domain=pair.domain,
+                task_id=pair.task_id,
+                class_range=pair.class_range,
+                map_unseen=unseen_rec.map50,
+                map_ref=ref_rec.map50,
+                gi=gi,
             )
-        report.avg_gi = sum(entry.gi for entry in report.generalization) / len(report.generalization)
+        )
+    return generalization
 
-    if need_retention and need_generalization:
-        report.rai = rai(report.avg_ri, report.avg_gi)
+
+def _mean(values: list[float]) -> float:
+    return sum(values) / len(values) if values else 0.0
+
+
+def avg_retention_index(protocol: EvalProtocol, records: list[EvalRecord]) -> float:
+    _check_protocol(protocol)
+    return _mean([entry.ri for entry in _retention(protocol, records)])
+
+
+def avg_generalization_index(protocol: EvalProtocol, records: list[EvalRecord]) -> float:
+    _check_protocol(protocol)
+    return _mean([entry.gi for entry in _generalization(protocol, records)])
+
+
+def compute_metrics(protocol: EvalProtocol, records: list[EvalRecord]) -> MetricsReport:
+    """Evaluate every retention and generalization slot of the protocol.
+
+    Old-class mAPs are taken at the final task only; intermediate old
+    measurements may be present in ``records`` but do not enter Avg RI.
+    """
+    _check_protocol(protocol)
+    report = MetricsReport(
+        retention=_retention(protocol, records),
+        generalization=_generalization(protocol, records),
+    )
+    report.avg_ri = _mean([entry.ri for entry in report.retention])
+    report.avg_gi = _mean([entry.gi for entry in report.generalization])
+    report.rai = rai(report.avg_ri, report.avg_gi)
     return report

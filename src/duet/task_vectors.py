@@ -8,9 +8,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, write_checkpoint
+from .checkpoint import read_checkpoint, write_atomically, write_checkpoint
 from .errors import BaseMismatchError, CheckpointFormatError, ShapeError
-from .tensors import NamedTensorMap, check_same_keys, check_tensor, combine
+from .tensors import NamedTensorMap, check_tensor, combine, map_layers
 
 _DELTAS_FILE = "deltas.safetensors"
 _META_FILE = "meta.json"
@@ -62,11 +62,9 @@ def compute_task_vector(
     label: str = "",
 ) -> TaskVector:
     """Per-tensor ``fine_tuned - base`` in float64, stored in the base dtype."""
-    check_same_keys(fine_tuned_shared, base_shared, "compute_task_vector", "fine_tuned", "base")
-    deltas = {
-        name: _subtract(name, fine_tuned_shared[name], base_shared[name])
-        for name in base_shared
-    }
+    maps = {"base": base_shared, "fine_tuned": fine_tuned_shared}
+    subtract = lambda name, base, fine_tuned: _subtract(name, fine_tuned, base)
+    deltas = dict(map_layers("compute_task_vector", subtract, maps))
     return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)
 
 
@@ -89,14 +87,9 @@ def apply_task_vector(
 ) -> NamedTensorMap:
     """``base + scale * delta`` per tensor, in float64, cast to the base dtype."""
     _check_bases("apply_task_vector", base_fingerprint, vector)
-    check_same_keys(base_shared, vector.deltas, "apply_task_vector", "base", "task vector")
-    out: NamedTensorMap = {}
-    for name, base in base_shared.items():
-        delta = vector.deltas[name]
-        if base.shape != delta.shape:
-            raise ShapeError(f"tensor {name!r}: shape mismatch {base.shape} vs {delta.shape}")
-        out[name] = combine(((1.0, base), (float(scale), delta)), base.dtype)
-    return out
+    add = lambda name, base, delta: combine(((1.0, base), (float(scale), delta)), base.dtype)
+    maps = {"base": base_shared, "task vector": vector.deltas}
+    return dict(map_layers("apply_task_vector", add, maps))
 
 
 def save_task_vector(vector: TaskVector, directory: str | Path) -> Path:
@@ -105,7 +98,8 @@ def save_task_vector(vector: TaskVector, directory: str | Path) -> Path:
     directory.mkdir(parents=True, exist_ok=True)
     write_checkpoint(vector.deltas, directory / _DELTAS_FILE)
     sidecar = {"base_fingerprint": vector.base_fingerprint, "label": vector.label}
-    (directory / _META_FILE).write_text(json.dumps(sidecar, indent=2) + "\n", encoding="utf-8")
+    text = json.dumps(sidecar, indent=2) + "\n"
+    write_atomically(directory / _META_FILE, [text.encode("utf-8")])
     return directory
 
 
@@ -122,6 +116,6 @@ def load_task_vector(directory: str | Path) -> TaskVector:
         meta = json.loads(meta_path.read_text(encoding="utf-8"))
         base_fingerprint = meta["base_fingerprint"]
         label = meta.get("label", "")
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"{meta_path}: malformed task vector sidecar: {exc}") from exc
     return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)

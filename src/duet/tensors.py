@@ -4,16 +4,19 @@ A tensor is a plain ``numpy.ndarray`` of dtype float32 or float64; a named
 tensor map is an insertion-ordered ``dict[str, np.ndarray]``.  All reductions
 accumulate in float64 with numpy's fixed pairwise tree, so results are
 reproducible across runs and thread counts, and every kernel is a pure
-function of its inputs.
+function of its inputs.  :func:`map_layers` is the one walk over aligned
+maps: every per-tensor operation goes through its key and shape checks.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .errors import DTypeError, ShapeError
+from .errors import DTypeError, KeyMismatchError, ShapeError
 
 SUPPORTED_DTYPES = (np.float32, np.float64)
 
@@ -121,8 +124,6 @@ def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
 
 def check_same_keys(a: NamedTensorMap, b: NamedTensorMap, op: str, a_name: str = "left", b_name: str = "right"):
     """Raise KeyMismatchError listing the symmetric difference of two maps' keys."""
-    from .errors import KeyMismatchError
-
     if a.keys() == b.keys():
         return
     only_a = sorted(a.keys() - b.keys())
@@ -130,3 +131,49 @@ def check_same_keys(a: NamedTensorMap, b: NamedTensorMap, op: str, a_name: str =
     raise KeyMismatchError(
         f"{op}: key sets differ; only in {a_name}: {only_a}; only in {b_name}: {only_b}"
     )
+
+
+def map_layers(
+    op: str, fn: Callable, maps: dict[str, NamedTensorMap], threads: int = 1
+) -> Iterator[tuple[str, object]]:
+    """Lazily yield ``(name, fn(name, *layers))`` over aligned tensor maps.
+
+    ``maps`` maps a label (for error messages) to a tensor map.  The first map
+    sets the order and the key set (KeyMismatchError, checked now); each
+    name's layers must share one shape (ShapeError, checked on reaching it).
+    """
+    (first_label, first), *others = maps.items()
+    for label, other in others:
+        check_same_keys(other, first, op, label, first_label)
+    return _walk(op, fn, maps, first, threads)
+
+
+def _walk(op: str, fn: Callable, maps: dict, names: Iterable, threads: int) -> Iterator:
+    """Up to ``2 * threads`` calls in flight.  Layers are fetched on the consuming
+    thread, so a caller may replace a name's entries once it has been yielded."""
+
+    def args(name: str) -> list:
+        layers = [tensor_map[name] for tensor_map in maps.values()]
+        shapes = [getattr(layer, "shape", None) for layer in layers]
+        if shapes.count(shapes[0]) != len(shapes):
+            listed = " vs ".join(f"{label} {shape}" for label, shape in zip(maps, shapes))
+            raise ShapeError(f"{op}: tensor {name!r}: shape mismatch {listed}")
+        return [name, *layers]
+
+    if threads <= 1:
+        for name in names:
+            yield name, fn(*args(name))
+        return
+    # Imported here: only a walk with threads > 1 needs the pool.
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending: deque = deque()
+        for name in names:
+            pending.append((name, pool.submit(fn, *args(name))))
+            if len(pending) >= 2 * threads:
+                name, future = pending.popleft()
+                yield name, future.result()
+        while pending:
+            name, future = pending.popleft()
+            yield name, future.result()

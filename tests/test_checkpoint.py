@@ -113,6 +113,26 @@ class TestRoundtrip:
         with pytest.raises(CheckpointFormatError, match="'__metadata__' is reserved"):
             serialize_checkpoint({"a": np.float32([1]), "__metadata__": np.float32([2])})
 
+    def test_non_finite_rejected_on_write(self, tmp_path):
+        path = tmp_path / "m.safetensors"
+        with pytest.raises(CheckpointFormatError, match="'b' contains non-finite"):
+            write_checkpoint({"a": np.float32([1]), "b": np.float32([np.inf])}, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "bad_map",
+        [{}, {"__metadata__": np.float32([1])}, {"a": np.float64([np.nan])}],
+        ids=["empty", "reserved-name", "non-finite"],
+    )
+    def test_refused_write_keeps_earlier_bytes(self, tmp_path, bad_map):
+        path = tmp_path / "m.safetensors"
+        write_checkpoint(reference_map(), path)
+        before = path.read_bytes()
+        with pytest.raises((CheckpointFormatError, EmptyInputError)):
+            write_checkpoint(bad_map, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.safetensors"]
+
 
 class TestMalformedContainers:
     def test_header_len_exceeds_file(self):
@@ -201,6 +221,78 @@ class TestMalformedContainers:
         assert np.isnan(loaded["a"][0])
 
 
+def _parses_or_refuses(blob: bytes):
+    try:
+        parse_checkpoint(blob)
+    except CheckpointFormatError:
+        pass
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+_HEADER_ENTRIES = st.fixed_dictionaries(
+    {
+        "dtype": st.sampled_from(["F32", "F64", "I8"]) | _JSON_VALUES,
+        "shape": st.lists(st.integers(min_value=-1), max_size=70) | _JSON_VALUES,
+        "data_offsets": st.lists(st.integers(min_value=-1, max_value=64), max_size=3) | _JSON_VALUES,
+    }
+)
+
+
+class TestHostileBytes:
+    """Any input either parses or raises CheckpointFormatError."""
+
+    def test_unloadable_shapes_rejected(self):
+        for shape in ([0, 2**63], [0, 2**62, 2**62], [0] * 65):
+            header = {"a": {"dtype": "F32", "shape": shape, "data_offsets": [0, 0]}}
+            with pytest.raises(CheckpointFormatError, match="'a'.*not loadable"):
+                parse_checkpoint(build_container(header, b""))
+
+    def test_deeply_nested_header_rejected(self):
+        header = b"[" * 100_000
+        with pytest.raises(CheckpointFormatError, match="nests too deeply"):
+            parse_checkpoint(struct.pack("<Q", len(header)) + header)
+
+    @given(st.binary(max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_any_byte_string(self, blob):
+        _parses_or_refuses(blob)
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_any_mutation_of_a_valid_container(self, data):
+        blob = bytearray(serialize_checkpoint(reference_map()))
+        for _ in range(data.draw(st.integers(min_value=1, max_value=6))):
+            at = data.draw(st.integers(min_value=0, max_value=len(blob)))
+            edit = data.draw(st.sampled_from(["set", "insert", "delete"]))
+            if edit == "set" and at < len(blob):
+                blob[at] = data.draw(st.integers(min_value=0, max_value=255))
+            elif edit == "insert":
+                blob[at:at] = data.draw(st.binary(min_size=1, max_size=8))
+            else:
+                del blob[at : at + data.draw(st.integers(min_value=1, max_value=8))]
+        _parses_or_refuses(bytes(blob))
+
+    @given(
+        st.dictionaries(st.text(max_size=4), _HEADER_ENTRIES | _JSON_VALUES, max_size=4),
+        st.binary(max_size=64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_any_header(self, header, payload):
+        _parses_or_refuses(build_container(header, payload))
+
+    @given(st.integers(min_value=1, max_value=100_000), st.sampled_from(["[", '{"a":']))
+    @settings(max_examples=30, deadline=None)
+    def test_any_nesting_depth(self, depth, opener):
+        closer = "]" if opener == "[" else "}"
+        header = (opener * depth + "1" + closer * depth).encode()
+        _parses_or_refuses(struct.pack("<Q", len(header)) + header)
+
+
 class TestPartition:
     def test_exact_prefix_split(self, simple_spec):
         tensor_map = {"backbone.w": np.zeros(1), "head.w": np.zeros(1)}
@@ -273,4 +365,10 @@ class TestPartition:
         path = tmp_path / "part.json"
         path.write_text("{not json")
         with pytest.raises(CheckpointFormatError):
+            load_partition_spec(path)
+
+    def test_manifest_nested_too_deeply(self, tmp_path):
+        path = tmp_path / "part.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(CheckpointFormatError, match="malformed partition JSON"):
             load_partition_spec(path)

@@ -443,6 +443,52 @@ class TestCliContract:
         )
         assert code == 2
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_task_vector_is_not_written(self, capsys, trio, tmp_path):
+        from duet.checkpoint import write_checkpoint
+
+        base, _ = read_checkpoint(trio["base"])
+        low = {name: np.full_like(arr, -3e38) for name, arr in base.items()}
+        high = {name: np.full_like(arr, 3e38) for name, arr in base.items()}
+        write_checkpoint(low, tmp_path / "low.st")
+        write_checkpoint(high, tmp_path / "high.st")
+        out = tmp_path / "tv"
+        code, _, err = run_cli(
+            capsys,
+            ["task-vector", tmp_path / "low.st", tmp_path / "high.st",
+             "--partition", trio["partition"], "-o", out],
+        )
+        assert code == 2
+        assert "non-finite" in json.loads(err)["error"]["message"]
+        assert not (out / "deltas.safetensors").exists()
+        assert not (out / "meta.json").exists()
+
+    @pytest.mark.parametrize(
+        "nested", ["header", "manifest", "meta", "protocol", "records", "predictions"]
+    )
+    def test_deeply_nested_json_exits_2(self, capsys, trio, tmp_path, nested):
+        deep = "[" * 100_000
+        bundle = make_task_vector(capsys, trio, trio["task1"], tmp_path / "tv", "t")
+        container = tmp_path / "nested.st"
+        container.write_bytes(len(deep).to_bytes(8, "little") + deep.encode())
+        path = tmp_path / ("nested.jsonl" if nested == "records" else "nested.json")
+        path.write_text(deep)
+        if nested == "meta":
+            (bundle / "meta.json").write_text(deep)
+        argv = {
+            "header": ["diagnose", "distance", "--merged", container, "--old", container,
+                       "--curr", container],
+            "manifest": ["task-vector", trio["base"], trio["task1"], "--partition", path,
+                         "-o", tmp_path / "out"],
+            "meta": ["dc-loss", "--t", bundle, "--prev", bundle],
+            "protocol": ["metrics", "--protocol", path, "--records", records_path("duet")],
+            "records": ["metrics", "--protocol", protocol_path(), "--records", path],
+            "predictions": ["distill", "--curr", path, "--old", path],
+        }[nested]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert json.loads(err)["error"]["type"] == "CheckpointFormatError"
+
     def test_threads_env_fallback(self, monkeypatch):
         from duet.cli import build_parser
 

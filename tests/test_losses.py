@@ -118,6 +118,34 @@ class TestDcLoss:
             dc_loss(tv({"w": [1.0, 2.0]}), tv({"w": [1.0]}), tv({"w": [1.0]}))
 
 
+class TestCentralDifferenceCheck:
+    def test_probes_at_most_256_elements_per_tensor(self, monkeypatch, rng):
+        from collections import Counter
+
+        from duet import selftest
+
+        calls: Counter = Counter()
+        term = selftest.dc_term
+
+        def counting_term(tau_t, *rest):
+            calls[tau_t.size] += 1
+            return term(tau_t, *rest)
+
+        monkeypatch.setattr(selftest, "dc_term", counting_term)
+        sizes = (7, 300, 1000, 5000)
+        tau_t, tau_prev, tau_prev2 = (
+            tv({f"w{n}": rng.normal(size=n) for n in sizes}) for _ in range(3)
+        )
+        for granularity in ("tensor", "element"):
+            calls.clear()
+            result = selftest.central_difference_check(
+                tau_t, tau_prev, tau_prev2, DcLossConfig(granularity)
+            )
+            assert result.passed and result.checked > 0
+            assert set(calls) <= set(sizes)
+            assert max(calls.values()) <= 2 * 256
+
+
 class TestDcLossGrad:
     def test_aligned_updates_give_zero_gradient(self):
         tau_t, tau_prev, tau_prev2 = chain({"w": [0.0]}, {"w": [2.0]}, {"w": [1.0]})
