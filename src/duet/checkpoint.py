@@ -33,6 +33,9 @@ _HEADER_LEN_BYTES = 8
 _TAG_TO_DTYPE = {"F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _KIND_TO_TAG = {4: "F32", 8: "F64"}
 _HASH_CHUNK = 1 << 20
+# Longest header a reader accepts, the common safetensors limit: a bogus
+# length would otherwise be read into memory before it is parsed.
+_MAX_HEADER_BYTES = 100_000_000
 # Header key that carries free-form metadata, not a tensor; readers skip it.
 _METADATA_KEY = "__metadata__"
 
@@ -106,6 +109,10 @@ class CheckpointReader:
         if _HEADER_LEN_BYTES + header_len > file_size:
             raise self._fail(
                 f"header length {header_len} exceeds file size {file_size} (truncated header)"
+            )
+        if header_len > _MAX_HEADER_BYTES:
+            raise self._fail(
+                f"header length {header_len} exceeds the {_MAX_HEADER_BYTES}-byte header limit"
             )
         header_bytes = fh.read(header_len)
         try:
@@ -227,8 +234,9 @@ class CheckpointReader:
         self.close()
 
 
-def _iter_chunks(tensor_map: NamedTensorMap) -> Iterator[bytes]:
-    """Yield the canonical byte stream of a map: length, header, then payload."""
+def canonical_header(tensor_map: NamedTensorMap) -> bytes:
+    """The length prefix and header JSON that open a map's canonical byte
+    stream.  Only the names, dtypes and shapes of ``tensor_map`` are read."""
     if not tensor_map:
         raise EmptyInputError("cannot serialize an empty tensor map")
     if _METADATA_KEY in tensor_map:
@@ -247,11 +255,19 @@ def _iter_chunks(tensor_map: NamedTensorMap) -> Iterator[bytes]:
         }
         offset += size
     header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
-    yield struct.pack(_HEADER_LEN_FMT, len(header_bytes))
-    yield header_bytes
-    for name, arr in tensor_map.items():
-        le = np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[_KIND_TO_TAG[arr.dtype.itemsize]])
-        yield le.tobytes()
+    return struct.pack(_HEADER_LEN_FMT, len(header_bytes)) + header_bytes
+
+
+def canonical_payload(arr: np.ndarray) -> np.ndarray:
+    """``arr`` as the little-endian row-major array whose bytes the container stores."""
+    return np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[_KIND_TO_TAG[arr.dtype.itemsize]])
+
+
+def _iter_chunks(tensor_map: NamedTensorMap) -> Iterator[bytes]:
+    """Yield the canonical byte stream of a map: header, then payload."""
+    yield canonical_header(tensor_map)
+    for arr in tensor_map.values():
+        yield canonical_payload(arr).tobytes()
 
 
 def serialize_checkpoint(tensor_map: NamedTensorMap) -> bytes:
@@ -260,9 +276,9 @@ def serialize_checkpoint(tensor_map: NamedTensorMap) -> bytes:
 
 def fingerprint_map(tensor_map: NamedTensorMap) -> str:
     """SHA-256 of the canonical serialization, without materializing it."""
-    digest = hashlib.sha256()
-    for chunk in _iter_chunks(tensor_map):
-        digest.update(chunk)
+    digest = hashlib.sha256(canonical_header(tensor_map))
+    for arr in tensor_map.values():
+        digest.update(canonical_payload(arr))
     return digest.hexdigest()
 
 

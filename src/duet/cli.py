@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import sys
+import warnings
 from json import JSONDecodeError
 from pathlib import Path
 
@@ -359,6 +360,9 @@ def _cmd_sequence(args) -> int:
             entry["report"] = str(report_path)
             entry["warnings"] = step.report.warnings
         summaries.append(entry)
+        # Held across the next step, the written checkpoint would double the
+        # driver's footprint: it keeps each layer the driver drops.
+        del step
     _print_json({"output": str(out_dir), "tasks": summaries})
     return 0
 
@@ -498,7 +502,12 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        # An overflow yields inf, which every writer refuses with an error that
+        # names the tensor; numpy's warning would only print ahead of it.  Here,
+        # not per call in the kernels, so the hot loops pay nothing for it.
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "overflow encountered", RuntimeWarning)
+            return handler(args)
     except _IO_ERRORS as exc:
         _emit_error(args, exc)
         return 2

@@ -11,23 +11,32 @@ with a norm-imbalance factor::
     beta  = 1 - alpha
     merged = base + alpha * tau_old + beta * tau_curr
 
-The sequence driver streams checkpoints tensor-by-tensor and rotates the old
-task vector in place, so it retains only the base shared map plus two
-task-vector-sized maps regardless of sequence length.
+The sequence driver keeps only the base shared map and the previous step's
+shared output.  Each step walks the layers once, forming both task vectors a
+layer at a time, so it holds about two shared-partition-sized maps regardless
+of sequence length.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .checkpoint import CheckpointReader, PartitionSpec, classify_names, fingerprint_map
-from .diagnostics import SignConflictReport, sign_conflicts
+from .checkpoint import (
+    CheckpointReader,
+    PartitionSpec,
+    canonical_header,
+    canonical_payload,
+    classify_names,
+    fingerprint_map,
+)
+from .diagnostics import SignConflictReport, layer_sign_conflicts
 from .errors import (
     AxisError,
     BaseMismatchError,
@@ -160,38 +169,73 @@ def duet_layer_coefficients(
     return record.p, record.delta, record.alpha, record.beta
 
 
+class _Deltas:
+    """A task vector computed on lookup: ``load(name) - base[name]``.
+
+    Its names, dtypes and shapes are the base's.  A walk looks each name up
+    once, on the consuming thread, so ``load`` may read a file or pop a map.
+    """
+
+    def __init__(self, base: NamedTensorMap, load: Callable[[str], np.ndarray]):
+        self.layout = base
+        self._load = load
+
+    def keys(self):
+        return self.layout.keys()
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return _subtract(name, self._load(name), self.layout[name])
+
+
 def _merge_layers(
     base_shared: NamedTensorMap,
     base_fingerprint: str,
-    tau_old: NamedTensorMap,
-    tau_curr: NamedTensorMap,
+    tau_old: NamedTensorMap | _Deltas,
+    tau_curr: NamedTensorMap | _Deltas,
     config: MergeConfig,
     threads: int = 1,
 ) -> tuple[MergeReport, Iterator[tuple[str, np.ndarray]]]:
-    """The report (fingerprints and sign conflicts taken now) plus a lazy
-    ``(name, merged_layer)`` stream in base order that adds each layer's record
-    as it goes.  Once a layer is yielded its inputs are never read again."""
+    """The report plus a lazy ``(name, merged_layer)`` stream in base order.
 
-    def merge_one(name, base_l, old_l, curr_l) -> tuple[LayerMergeRecord, np.ndarray, list[str]]:
+    Each layer adds its record, its sign conflicts and its bytes to both
+    vectors' fingerprints as it is yielded; the fingerprints and the sign
+    conflicts are set when the stream ends.  Once a layer is yielded its
+    inputs are never read again.
+    """
+
+    def merge_one(name, base_l, old_l, curr_l):
+        # The deltas go back with the result: the consuming thread counts and hashes them.
         record, warnings = _layer_coefficients(name, old_l, curr_l, config)
         terms = ((1.0, base_l), (record.alpha, old_l), (record.beta, curr_l))
-        return record, combine(terms, base_l.dtype), warnings
+        return record, combine(terms, base_l.dtype), warnings, old_l, curr_l
 
     maps = {"base": base_shared, "tau_old": tau_old, "tau_curr": tau_curr}
     results = map_layers("duet_merge", merge_one, maps, threads)
+    layouts = [v.layout if isinstance(v, _Deltas) else v for v in (tau_old, tau_curr)]
+    # Each digest opens with its vector's own header (a vector may hold f64
+    # deltas over an f32 base), so header errors surface before any layer.
+    digests = [hashlib.sha256(canonical_header(layout)) for layout in layouts]
     report = MergeReport(
-        config=config,
-        base_fingerprint=base_fingerprint,
-        old_fingerprint=fingerprint_map(tau_old),
-        curr_fingerprint=fingerprint_map(tau_curr),
-        sign_conflicts=sign_conflicts(tau_old, tau_curr),
+        config=config, base_fingerprint=base_fingerprint, old_fingerprint="", curr_fingerprint=""
     )
 
     def layers() -> Iterator[tuple[str, np.ndarray]]:
-        for name, (record, merged_layer, warnings) in results:
+        counts = {}
+        for name, (record, merged_layer, warnings, old_l, curr_l) in results:
             report.layers.append(record)
             report.warnings.extend(warnings)
+            counts[name] = layer_sign_conflicts(old_l, curr_l)
+            for digest, layer in zip(digests, (old_l, curr_l)):
+                digest.update(canonical_payload(layer))
+            del old_l, curr_l, layer  # not held while the next layer is formed
             yield name, merged_layer
+        # The digests took the layers in base order; an in-memory vector
+        # stored in another order is hashed again, whole.
+        report.old_fingerprint, report.curr_fingerprint = (
+            digest.hexdigest() if list(layout) == list(counts) else fingerprint_map(layout)
+            for digest, layout in zip(digests, layouts)
+        )
+        report.sign_conflicts = SignConflictReport({name: counts[name] for name in layouts[0]})
 
     return report, layers()
 
@@ -331,8 +375,11 @@ def iter_incremental_sequence(
     in-memory map.  Task 1 is yielded verbatim; every later task merges the
     previous incremental model's task vector with the current one and
     concatenates the heads.  Between steps only the base shared map, the
-    rolling old task vector, and the previous concatenated head are retained;
-    ``threads > 1`` adds up to ``2 * threads`` layers in flight.
+    previous step's shared layers (the arrays it yielded) and the previous
+    concatenated head are retained; ``threads > 1`` adds up to
+    ``2 * threads`` layers in flight.  A step walks its layers once, dropping
+    each previous layer as it goes, so a consumer that drops each step before
+    advancing keeps the driver near two shared-partition-sized maps.
     """
     config = config or MergeConfig()
 
@@ -348,7 +395,7 @@ def iter_incremental_sequence(
         base_source.close()
     shared_set = set(base_shared)
 
-    tau_old: NamedTensorMap | None = None
+    prev_shared: NamedTensorMap | None = None
     prev_head: NamedTensorMap | None = None
     produced = 0
 
@@ -367,31 +414,23 @@ def iter_incremental_sequence(
 
             if task_index == 1:
                 full = reader.load_all()
-                tau_old = {
-                    name: _subtract(name, full[name], base_shared[name]) for name in base_shared
-                }
+                for name in base_shared:  # the checks task 2 relies on, made before task 1 is out
+                    _check_layer_pair(name, full[name], base_shared[name])
+                prev_shared = {name: full[name] for name in base_shared}
                 prev_head = {name: full[name] for name in head_names}
                 yield SequenceStep(task_index, full, None)
                 del full
             else:
-                assert tau_old is not None and prev_head is not None
-                tau_curr = {
-                    name: _subtract(name, reader.load(name), base_shared[name])
-                    for name in base_shared
-                }
-                curr_head = {name: reader.load(name) for name in head_names}
-
+                assert prev_shared is not None and prev_head is not None
+                # Both task vectors are formed a layer at a time; each previous
+                # output layer is dropped once its delta is taken.
+                tau_old = _Deltas(base_shared, prev_shared.pop)
+                tau_curr = _Deltas(base_shared, reader.load)
                 report, layers = _merge_layers(
                     base_shared, base_fingerprint, tau_old, tau_curr, config, threads
                 )
-                merged: NamedTensorMap = {}
-                for name, merged_layer in layers:
-                    merged[name] = merged_layer
-                    # Rotate in place: the next stage's old vector is the drift
-                    # of this merged layer, so tau_curr can be released as we go.
-                    tau_old[name] = _subtract(name, merged_layer, base_shared[name])
-                    del tau_curr[name]
-
+                merged = dict(layers)
+                curr_head = {name: reader.load(name) for name in head_names}
                 head = incremental_head_concat(
                     prev_head,
                     curr_head,
@@ -399,10 +438,9 @@ def iter_incremental_sequence(
                     order=head_order,
                     replace_names=replace_names,
                 )
-                prev_head = head
-                del curr_head
-                yield SequenceStep(task_index, assemble_incremental(merged, head), report)
-                del merged
+                prev_shared, prev_head = merged, head
+                del curr_head, merged
+                yield SequenceStep(task_index, assemble_incremental(prev_shared, head), report)
             produced += 1
         finally:
             reader.close()

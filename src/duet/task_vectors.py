@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,13 +94,23 @@ def apply_task_vector(
 
 
 def save_task_vector(vector: TaskVector, directory: str | Path) -> Path:
-    """Write a task vector bundle: deltas container plus a JSON sidecar."""
+    """Write a task vector bundle: deltas container plus a JSON sidecar.
+
+    If either write fails, the directories this call created are removed.
+    """
     directory = Path(directory)
+    # The outermost directory that mkdir is about to create, if any.
+    created = next((p for p in reversed([directory, *directory.parents]) if not p.exists()), None)
     directory.mkdir(parents=True, exist_ok=True)
-    write_checkpoint(vector.deltas, directory / _DELTAS_FILE)
-    sidecar = {"base_fingerprint": vector.base_fingerprint, "label": vector.label}
-    text = json.dumps(sidecar, indent=2) + "\n"
-    write_atomically(directory / _META_FILE, [text.encode("utf-8")])
+    try:
+        write_checkpoint(vector.deltas, directory / _DELTAS_FILE)
+        sidecar = {"base_fingerprint": vector.base_fingerprint, "label": vector.label}
+        text = json.dumps(sidecar, indent=2) + "\n"
+        write_atomically(directory / _META_FILE, [text.encode("utf-8")])
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     return directory
 
 

@@ -14,7 +14,10 @@ memory, is written here.
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import io
+import json
 import time
 import tracemalloc
 import weakref
@@ -30,6 +33,7 @@ from duet.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
+from duet.cli import main
 from duet.merge import MergeConfig, duet_merge, iter_incremental_sequence
 from duet.task_vectors import compute_task_vector
 
@@ -220,6 +224,41 @@ def test_criterion_6_threaded_sequence_memory_is_constant(tmp_path):
     )
     assert constant, "threaded streaming peak grew with the number of tasks"
     assert live_ok_2 and live_ok_6, "driver retained shared tensors of consumed checkpoints"
+
+
+def _cli_sequence_peak(tmp_path: Path, base_path: Path, task_paths: list[Path]) -> int:
+    """Peak traced bytes of ``duet sequence --threads 1``, writes and reports included."""
+    partition = tmp_path / "partition.json"
+    partition.write_text(json.dumps(_SEQ_SPEC.to_dict()))
+    out = tmp_path / f"cli_{len(task_paths)}"
+    argv = ["sequence", base_path, *task_paths, "--partition", partition, "-o", out,
+            "--threads", 1]
+    gc.collect()
+    tracemalloc.start()
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([str(arg) for arg in argv])
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_criterion_6_cli_sequence_memory(tmp_path):
+    base_path, task_paths = _write_sequence_fixture(tmp_path, 6)
+    peak_2 = _cli_sequence_peak(tmp_path, base_path, task_paths[:2])
+    peak_6 = _cli_sequence_peak(tmp_path, base_path, task_paths)
+    s = _SHARED_BYTES
+    overhead = 2 * 1024 * 1024
+    # the base plus the previous output, which the step drops as it adds merged layers
+    bounded = peak_6 <= 2.5 * s + overhead
+    constant = (peak_6 - peak_2) <= 0.75 * s
+    _report(
+        "criterion 6 (CLI): duet sequence holds the base and one output, at any task count",
+        bounded and constant,
+        f"cli {peak_2 / s:.2f}S->{peak_6 / s:.2f}S",
+    )
+    assert bounded, f"CLI sequence peak {peak_6 / s:.2f}S exceeds 2.5*S + overhead"
+    assert constant, "CLI sequence peak grew with the number of tasks"
 
 
 # --- criterion 7: serialization property test ---

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,6 +140,26 @@ class TestMalformedContainers:
         blob = struct.pack("<Q", 1 << 20) + b"{}"
         with pytest.raises(CheckpointFormatError, match="exceeds file size"):
             parse_checkpoint(blob)
+
+    def test_header_longer_than_the_limit_is_not_read(self, tmp_path, capsys):
+        from duet.cli import main
+
+        header_len = 100_000_001
+        path = tmp_path / "huge_header.st"
+        with open(path, "wb") as fh:  # sparse: the length field, then a hole
+            fh.write(struct.pack("<Q", header_len))
+            fh.truncate(8 + header_len + 8)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CheckpointFormatError, match="100000000-byte header limit"):
+                read_checkpoint(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        argv = ["diagnose", "distance", "--merged", path, "--old", path, "--curr", path]
+        assert main([str(arg) for arg in argv]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "CheckpointFormatError"
 
     def test_too_short_for_length_field(self):
         with pytest.raises(CheckpointFormatError, match="too short"):

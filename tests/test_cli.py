@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import duet
 from duet.checkpoint import read_checkpoint
 from duet.cli import main
 from duet.fixtures import materialize_trio, protocol_path, records_path
@@ -462,6 +467,66 @@ class TestCliContract:
         assert "non-finite" in json.loads(err)["error"]["message"]
         assert not (out / "deltas.safetensors").exists()
         assert not (out / "meta.json").exists()
+
+    def _overflowing_models(self, trio, tmp_path, dtype=np.float32, big=3e38):
+        from duet.checkpoint import write_checkpoint
+
+        base, _ = read_checkpoint(trio["base"])
+        for name, value in (("low.st", -big), ("high.st", big)):
+            model = {k: np.full(arr.shape, value, dtype=dtype) for k, arr in base.items()}
+            write_checkpoint(model, tmp_path / name)
+        return tmp_path / "low.st", tmp_path / "high.st"
+
+    def test_refused_task_vector_leaves_no_directory(self, capsys, trio, tmp_path):
+        low, high = self._overflowing_models(trio, tmp_path)
+        out = tmp_path / "new" / "tv"
+        code, _, err = run_cli(
+            capsys, ["task-vector", low, high, "--partition", trio["partition"], "-o", out]
+        )
+        assert code == 2, err
+        assert not (tmp_path / "new").exists()
+
+    # f32: the cast back overflows; f64: the float64 difference itself does.
+    @pytest.mark.parametrize("dtype, big", [(np.float32, 3e38), (np.float64, 1e308)])
+    def test_json_error_output_is_one_object(self, trio, tmp_path, dtype, big):
+        # A child process: the warning machinery of a test run would hide a printed warning.
+        low, high = self._overflowing_models(trio, tmp_path, dtype, big)
+        src = Path(duet.__file__).resolve().parents[1]
+        argv = ["task-vector", low, high, "--partition", trio["partition"], "-o", tmp_path / "tv"]
+        done = subprocess.run(
+            [sys.executable, "-m", "duet.cli", *map(str, argv)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 2, done.stderr
+        assert json.loads(done.stderr)["error"]["type"] == "CheckpointFormatError"
+
+    @pytest.mark.parametrize("command", ["sequence", "merge-duet"])
+    def test_empty_shared_partition_is_refused(self, capsys, trio, tmp_path, command):
+        if command == "sequence":
+            partition = tmp_path / "no_shared.json"
+            partition.write_text(
+                json.dumps({"shared": ["none"], "task_specific": ["*"], "head_concat_axis": 0})
+            )
+            argv = ["sequence", trio["base"], trio["task1"], trio["task2"],
+                    "--partition", partition, "-o", tmp_path / "seq"]
+        else:
+            _, base_fp = read_checkpoint(trio["base"])
+            bundle = tmp_path / "empty_tv"
+            bundle.mkdir()
+            (bundle / "deltas.safetensors").write_bytes((2).to_bytes(8, "little") + b"{}")
+            (bundle / "meta.json").write_text(json.dumps({"base_fingerprint": base_fp}))
+            argv = ["merge", "duet", trio["base"], "--old", bundle, "--curr", bundle,
+                    "-o", tmp_path / "merged.st"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert json.loads(err)["error"] == {
+            "type": "EmptyInputError",
+            "message": "cannot serialize an empty tensor map",
+        }
+        assert not (tmp_path / "merged.st").exists()
+        assert not (tmp_path / "seq" / "task02.safetensors").exists()
 
     @pytest.mark.parametrize(
         "nested", ["header", "manifest", "meta", "protocol", "records", "predictions"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from duet.checkpoint import PartitionSpec, fingerprint_map, partition_checkpoint
+from duet.diagnostics import sign_conflicts
 from duet.errors import (
     AxisError,
     BaseMismatchError,
@@ -217,6 +218,19 @@ class TestDuetMerge:
         assert report.curr_fingerprint == fingerprint_map(curr)
         assert report.sign_conflicts.total_comparable > 0
         assert report.warnings == []
+
+
+    def test_report_fingerprints_hash_each_vector_as_stored(self, fingerprinted_base, rng):
+        base, fp = fingerprinted_base
+        # f64 bundles over an f32 base, one of them stored in another order
+        old = {k: rng.normal(size=v.shape) for k, v in base.items()}
+        curr = {k: rng.normal(size=v.shape) for k, v in base.items()}
+        reordered = dict(reversed(list(curr.items())))
+        for tau_old, tau_curr in ((old, curr), (old, reordered), (reordered, old)):
+            _, report = duet_merge(base, fp, tv(tau_old, fp), tv(tau_curr, fp), threads=2)
+            assert report.old_fingerprint == fingerprint_map(tau_old)
+            assert report.curr_fingerprint == fingerprint_map(tau_curr)
+            assert report.sign_conflicts.to_dict() == sign_conflicts(tau_old, tau_curr).to_dict()
 
 
 class TestHeadConcat:
@@ -428,6 +442,25 @@ class TestIncrementalSequence:
                 assert two.report is None
             else:
                 assert one.report.to_json() == two.report.to_json()
+
+    def test_reports_fingerprint_the_task_vectors(self, simple_spec, rng):
+        base, fine = build_sequence_inputs(rng, 3, simple_spec)
+        base_shared, _ = partition_checkpoint(base, simple_spec)
+        checkpoints, reports = incremental_sequence(base, fine, simple_spec)
+        for k in (1, 2):
+            old = compute_task_vector(partition_checkpoint(checkpoints[k - 1], simple_spec)[0],
+                                      base_shared, "")
+            curr = compute_task_vector(partition_checkpoint(fine[k], simple_spec)[0], base_shared, "")
+            assert reports[k].base_fingerprint == fingerprint_map(base)
+            assert reports[k].old_fingerprint == fingerprint_map(old.deltas)
+            assert reports[k].curr_fingerprint == fingerprint_map(curr.deltas)
+            assert reports[k].sign_conflicts.to_dict() == sign_conflicts(old, curr).to_dict()
+
+    def test_first_task_layout_checked_before_it_is_yielded(self, simple_spec, rng):
+        base, fine = build_sequence_inputs(rng, 1, simple_spec)
+        fine[0]["backbone.w"] = fine[0]["backbone.w"].astype(np.float64)
+        with pytest.raises(ShapeError, match="backbone.w"):
+            next(iter_incremental_sequence(base, fine, simple_spec))
 
     def test_empty_sequence_rejected(self, simple_spec, rng):
         base, _ = build_sequence_inputs(rng, 1, simple_spec)
