@@ -13,6 +13,7 @@ identical SHA-256 fingerprints.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import io
 import json
@@ -56,7 +57,6 @@ def _nbytes(shape: tuple[int, ...], dtype: np.dtype) -> int:
 class _Entry:
     name: str
     dtype: np.dtype
-    tag: str
     shape: tuple[int, ...]
     begin: int
     end: int
@@ -79,7 +79,6 @@ class CheckpointReader:
             self._path = getattr(source, "name", "<buffer>")
             self._fh = source
             self._owns_fh = False
-        self._fingerprint: str | None = None
         try:
             self._parse_header()
         except Exception:
@@ -121,6 +120,8 @@ class CheckpointReader:
             raise self._fail(f"header is not valid UTF-8 at byte offset {8 + exc.start}") from exc
         except json.JSONDecodeError as exc:
             raise self._fail(f"malformed header JSON at byte offset {8 + exc.pos}") from exc
+        except ValueError as exc:  # an integer over the digit limit of int()
+            raise self._fail(f"malformed header JSON: {exc}") from exc
         except RecursionError as exc:
             raise self._fail("header JSON nests too deeply") from exc
         if not isinstance(header, dict):
@@ -173,7 +174,7 @@ class CheckpointReader:
                 raise self._fail(
                     f"tensor {name!r}: data_offsets leave a gap (begin {begin}, expected {expected_begin})"
                 )
-            entry = _Entry(name, dtype, tag, shape, begin, end)
+            entry = _Entry(name, dtype, shape, begin, end)
             self._entries[name] = entry
             prev = entry
         total = 0 if prev is None else prev.end
@@ -185,12 +186,6 @@ class CheckpointReader:
     @property
     def names(self) -> list[str]:
         return list(self._entries)
-
-    def shape(self, name: str) -> tuple[int, ...]:
-        return self._entries[name].shape
-
-    def dtype_tag(self, name: str) -> str:
-        return self._entries[name].tag
 
     def load(self, name: str) -> np.ndarray:
         entry = self._entries[name]
@@ -212,16 +207,12 @@ class CheckpointReader:
         return {name: self.load(name) for name in self._entries}
 
     def fingerprint(self) -> str:
-        if self._fingerprint is None:
-            digest = hashlib.sha256()
-            self._fh.seek(0)
-            while True:
-                chunk = self._fh.read(_HASH_CHUNK)
-                if not chunk:
-                    break
-                digest.update(chunk)
-            self._fingerprint = digest.hexdigest()
-        return self._fingerprint
+        """SHA-256 of the whole file, read once more from its start."""
+        digest = hashlib.sha256()
+        self._fh.seek(0)
+        while chunk := self._fh.read(_HASH_CHUNK):
+            digest.update(chunk)
+        return digest.hexdigest()
 
     def close(self):
         if self._owns_fh:
@@ -232,6 +223,42 @@ class CheckpointReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def _read_text(path: str | Path, what: str) -> str:
+    try:
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CheckpointFormatError(f"{path}: {what} is not valid UTF-8 at byte offset {exc.start}") from exc
+
+
+def _parse_json(text: str, where: str, what: str) -> object:
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # ValueError: also ints over int()'s digit limit
+        raise CheckpointFormatError(f"{where}: malformed {what}: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str) -> object:
+    """The JSON value in the UTF-8 file ``path``; a decode failure is a ``CheckpointFormatError``."""
+    return _parse_json(_read_text(path, what), str(path), what)
+
+
+def read_json_lines(path: str | Path, what: str) -> Iterator[tuple[str, object]]:
+    """``("path:line N", value)`` per non-blank line; only "\\n" ends one (a JSON string may hold U+2028)."""
+    for number, line in enumerate(_read_text(path, what).split("\n"), start=1):
+        line = line.strip()
+        if line:
+            yield f"{path}:line {number}", _parse_json(line, f"{path}:line {number}", what)
+
+
+def read_csv_rows(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
+    """``("path:row N", row)`` per data row of a CSV file whose row 1 names the columns."""
+    reader = csv.DictReader(io.StringIO(_read_text(path, what), newline=""))
+    try:
+        yield from ((f"{path}:row {number}", row) for number, row in enumerate(reader, start=2))
+    except csv.Error as exc:
+        raise CheckpointFormatError(f"{path}: malformed {what}: {exc}") from exc
 
 
 def canonical_header(tensor_map: NamedTensorMap) -> bytes:
@@ -318,18 +345,16 @@ def write_checkpoint(tensor_map: NamedTensorMap, path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def read_checkpoint(
-    path: str | Path, allow_nonfinite: bool = False
-) -> tuple[NamedTensorMap, str]:
-    """Load a checkpoint, preserving header order; returns (map, fingerprint)."""
+def read_checkpoint(path: str | Path, allow_nonfinite: bool = False) -> NamedTensorMap:
+    """Load a checkpoint, preserving header order.  The file is not hashed:
+    ``CheckpointReader.fingerprint()`` gives the digest where one is used."""
     with CheckpointReader(path, allow_nonfinite=allow_nonfinite) as reader:
-        tensor_map = reader.load_all()
-        return tensor_map, reader.fingerprint()
+        return reader.load_all()
 
 
-def parse_checkpoint(data: bytes, allow_nonfinite: bool = False) -> tuple[NamedTensorMap, str]:
+def parse_checkpoint(data: bytes, allow_nonfinite: bool = False) -> NamedTensorMap:
     with CheckpointReader(io.BytesIO(data), allow_nonfinite=allow_nonfinite) as reader:
-        return reader.load_all(), reader.fingerprint()
+        return reader.load_all()
 
 
 def _check_pattern(pattern: str) -> str:
@@ -380,6 +405,10 @@ class PartitionSpec:
         missing = sorted({"shared", "task_specific", "head_concat_axis"} - set(payload))
         if missing:
             raise PartitionError(f"partition manifest is missing keys: {missing}")
+        lists = ("shared", "task_specific", "replace")
+        not_lists = [key for key in lists if not isinstance(payload.get(key, []), list)]
+        if not_lists:
+            raise PartitionError(f"partition manifest keys {not_lists} must be lists of patterns")
         return cls(
             shared_patterns=tuple(payload["shared"]),
             task_specific_patterns=tuple(payload["task_specific"]),
@@ -408,12 +437,7 @@ class PartitionSpec:
 
 
 def load_partition_spec(path: str | Path) -> PartitionSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise CheckpointFormatError(f"{path}: malformed partition JSON: {exc}") from exc
-    return PartitionSpec.from_dict(payload)
+    return PartitionSpec.from_dict(read_json(path, "partition JSON"))
 
 
 def classify_names(names: Iterable[str], spec: PartitionSpec) -> tuple[list[str], list[str]]:

@@ -14,10 +14,10 @@ import json
 import os
 import sys
 import warnings
-from json import JSONDecodeError
 from pathlib import Path
 
 from .checkpoint import (
+    CheckpointReader,
     load_partition_spec,
     partition_checkpoint,
     read_checkpoint,
@@ -51,7 +51,7 @@ from .task_vectors import (
     zero_task_vector,
 )
 
-_IO_ERRORS = (CheckpointFormatError, OSError, JSONDecodeError)
+_IO_ERRORS = (CheckpointFormatError, OSError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -248,8 +248,9 @@ def _load_tv_maybe_zero(path: str | None, like: TaskVector, label: str) -> TaskV
 def _cmd_task_vector(args) -> int:
     spec = load_partition_spec(args.partition)
     _require_output(args)
-    base_map, base_fp = read_checkpoint(args.base)
-    fine_map, _ = read_checkpoint(args.fine_tuned)
+    with CheckpointReader(args.base) as reader:
+        base_map, base_fp = reader.load_all(), reader.fingerprint()
+    fine_map = read_checkpoint(args.fine_tuned)
     _enforce_uniform_dtype(args, base_map, fine_map)
     base_shared, _ = partition_checkpoint(base_map, spec)
     fine_shared, _ = partition_checkpoint(fine_map, spec)
@@ -274,7 +275,8 @@ def _cmd_merge(args) -> int:
     if not getattr(args, "algorithm", None):
         raise DuetError("merge needs an algorithm: duet, average, or magmax")
     _require_output(args)
-    base_map, base_fp = read_checkpoint(args.base)
+    with CheckpointReader(args.base) as reader:
+        base_map, base_fp = reader.load_all(), reader.fingerprint()
     if args.algorithm == "duet":
         config = MergeConfig(gamma=args.gamma, alpha_base=args.alpha_base, epsilon=args.epsilon)
         tau_old = load_task_vector(args.old)
@@ -320,8 +322,8 @@ def _cmd_merge(args) -> int:
 def _cmd_head_concat(args) -> int:
     spec = load_partition_spec(args.partition)
     _require_output(args)
-    prev_map, _ = read_checkpoint(args.prev)
-    curr_map, _ = read_checkpoint(args.curr)
+    prev_map = read_checkpoint(args.prev)
+    curr_map = read_checkpoint(args.curr)
     _enforce_uniform_dtype(args, prev_map, curr_map)
     _, prev_head = partition_checkpoint(prev_map, spec)
     _, curr_head = partition_checkpoint(curr_map, spec)
@@ -431,9 +433,9 @@ def _cmd_diagnose(args) -> int:
         rows.append(["TOTAL", report.total_conflicts, report.total_comparable, report.total_fraction])
         _emit_report(args, payload, rows)
         return 0
-    merged_map, _ = read_checkpoint(args.merged)
-    old_map, _ = read_checkpoint(args.old)
-    curr_map, _ = read_checkpoint(args.curr)
+    merged_map = read_checkpoint(args.merged)
+    old_map = read_checkpoint(args.old)
+    curr_map = read_checkpoint(args.curr)
     if args.partition:
         spec = load_partition_spec(args.partition)
         merged_map, _ = partition_checkpoint(merged_map, spec)

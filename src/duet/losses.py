@@ -3,13 +3,12 @@ distillation losses on raw prediction arrays, and total-loss composition."""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_checkpoint
+from .checkpoint import read_checkpoint, read_json
 from .errors import CheckpointFormatError, EmptyInputError, ShapeError
 from .tensors import NamedTensorMap, inner_product, map_layers
 from .task_vectors import TaskVector, _check_bases
@@ -167,20 +166,19 @@ def load_prediction_batch(path: str | Path) -> PredictionBatch:
     """Load a batch from JSON or from the binary tensor container."""
     path = Path(path)
     if path.suffix.lower() == ".json":
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise CheckpointFormatError(f"{path}: malformed prediction JSON: {exc}") from exc
-        if not isinstance(payload, dict) or not {"class_logits", "bbox_values"} <= set(payload):
-            raise CheckpointFormatError(
-                f"{path}: prediction JSON must carry 'class_logits' and 'bbox_values'"
-            )
-        return PredictionBatch(payload["class_logits"], payload["bbox_values"])
-    tensors, _ = read_checkpoint(path)
-    missing = sorted({"class_logits", "bbox_values"} - set(tensors))
-    if missing:
-        raise CheckpointFormatError(f"{path}: prediction container is missing {missing}")
-    return PredictionBatch(tensors["class_logits"], tensors["bbox_values"])
+        arrays, where = read_json(path, "prediction JSON"), f"{path}: prediction JSON"
+    else:
+        arrays, where = read_checkpoint(path), f"{path}: prediction container"
+    try:
+        logits, boxes = np.asarray(arrays["class_logits"]), np.asarray(arrays["bbox_values"])
+        if logits.dtype.kind not in "iuf" or boxes.dtype.kind not in "iuf":
+            raise TypeError("an array holds values other than numbers")
+        return PredictionBatch(logits, boxes)
+    except (TypeError, KeyError, ValueError) as exc:  # also ragged or non-finite arrays
+        raise CheckpointFormatError(
+            f"{where} must carry 'class_logits' and 'bbox_values' as rectangular arrays "
+            f"of finite numbers: {exc}"
+        ) from exc
 
 
 def _check_batch_pair(curr: np.ndarray, old: np.ndarray, what: str):

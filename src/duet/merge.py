@@ -23,7 +23,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -37,13 +36,7 @@ from .checkpoint import (
     fingerprint_map,
 )
 from .diagnostics import SignConflictReport, layer_sign_conflicts
-from .errors import (
-    AxisError,
-    BaseMismatchError,
-    EmptyInputError,
-    KeyMismatchError,
-    ShapeError,
-)
+from .errors import AxisError, EmptyInputError, KeyMismatchError, ShapeError
 from .tensors import NamedTensorMap, check_same_keys, check_tensor, combine, l1_norm, map_layers
 from .task_vectors import TaskVector, _check_bases, _check_layer_pair, _subtract
 
@@ -393,6 +386,8 @@ def iter_incremental_sequence(
         base_shared = {name: base_source.load(name) for name in base_shared_names}
     finally:
         base_source.close()
+    if not base_shared:  # task 2 could not serialize its merge; refuse before task 1 is out
+        raise EmptyInputError("cannot serialize an empty tensor map")
     shared_set = set(base_shared)
 
     prev_shared: NamedTensorMap | None = None

@@ -6,12 +6,12 @@ formatting happens only when the human-readable table is rendered.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import CheckpointFormatError, DegenerateBaselineError, ProtocolError
+from .checkpoint import read_csv_rows, read_json, read_json_lines
+from .errors import DegenerateBaselineError, ProtocolError
 
 RECORD_KINDS = ("new", "old", "unseen", "ref")
 
@@ -74,54 +74,43 @@ def _parse_range(raw, context: str) -> tuple[int, int]:
     return (lo, hi)
 
 
+def _phase_fields(entry, context: str) -> dict:
+    fields = entry if isinstance(entry, dict) else {}
+    task_id, domain = fields.get("task_id"), fields.get("domain")
+    if type(task_id) is not int or not isinstance(domain, str) or "classes" not in fields:
+        raise ProtocolError(
+            f"{context} is malformed: expected an object with an integer 'task_id', "
+            "a string 'domain' and 'classes'"
+        )
+    return {"task_id": task_id, "domain": domain, "class_range": _parse_range(fields["classes"], context)}
+
+
 def load_protocol(path: str | Path) -> EvalProtocol:
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise CheckpointFormatError(f"{path}: malformed protocol JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "tasks" not in payload:
-        raise ProtocolError(f"{path}: protocol JSON must be an object with a 'tasks' list")
-    tasks = []
-    for i, entry in enumerate(payload["tasks"]):
-        try:
-            tasks.append(
-                TaskPhase(
-                    task_id=int(entry["task_id"]),
-                    domain=str(entry["domain"]),
-                    class_range=_parse_range(entry["classes"], f"task {i + 1}"),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"{path}: task entry {i + 1} is malformed: {exc}") from exc
-    pairs = []
-    for i, entry in enumerate(payload.get("unseen_pairs", [])):
-        try:
-            pairs.append(
-                UnseenPair(
-                    domain=str(entry["domain"]),
-                    task_id=int(entry["task_id"]),
-                    class_range=_parse_range(entry["classes"], f"unseen pair {i + 1}"),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"{path}: unseen pair {i + 1} is malformed: {exc}") from exc
+    payload = read_json(path, "protocol JSON")
+    fields = payload if isinstance(payload, dict) else {}
+    tasks, pairs = fields.get("tasks"), fields.get("unseen_pairs", [])
+    if not isinstance(tasks, list) or not isinstance(pairs, list):
+        raise ProtocolError(
+            f"{path}: protocol JSON must be an object with a 'tasks' list "
+            "and an optional 'unseen_pairs' list"
+        )
+    tasks = [TaskPhase(**_phase_fields(entry, f"{path}: task {i}")) for i, entry in enumerate(tasks, 1)]
+    pairs = [UnseenPair(**_phase_fields(entry, f"{path}: unseen pair {i}")) for i, entry in enumerate(pairs, 1)]
     return EvalProtocol(tasks=tuple(tasks), unseen_pairs=tuple(pairs))
 
 
-def _record_from_dict(payload: dict, context: str) -> EvalRecord:
-    try:
-        task = payload.get("task_id")
-        return EvalRecord(
-            kind=str(payload["kind"]),
-            domain=str(payload["domain"]),
-            class_range=_parse_range(payload["classes"], context),
-            map50=float(payload["map50"]),
-            measured_at_task=None if task is None else int(task),
+def _record_from_dict(payload, context: str) -> EvalRecord:
+    fields = payload if isinstance(payload, dict) else {}
+    kind, domain, map50, task = (fields.get(k) for k in ("kind", "domain", "map50", "task_id"))
+    typed = isinstance(kind, str) and isinstance(domain, str) and type(map50) in (int, float)
+    if not typed or type(task) not in (int, type(None)) or "classes" not in fields:
+        raise ProtocolError(
+            f"{context}: malformed record: expected an object with a string 'kind' and "
+            "'domain', 'classes', a number 'map50' and an optional integer 'task_id'"
         )
-    except ProtocolError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+    try:
+        return EvalRecord(kind, domain, _parse_range(fields["classes"], context), float(map50), task)
+    except (ValueError, OverflowError) as exc:
         raise ProtocolError(f"{context}: malformed record: {exc}") from exc
 
 
@@ -129,33 +118,21 @@ def load_records(path: str | Path) -> list[EvalRecord]:
     """Load records from JSON-lines or CSV (columns kind, domain, class_lo,
     class_hi, task_id, map50)."""
     path = Path(path)
+    if path.suffix.lower() != ".csv":
+        return [_record_from_dict(payload, where) for where, payload in read_json_lines(path, "records JSON")]
     records: list[EvalRecord] = []
-    if path.suffix.lower() == ".csv":
-        with open(path, newline="", encoding="utf-8") as fh:
-            for i, row in enumerate(csv.DictReader(fh)):
-                context = f"{path}:row {i + 2}"
-                try:
-                    payload = {
-                        "kind": row["kind"],
-                        "domain": row["domain"],
-                        "classes": [int(row["class_lo"]), int(row["class_hi"])],
-                        "map50": float(row["map50"]),
-                        "task_id": int(row["task_id"]) if row.get("task_id") else None,
-                    }
-                except (KeyError, ValueError) as exc:
-                    raise ProtocolError(f"{context}: malformed CSV record: {exc}") from exc
-                records.append(_record_from_dict(payload, context))
-        return records
-    for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
-        line = line.strip()
-        if not line:
-            continue
-        context = f"{path}:line {i + 1}"
+    for where, row in read_csv_rows(path, "records CSV"):
         try:
-            payload = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise CheckpointFormatError(f"{context}: malformed JSON: {exc}") from exc
-        records.append(_record_from_dict(payload, context))
+            payload = {
+                "kind": row["kind"],
+                "domain": row["domain"],
+                "classes": [int(row["class_lo"]), int(row["class_hi"])],
+                "map50": float(row["map50"]),
+                "task_id": int(row["task_id"]) if row.get("task_id") else None,
+            }
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ProtocolError(f"{where}: malformed CSV record: {exc}") from exc
+        records.append(_record_from_dict(payload, where))
     return records
 
 

@@ -17,6 +17,7 @@ problem string naming the measured value.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -28,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import cli
-from .checkpoint import fingerprint_map, parse_checkpoint, serialize_checkpoint
+from .checkpoint import fingerprint_map, parse_checkpoint, read_json, serialize_checkpoint
 from .fixtures import (
     METRIC_METHODS,
     expected_metrics_path,
@@ -149,7 +150,7 @@ def check_coefficient_invariants(suite: MergeSuite) -> str | None:
 
 def check_metric_rows() -> str | None:
     protocol = load_protocol(protocol_path())
-    expected = json.loads(expected_metrics_path().read_text(encoding="utf-8"))
+    expected = read_json(expected_metrics_path(), "expected metrics JSON")
     failures = []
     for method in METRIC_METHODS:
         report = compute_metrics(protocol, load_records(records_path(method)))
@@ -345,7 +346,7 @@ def check_serialization() -> str | None:
             shape = tuple(int(s) for s in rng.integers(0, 5, size=int(rng.integers(0, 3))))
             tensor_map[f"t{i}"] = rng.normal(size=shape).astype(dtype)
         blob = serialize_checkpoint(tensor_map)
-        loaded, fp = parse_checkpoint(blob)
+        loaded, fp = parse_checkpoint(blob), hashlib.sha256(blob).hexdigest()
         if serialize_checkpoint(loaded) != blob or fingerprint_map(loaded) != fp:
             return f"roundtrip {iteration} of {iterations} is not byte-identical"
     reference = {

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, write_atomically, write_checkpoint
+from .checkpoint import read_checkpoint, read_json, write_atomically, write_checkpoint
 from .errors import BaseMismatchError, CheckpointFormatError, ShapeError
 from .tensors import NamedTensorMap, check_tensor, combine, map_layers
 
@@ -122,11 +122,13 @@ def load_task_vector(directory: str | Path) -> TaskVector:
         raise CheckpointFormatError(
             f"{directory}: not a task vector bundle (expected {_DELTAS_FILE} and {_META_FILE})"
         )
-    deltas, _ = read_checkpoint(deltas_path)
-    try:
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        base_fingerprint = meta["base_fingerprint"]
-        label = meta.get("label", "")
-    except (json.JSONDecodeError, RecursionError, KeyError, TypeError) as exc:
-        raise CheckpointFormatError(f"{meta_path}: malformed task vector sidecar: {exc}") from exc
+    deltas = read_checkpoint(deltas_path)
+    meta = read_json(meta_path, "task vector sidecar")
+    fields = meta if isinstance(meta, dict) else {}
+    base_fingerprint, label = fields.get("base_fingerprint"), fields.get("label", "")
+    if not isinstance(base_fingerprint, str) or not isinstance(label, str):
+        raise CheckpointFormatError(
+            f"{meta_path}: malformed task vector sidecar: expected an object with a string "
+            "'base_fingerprint' and an optional string 'label'"
+        )
     return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)

@@ -28,6 +28,7 @@ import pytest
 
 from duet import selftest
 from duet.checkpoint import (
+    CheckpointReader,
     PartitionSpec,
     partition_checkpoint,
     read_checkpoint,
@@ -164,11 +165,12 @@ def _naive_all_vectors_peak(base_path: Path, task_paths: list[Path]) -> int:
 
     def run():
         cfg = MergeConfig()
-        base_map, base_fp = read_checkpoint(base_path)
+        with CheckpointReader(base_path) as reader:
+            base_map, base_fp = reader.load_all(), reader.fingerprint()
         base_shared, _ = partition_checkpoint(base_map, _SEQ_SPEC)
         vectors = []  # retained for all tasks: linear growth in the task count
         for path in task_paths:
-            full, _ = read_checkpoint(path)
+            full = read_checkpoint(path)
             shared, _ = partition_checkpoint(full, _SEQ_SPEC)
             vectors.append(compute_task_vector(shared, base_shared, base_fp))
             if len(vectors) >= 2:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duet.checkpoint import (
+    CheckpointReader,
     PartitionSpec,
     classify_names,
     fingerprint_map,
@@ -47,8 +48,9 @@ class TestRoundtrip:
         tensor_map["f64_layer"] = rng.normal(size=(3, 2))
         path = tmp_path / "m.safetensors"
         fp_written = write_checkpoint(tensor_map, path)
-        loaded, fp_read = read_checkpoint(path)
-        assert fp_written == fp_read
+        loaded = read_checkpoint(path)
+        with CheckpointReader(path) as reader:
+            assert fp_written == reader.fingerprint()
         assert list(loaded) == list(tensor_map)
         for name in tensor_map:
             assert loaded[name].dtype == tensor_map[name].dtype
@@ -80,7 +82,7 @@ class TestRoundtrip:
 
     def test_order_preserved(self, rng):
         tensor_map = {name: rng.normal(size=2) for name in ("z", "a", "m")}
-        loaded, _ = parse_checkpoint(serialize_checkpoint(tensor_map))
+        loaded = parse_checkpoint(serialize_checkpoint(tensor_map))
         assert list(loaded) == ["z", "a", "m"]
 
     @given(
@@ -107,7 +109,7 @@ class TestRoundtrip:
                 serialize_checkpoint(tensor_map)
             return
         blob = serialize_checkpoint(tensor_map)
-        loaded, _ = parse_checkpoint(blob)
+        loaded = parse_checkpoint(blob)
         assert serialize_checkpoint(loaded) == blob
 
     def test_reserved_metadata_name_rejected_on_write(self):
@@ -229,7 +231,7 @@ class TestMalformedContainers:
             "__metadata__": {"format": "pt"},
             "a": {"dtype": "F64", "shape": [1], "data_offsets": [0, 8]},
         }
-        loaded, _ = parse_checkpoint(build_container(header, struct.pack("<d", 2.5)))
+        loaded = parse_checkpoint(build_container(header, struct.pack("<d", 2.5)))
         assert list(loaded) == ["a"]
         assert loaded["a"].tolist() == [2.5]
 
@@ -238,7 +240,7 @@ class TestMalformedContainers:
         blob = build_container(header, struct.pack("<d", float("nan")))
         with pytest.raises(CheckpointFormatError, match="non-finite"):
             parse_checkpoint(blob)
-        loaded, _ = parse_checkpoint(blob, allow_nonfinite=True)
+        loaded = parse_checkpoint(blob, allow_nonfinite=True)
         assert np.isnan(loaded["a"][0])
 
 

@@ -4,13 +4,17 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import duet
-from duet.checkpoint import read_checkpoint
+import duet.errors
+from duet.checkpoint import CheckpointReader, read_checkpoint
 from duet.cli import main
 from duet.fixtures import materialize_trio, protocol_path, records_path
 from duet.task_vectors import load_task_vector
@@ -19,6 +23,11 @@ from duet.task_vectors import load_task_vector
 @pytest.fixture
 def trio(tmp_path):
     return materialize_trio(tmp_path / "trio")
+
+
+def base_fingerprint(path) -> str:
+    with CheckpointReader(path) as reader:
+        return reader.fingerprint()
 
 
 def run_cli(capsys, argv: list[str]):
@@ -46,13 +55,67 @@ def make_task_vector(capsys, trio, source, out_dir, label):
     return out_dir
 
 
+# Every input the CLI decodes as text: JSON, JSON lines or CSV.
+TEXT_INPUTS = ("manifest", "meta", "protocol", "records", "records-csv", "predictions")
+DUET_ERRORS = {
+    cls.__name__ for cls in vars(duet.errors).values()
+    if isinstance(cls, type) and issubclass(cls, duet.DuetError)
+}
+_FIELDS = ("shared", "task_specific", "head_concat_axis", "replace", "base_fingerprint", "label",
+           "tasks", "unseen_pairs", "task_id", "domain", "classes", "kind", "map50",
+           "class_logits", "bbox_values")
+_CSV_CELLS = ("kind", "domain", "class_lo", "class_hi", "task_id", "map50", "new", "old", "ref",
+              "daytime_sunny", "1", "4", "46.29", "")
+
+
+def json_values():
+    """Arbitrary JSON values whose objects often carry the field names the loaders read."""
+    scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    return st.recursive(
+        scalars,
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.sampled_from(_FIELDS) | st.text(max_size=4), children, max_size=4),
+        max_leaves=16,
+    )
+
+
+def csv_texts():
+    cells = st.sampled_from(_CSV_CELLS) | st.text(max_size=4)
+    rows = st.lists(st.lists(cells, max_size=7), max_size=4)
+    return rows.map(lambda rows: "\n".join(",".join(row) for row in rows).encode())
+
+
+def input_argv(capsys, trio, tmp_path, kind: str, content: bytes) -> list:
+    """A command line that reads ``content`` as its input of ``kind``: one of
+    TEXT_INPUTS, or "header" for a container whose header is ``content``."""
+    if kind == "meta":
+        bundle = tmp_path / "tv"
+        if not bundle.exists():
+            make_task_vector(capsys, trio, trio["task1"], bundle, "t")
+        (bundle / "meta.json").write_bytes(content)
+        return ["merge", "duet", trio["base"], "--old", bundle, "--curr", bundle,
+                "-o", tmp_path / "merged.st"]
+    if kind == "header":
+        content = len(content).to_bytes(8, "little") + content
+    path = tmp_path / {"records": "input.jsonl", "records-csv": "input.csv"}.get(kind, "input.json")
+    path.write_bytes(content)
+    return {
+        "header": ["diagnose", "distance", "--merged", path, "--old", path, "--curr", path],
+        "manifest": ["task-vector", trio["base"], trio["task1"], "--partition", path,
+                     "-o", tmp_path / "out"],
+        "protocol": ["metrics", "--protocol", path, "--records", records_path("duet")],
+        "records": ["metrics", "--protocol", protocol_path(), "--records", path],
+        "records-csv": ["metrics", "--protocol", protocol_path(), "--records", path],
+        "predictions": ["distill", "--curr", path, "--old", path],
+    }[kind]
+
+
 class TestTaskVectorCommand:
     def test_creates_bundle(self, capsys, trio, tmp_path):
         out = make_task_vector(capsys, trio, trio["task1"], tmp_path / "tv", "phase1")
         vector = load_task_vector(out)
         assert vector.label == "phase1"
-        _, base_fp = read_checkpoint(trio["base"])
-        assert vector.base_fingerprint == base_fp
+        assert vector.base_fingerprint == base_fingerprint(trio["base"])
 
     def test_summary_is_json(self, capsys, trio, tmp_path):
         code, out, _ = run_cli(
@@ -104,8 +167,8 @@ class TestMergeCommand:
         assert code == 0, err
         report = json.loads(report_path.read_text())
         assert all(layer["alpha"] == 0.5 for layer in report["layers"])
-        merged, _ = read_checkpoint(out_path)
-        base, _ = read_checkpoint(trio["base"])
+        merged = read_checkpoint(out_path)
+        base = read_checkpoint(trio["base"])
         vector = load_task_vector(tv_dir)
         for name, delta in vector.deltas.items():
             expected = (base[name].astype(np.float64) + delta.astype(np.float64)).astype(np.float32)
@@ -174,9 +237,9 @@ class TestHeadConcatCommand:
             ],
         )
         assert code == 0, err
-        head, _ = read_checkpoint(out_path)
-        task1, _ = read_checkpoint(trio["task1"])
-        task2, _ = read_checkpoint(trio["task2"])
+        head = read_checkpoint(out_path)
+        task1 = read_checkpoint(trio["task1"])
+        task2 = read_checkpoint(trio["task2"])
         assert head["head.cls.weight"].shape[0] == (
             task1["head.cls.weight"].shape[0] + task2["head.cls.weight"].shape[0]
         )
@@ -201,8 +264,8 @@ class TestHeadConcatCommand:
             ],
         )
         assert code == 0
-        head, _ = read_checkpoint(out_path)
-        task1, _ = read_checkpoint(trio["task1"])
+        head = read_checkpoint(out_path)
+        task1 = read_checkpoint(trio["task1"])
         np.testing.assert_array_equal(head["head.cls.weight"][:4], task1["head.cls.weight"])
 
 
@@ -416,7 +479,7 @@ class TestCliContract:
     def test_dtype_check_flags_mixed_inputs(self, capsys, trio, tmp_path, rng):
         from duet.checkpoint import write_checkpoint
 
-        base, _ = read_checkpoint(trio["base"])
+        base = read_checkpoint(trio["base"])
         mixed = {
             name: (arr.astype(np.float64) if i == 0 else arr)
             for i, (name, arr) in enumerate(base.items())
@@ -452,7 +515,7 @@ class TestCliContract:
     def test_overflowing_task_vector_is_not_written(self, capsys, trio, tmp_path):
         from duet.checkpoint import write_checkpoint
 
-        base, _ = read_checkpoint(trio["base"])
+        base = read_checkpoint(trio["base"])
         low = {name: np.full_like(arr, -3e38) for name, arr in base.items()}
         high = {name: np.full_like(arr, 3e38) for name, arr in base.items()}
         write_checkpoint(low, tmp_path / "low.st")
@@ -471,7 +534,7 @@ class TestCliContract:
     def _overflowing_models(self, trio, tmp_path, dtype=np.float32, big=3e38):
         from duet.checkpoint import write_checkpoint
 
-        base, _ = read_checkpoint(trio["base"])
+        base = read_checkpoint(trio["base"])
         for name, value in (("low.st", -big), ("high.st", big)):
             model = {k: np.full(arr.shape, value, dtype=dtype) for k, arr in base.items()}
             write_checkpoint(model, tmp_path / name)
@@ -512,7 +575,7 @@ class TestCliContract:
             argv = ["sequence", trio["base"], trio["task1"], trio["task2"],
                     "--partition", partition, "-o", tmp_path / "seq"]
         else:
-            _, base_fp = read_checkpoint(trio["base"])
+            base_fp = base_fingerprint(trio["base"])
             bundle = tmp_path / "empty_tv"
             bundle.mkdir()
             (bundle / "deltas.safetensors").write_bytes((2).to_bytes(8, "little") + b"{}")
@@ -526,33 +589,69 @@ class TestCliContract:
             "message": "cannot serialize an empty tensor map",
         }
         assert not (tmp_path / "merged.st").exists()
+        assert not (tmp_path / "seq" / "task01.safetensors").exists()
         assert not (tmp_path / "seq" / "task02.safetensors").exists()
 
     @pytest.mark.parametrize(
         "nested", ["header", "manifest", "meta", "protocol", "records", "predictions"]
     )
     def test_deeply_nested_json_exits_2(self, capsys, trio, tmp_path, nested):
-        deep = "[" * 100_000
-        bundle = make_task_vector(capsys, trio, trio["task1"], tmp_path / "tv", "t")
-        container = tmp_path / "nested.st"
-        container.write_bytes(len(deep).to_bytes(8, "little") + deep.encode())
-        path = tmp_path / ("nested.jsonl" if nested == "records" else "nested.json")
-        path.write_text(deep)
-        if nested == "meta":
-            (bundle / "meta.json").write_text(deep)
-        argv = {
-            "header": ["diagnose", "distance", "--merged", container, "--old", container,
-                       "--curr", container],
-            "manifest": ["task-vector", trio["base"], trio["task1"], "--partition", path,
-                         "-o", tmp_path / "out"],
-            "meta": ["dc-loss", "--t", bundle, "--prev", bundle],
-            "protocol": ["metrics", "--protocol", path, "--records", records_path("duet")],
-            "records": ["metrics", "--protocol", protocol_path(), "--records", path],
-            "predictions": ["distill", "--curr", path, "--old", path],
-        }[nested]
+        argv = input_argv(capsys, trio, tmp_path, nested, b"[" * 100_000)
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert json.loads(err)["error"]["type"] == "CheckpointFormatError"
+
+    @pytest.mark.parametrize("kind, content, code, error", [
+        pytest.param("protocol", b'{"tasks": 5}', 1, "ProtocolError", id="protocol-tasks-int"),
+        pytest.param("protocol", b'{"tasks": [], "unseen_pairs": 3}', 1, "ProtocolError",
+                     id="protocol-unseen-pairs-int"),
+        pytest.param("protocol", b'{"tasks": [' + b"1" * 5000 + b"]}", 2, "CheckpointFormatError",
+                     id="protocol-int-over-digit-limit"),
+        pytest.param("records", b"[1, 2]\n", 1, "ProtocolError", id="records-line-not-object"),
+        pytest.param("records-csv", b"kind,domain\n" + b"x" * 200_000 + b"\n", 2,
+                     "CheckpointFormatError", id="records-csv-field-over-limit"),
+        pytest.param("records-csv", b"kind,domain,class_lo,class_hi,task_id,map50\nnew,d\n", 1,
+                     "ProtocolError", id="records-csv-short-row"),
+        pytest.param("manifest", b'{"shared": 5, "task_specific": ["*"], "head_concat_axis": 0}',
+                     1, "PartitionError", id="manifest-shared-int"),
+        pytest.param("meta", b'{"base_fingerprint": 5}', 2, "CheckpointFormatError",
+                     id="meta-fingerprint-int"),
+        pytest.param("predictions", b'{"class_logits": [[1.0, 2.0], [3.0]], "bbox_values": [[0, 0]]}',
+                     2, "CheckpointFormatError", id="predictions-ragged"),
+        pytest.param("header", b'{"a": {"dtype": "F32", "shape": [' + b"1" * 5000 + b"]}}", 2,
+                     "CheckpointFormatError", id="header-int-over-digit-limit"),
+        *(pytest.param(kind, b'{"label": "\xff"}', 2, "CheckpointFormatError",
+                       id=f"{kind}-invalid-utf8") for kind in TEXT_INPUTS),
+    ])
+    def test_malformed_input_is_a_typed_error(self, capsys, trio, tmp_path, kind, content, code,
+                                              error):
+        argv = input_argv(capsys, trio, tmp_path, kind, content)
+        got, _, err = run_cli(capsys, argv)
+        assert got == code
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] == error
+
+    @pytest.mark.parametrize("kind", TEXT_INPUTS)
+    @given(content=st.one_of(
+        st.binary(max_size=200),
+        json_values().map(lambda value: json.dumps(value).encode()),
+        csv_texts(),
+    ))
+    @settings(max_examples=75, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_hostile_text_inputs_end_in_a_typed_error(self, capsys, trio, tmp_path, kind,
+                                                      content):
+        argv = input_argv(capsys, trio, tmp_path, kind, content)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = run_cli(capsys, argv)
+        assert [str(w.message) for w in caught] == []
+        if code == 0:  # the draw happened to be a valid input
+            assert err == ""
+            return
+        assert code in (1, 2)
+        assert err.count("\n") == 1
+        assert json.loads(err)["error"]["type"] in DUET_ERRORS
 
     def test_threads_env_fallback(self, monkeypatch):
         from duet.cli import build_parser

@@ -287,6 +287,12 @@ class TestRecordIO:
         csv_path.write_text("\n".join(lines) + "\n")
         assert load_records(csv_path) == records
 
+    def test_jsonl_lines_end_at_newline_only(self, tmp_path):
+        record = {"kind": "ref", "domain": "night\u2028rain\x1c", "classes": [1, 2], "map50": 5.0}
+        path = tmp_path / "r.jsonl"
+        path.write_text(json.dumps(record, ensure_ascii=False) + "\r\n\n")
+        assert [r.domain for r in load_records(path)] == ["night\u2028rain\x1c"]
+
     def test_malformed_jsonl_line_is_located(self, tmp_path):
         path = tmp_path / "r.jsonl"
         path.write_text('{"kind": "new"}\n')
