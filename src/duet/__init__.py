@@ -18,6 +18,7 @@ from .errors import (
     AxisError,
     BaseMismatchError,
     CheckpointFormatError,
+    ConfigError,
     DegenerateBaselineError,
     DTypeError,
     DuetError,

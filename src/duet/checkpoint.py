@@ -65,12 +65,15 @@ class _Entry:
 class CheckpointReader:
     """Validating random-access reader over one checkpoint container.
 
-    Tensors are loaded one at a time from their byte ranges, so callers that
-    stream layer-by-layer never hold the whole payload in memory.
+    It reads like a map of tensor names to arrays, in header order:
+    ``keys()``, iteration, ``len`` and ``reader[name]``, so ``dict(reader)``
+    loads every tensor and ``map_layers`` or ``partition_checkpoint`` take a
+    reader as they take a dict.  Tensors are loaded one at a time from their
+    byte ranges, so callers that stream layer-by-layer never hold the whole
+    payload in memory.
     """
 
-    def __init__(self, source: str | Path | BinaryIO, allow_nonfinite: bool = False):
-        self._allow_nonfinite = allow_nonfinite
+    def __init__(self, source: str | Path | BinaryIO):
         if isinstance(source, (str, Path)):
             self._path = str(source)
             self._fh: BinaryIO = open(source, "rb")
@@ -115,11 +118,13 @@ class CheckpointReader:
             )
         header_bytes = fh.read(header_len)
         try:
-            header = json.loads(header_bytes.decode("utf-8"), object_pairs_hook=self._json_object)
+            text = header_bytes.decode("utf-8")
+            header = json.loads(text, object_pairs_hook=self._json_object)
         except UnicodeDecodeError as exc:
             raise self._fail(f"header is not valid UTF-8 at byte offset {8 + exc.start}") from exc
-        except json.JSONDecodeError as exc:
-            raise self._fail(f"malformed header JSON at byte offset {8 + exc.pos}") from exc
+        except json.JSONDecodeError as exc:  # exc.pos counts characters, not bytes
+            offset = _HEADER_LEN_BYTES + len(text[: exc.pos].encode("utf-8"))
+            raise self._fail(f"malformed header JSON at byte offset {offset}") from exc
         except ValueError as exc:  # an integer over the digit limit of int()
             raise self._fail(f"malformed header JSON: {exc}") from exc
         except RecursionError as exc:
@@ -183,9 +188,17 @@ class CheckpointReader:
                 f"payload is {payload_size} bytes but data_offsets tile {total} (truncated or trailing bytes)"
             )
 
-    @property
-    def names(self) -> list[str]:
-        return list(self._entries)
+    def keys(self):
+        return self._entries.keys()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._entries)
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.load(name)
 
     def load(self, name: str) -> np.ndarray:
         entry = self._entries[name]
@@ -197,14 +210,9 @@ class CheckpointReader:
             arr = np.frombuffer(raw, dtype=entry.dtype).reshape(entry.shape)
         except ValueError as exc:  # more dimensions or elements than numpy allows
             raise self._fail(f"tensor {name!r}: shape {list(entry.shape)} is not loadable: {exc}") from exc
-        if not self._allow_nonfinite and arr.size and not np.isfinite(arr).all():
-            raise self._fail(
-                f"tensor {name!r} contains non-finite values (load with allow_nonfinite=True to keep them)"
-            )
+        if arr.size and not np.isfinite(arr).all():
+            raise self._fail(f"tensor {name!r} contains non-finite values")
         return arr
-
-    def load_all(self) -> NamedTensorMap:
-        return {name: self.load(name) for name in self._entries}
 
     def fingerprint(self) -> str:
         """SHA-256 of the whole file, read once more from its start."""
@@ -325,36 +333,29 @@ def write_atomically(path: str | Path, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def write_checkpoint(tensor_map: NamedTensorMap, path: str | Path) -> str:
-    """Stream the canonical serialization to ``path`` atomically; returns its
-    fingerprint.  Like the reader, refuses tensors with non-finite values."""
+def write_checkpoint(tensor_map: NamedTensorMap, path: str | Path) -> None:
+    """Stream the canonical serialization to ``path`` atomically.  Like the
+    reader, refuses tensors with non-finite values.  Nothing is hashed:
+    ``fingerprint_map`` gives the digest of a map where one is used."""
     for name, arr in tensor_map.items():
         check_tensor(arr, name)
         if arr.size and not np.isfinite(arr).all():
             raise CheckpointFormatError(
                 f"{path}: tensor {name!r} contains non-finite values; refusing to write it"
             )
-    digest = hashlib.sha256()
-
-    def chunks() -> Iterator[bytes]:
-        for chunk in _iter_chunks(tensor_map):
-            digest.update(chunk)
-            yield chunk
-
-    write_atomically(path, chunks())
-    return digest.hexdigest()
+    write_atomically(path, _iter_chunks(tensor_map))
 
 
-def read_checkpoint(path: str | Path, allow_nonfinite: bool = False) -> NamedTensorMap:
+def read_checkpoint(path: str | Path) -> NamedTensorMap:
     """Load a checkpoint, preserving header order.  The file is not hashed:
     ``CheckpointReader.fingerprint()`` gives the digest where one is used."""
-    with CheckpointReader(path, allow_nonfinite=allow_nonfinite) as reader:
-        return reader.load_all()
+    with CheckpointReader(path) as reader:
+        return dict(reader)
 
 
-def parse_checkpoint(data: bytes, allow_nonfinite: bool = False) -> NamedTensorMap:
-    with CheckpointReader(io.BytesIO(data), allow_nonfinite=allow_nonfinite) as reader:
-        return reader.load_all()
+def parse_checkpoint(data: bytes) -> NamedTensorMap:
+    with CheckpointReader(io.BytesIO(data)) as reader:
+        return dict(reader)
 
 
 def _check_pattern(pattern: str) -> str:

@@ -249,7 +249,7 @@ def _cmd_task_vector(args) -> int:
     spec = load_partition_spec(args.partition)
     _require_output(args)
     with CheckpointReader(args.base) as reader:
-        base_map, base_fp = reader.load_all(), reader.fingerprint()
+        base_map, base_fp = dict(reader), reader.fingerprint()
     fine_map = read_checkpoint(args.fine_tuned)
     _enforce_uniform_dtype(args, base_map, fine_map)
     base_shared, _ = partition_checkpoint(base_map, spec)
@@ -276,7 +276,7 @@ def _cmd_merge(args) -> int:
         raise DuetError("merge needs an algorithm: duet, average, or magmax")
     _require_output(args)
     with CheckpointReader(args.base) as reader:
-        base_map, base_fp = reader.load_all(), reader.fingerprint()
+        base_map, base_fp = dict(reader), reader.fingerprint()
     if args.algorithm == "duet":
         config = MergeConfig(gamma=args.gamma, alpha_base=args.alpha_base, epsilon=args.epsilon)
         tau_old = load_task_vector(args.old)

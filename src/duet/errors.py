@@ -7,6 +7,11 @@ class DuetError(Exception):
     """Base class for all toolkit errors."""
 
 
+class ConfigError(DuetError, ValueError):
+    """A hyperparameter or option lies outside its allowed range.  Also a
+    ``ValueError``, so callers that catch that keep working."""
+
+
 class ShapeError(DuetError):
     """Tensor shapes (or dtypes) are incompatible for the requested operation."""
 

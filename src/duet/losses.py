@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import read_checkpoint, read_json
-from .errors import CheckpointFormatError, EmptyInputError, ShapeError
+from .errors import CheckpointFormatError, ConfigError, EmptyInputError, ShapeError
 from .tensors import NamedTensorMap, inner_product, map_layers
 from .task_vectors import TaskVector, _check_bases
 
@@ -26,7 +26,7 @@ class DcLossConfig:
 
     def __post_init__(self):
         if self.granularity not in GRANULARITIES:
-            raise ValueError(
+            raise ConfigError(
                 f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}"
             )
 
@@ -38,7 +38,7 @@ class LossWeights:
 
     def __post_init__(self):
         if self.lambda_distill < 0 or self.lambda_dc < 0:
-            raise ValueError("loss weights must be non-negative")
+            raise ConfigError("loss weights must be non-negative")
 
 
 def successive_updates(
@@ -265,7 +265,7 @@ def total_loss(
 ) -> float:
     """Detector loss alone on the base task; weighted sum afterwards."""
     if task_index < 1:
-        raise ValueError(f"task_index must be >= 1, got {task_index}")
+        raise ConfigError(f"task_index must be >= 1, got {task_index}")
     weights = weights or LossWeights()
     if task_index == 1:
         return float(detector_loss)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
@@ -36,7 +37,7 @@ from .checkpoint import (
     fingerprint_map,
 )
 from .diagnostics import SignConflictReport, layer_sign_conflicts
-from .errors import AxisError, EmptyInputError, KeyMismatchError, ShapeError
+from .errors import AxisError, ConfigError, EmptyInputError, KeyMismatchError, ShapeError
 from .tensors import NamedTensorMap, check_same_keys, check_tensor, combine, l1_norm, map_layers
 from .task_vectors import TaskVector, _check_bases, _check_layer_pair, _subtract
 
@@ -59,16 +60,16 @@ class MergeConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 0.5:
-            raise ValueError(f"gamma must be in [0, 0.5], got {self.gamma}")
+            raise ConfigError(f"gamma must be in [0, 0.5], got {self.gamma}")
         if not 0.0 < self.alpha_base < 1.0:
-            raise ValueError(f"alpha_base must be in (0, 1), got {self.alpha_base}")
+            raise ConfigError(f"alpha_base must be in (0, 1), got {self.alpha_base}")
         if self.alpha_base - self.gamma < 0.0 or self.alpha_base + self.gamma > 1.0:
-            raise ValueError(
+            raise ConfigError(
                 f"alpha_base +/- gamma must stay within [0, 1]; "
                 f"got alpha_base={self.alpha_base}, gamma={self.gamma}"
             )
         if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
 
     def to_dict(self) -> dict:
         return {"gamma": self.gamma, "alpha_base": self.alpha_base, "epsilon": self.epsilon}
@@ -268,7 +269,7 @@ def incremental_head_concat(
     must keep an identical shape.
     """
     if order not in ("curr-first", "prev-first"):
-        raise ValueError(f"order must be 'curr-first' or 'prev-first', got {order!r}")
+        raise ConfigError(f"order must be 'curr-first' or 'prev-first', got {order!r}")
     check_same_keys(prev_head, curr_head, "incremental_head_concat", "prev", "curr")
     replace = set(replace_names)
     unknown = sorted(replace - set(curr_head))
@@ -320,30 +321,6 @@ def assemble_incremental(
     return out
 
 
-class _DictSource:
-    def __init__(self, tensor_map: NamedTensorMap):
-        self._map = tensor_map
-
-    @property
-    def names(self) -> list[str]:
-        return list(self._map)
-
-    def load(self, name: str) -> np.ndarray:
-        return self._map[name]
-
-    def load_all(self) -> NamedTensorMap:
-        return dict(self._map)
-
-    def close(self):
-        pass
-
-
-def _open_source(source) -> _DictSource | CheckpointReader:
-    if isinstance(source, dict):
-        return _DictSource(source)
-    return CheckpointReader(source)
-
-
 @dataclass
 class SequenceStep:
     """One task's output: the assembled checkpoint plus the merge report
@@ -376,16 +353,14 @@ def iter_incremental_sequence(
     """
     config = config or MergeConfig()
 
-    base_source = _open_source(base)
-    try:
-        if isinstance(base_source, CheckpointReader):
-            base_fingerprint = base_source.fingerprint()
+    with ExitStack() as stack:
+        if isinstance(base, dict):
+            base_fingerprint = fingerprint_map(base)
         else:
-            base_fingerprint = fingerprint_map(base_source.load_all())
-        base_shared_names, _ = classify_names(base_source.names, spec)
-        base_shared = {name: base_source.load(name) for name in base_shared_names}
-    finally:
-        base_source.close()
+            base = stack.enter_context(CheckpointReader(base))
+            base_fingerprint = base.fingerprint()
+        base_shared_names, _ = classify_names(base, spec)
+        base_shared = {name: base[name] for name in base_shared_names}
     if not base_shared:  # task 2 could not serialize its merge; refuse before task 1 is out
         raise EmptyInputError("cannot serialize an empty tensor map")
     shared_set = set(base_shared)
@@ -395,9 +370,9 @@ def iter_incremental_sequence(
     produced = 0
 
     for task_index, item in enumerate(fine_tuned, start=1):
-        reader = _open_source(item)
-        try:
-            shared_names, head_names = classify_names(reader.names, spec)
+        with ExitStack() as stack:
+            source = item if isinstance(item, dict) else stack.enter_context(CheckpointReader(item))
+            shared_names, head_names = classify_names(source, spec)
             if set(shared_names) != shared_set:
                 only_ft = sorted(set(shared_names) - shared_set)
                 only_base = sorted(shared_set - set(shared_names))
@@ -408,7 +383,7 @@ def iter_incremental_sequence(
             replace_names = {name for name in head_names if spec.is_replace(name)}
 
             if task_index == 1:
-                full = reader.load_all()
+                full = dict(source)
                 for name in base_shared:  # the checks task 2 relies on, made before task 1 is out
                     _check_layer_pair(name, full[name], base_shared[name])
                 prev_shared = {name: full[name] for name in base_shared}
@@ -420,12 +395,12 @@ def iter_incremental_sequence(
                 # Both task vectors are formed a layer at a time; each previous
                 # output layer is dropped once its delta is taken.
                 tau_old = _Deltas(base_shared, prev_shared.pop)
-                tau_curr = _Deltas(base_shared, reader.load)
+                tau_curr = _Deltas(base_shared, source.__getitem__)
                 report, layers = _merge_layers(
                     base_shared, base_fingerprint, tau_old, tau_curr, config, threads
                 )
                 merged = dict(layers)
-                curr_head = {name: reader.load(name) for name in head_names}
+                curr_head = {name: source[name] for name in head_names}
                 head = incremental_head_concat(
                     prev_head,
                     curr_head,
@@ -437,8 +412,6 @@ def iter_incremental_sequence(
                 del curr_head, merged
                 yield SequenceStep(task_index, assemble_incremental(prev_shared, head), report)
             produced += 1
-        finally:
-            reader.close()
     if produced == 0:
         raise EmptyInputError("incremental sequence needs at least the first fine-tuned checkpoint")
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .checkpoint import read_csv_rows, read_json, read_json_lines
-from .errors import DegenerateBaselineError, ProtocolError
+from .errors import ConfigError, DegenerateBaselineError, ProtocolError
 
 RECORD_KINDS = ("new", "old", "unseen", "ref")
 
@@ -188,7 +188,7 @@ def generalization_index(map_unseen: float, map_ref: float) -> float:
 def rai(avg_ri: float, avg_gi: float) -> float:
     """Mean of the average retention and generalization indices."""
     if avg_ri < 0.0 or avg_gi < 0.0:
-        raise ValueError("rai inputs must be non-negative")
+        raise ConfigError("rai inputs must be non-negative")
     return (avg_ri + avg_gi) / 2.0
 
 

@@ -27,11 +27,11 @@ COSINE_EPS = 1e-12
 NamedTensorMap = dict[str, np.ndarray]
 
 
-def tensor(values, dtype="f64", allow_nonfinite: bool = False) -> np.ndarray:
+def tensor(values, dtype="f64") -> np.ndarray:
     """Build a validated, read-only tensor from array-like data.
 
     ``dtype`` is ``"f32"``/``"f64"`` or a numpy float dtype.  Non-finite
-    values are rejected unless ``allow_nonfinite`` is set.
+    values are rejected.
     """
     np_dtype = {"f32": np.float32, "F32": np.float32, "f64": np.float64, "F64": np.float64}.get(
         dtype, dtype
@@ -40,8 +40,8 @@ def tensor(values, dtype="f64", allow_nonfinite: bool = False) -> np.ndarray:
     if np_dtype.type not in SUPPORTED_DTYPES:
         raise DTypeError(f"unsupported dtype {np_dtype!r}; expected float32 or float64")
     arr = np.array(values, dtype=np_dtype)
-    if not allow_nonfinite and arr.size and not np.isfinite(arr).all():
-        raise DTypeError("tensor contains non-finite values (pass allow_nonfinite=True to keep them)")
+    if arr.size and not np.isfinite(arr).all():
+        raise DTypeError("tensor contains non-finite values")
     arr.flags.writeable = False
     return arr
 

@@ -166,7 +166,7 @@ def _naive_all_vectors_peak(base_path: Path, task_paths: list[Path]) -> int:
     def run():
         cfg = MergeConfig()
         with CheckpointReader(base_path) as reader:
-            base_map, base_fp = reader.load_all(), reader.fingerprint()
+            base_map, base_fp = dict(reader), reader.fingerprint()
         base_shared, _ = partition_checkpoint(base_map, _SEQ_SPEC)
         vectors = []  # retained for all tasks: linear growth in the task count
         for path in task_paths:

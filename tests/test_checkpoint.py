@@ -22,6 +22,7 @@ from duet.checkpoint import (
     write_checkpoint,
 )
 from duet.errors import CheckpointFormatError, EmptyInputError, PartitionError
+from duet.tensors import map_layers
 from tests.conftest import make_map
 
 # Canonical fingerprint of the reference map below; must never change.
@@ -47,10 +48,10 @@ class TestRoundtrip:
         tensor_map = make_map(rng, 4, dtype=np.float32)
         tensor_map["f64_layer"] = rng.normal(size=(3, 2))
         path = tmp_path / "m.safetensors"
-        fp_written = write_checkpoint(tensor_map, path)
+        write_checkpoint(tensor_map, path)
         loaded = read_checkpoint(path)
         with CheckpointReader(path) as reader:
-            assert fp_written == reader.fingerprint()
+            assert reader.fingerprint() == fingerprint_map(tensor_map)
         assert list(loaded) == list(tensor_map)
         for name in tensor_map:
             assert loaded[name].dtype == tensor_map[name].dtype
@@ -173,6 +174,15 @@ class TestMalformedContainers:
         with pytest.raises(CheckpointFormatError, match="byte offset"):
             parse_checkpoint(blob)
 
+    def test_malformed_json_offset_counts_bytes(self):
+        # Each "é" is two UTF-8 bytes, so the stray token's character index
+        # (58) and its byte offset in the file (8 + 62) differ by four.
+        header = '{"éééé":{"dtype":"F32","shape":[1],"data_offsets":[0,4]}, x}'.encode()
+        blob = struct.pack("<Q", len(header)) + header
+        assert blob[70:71] == b"x"
+        with pytest.raises(CheckpointFormatError, match="at byte offset 70$"):
+            parse_checkpoint(blob)
+
     def test_unknown_dtype_names_tensor(self):
         header = {"weird": {"dtype": "BF16", "shape": [1], "data_offsets": [0, 2]}}
         with pytest.raises(CheckpointFormatError, match="'weird'.*unknown dtype"):
@@ -240,8 +250,6 @@ class TestMalformedContainers:
         blob = build_container(header, struct.pack("<d", float("nan")))
         with pytest.raises(CheckpointFormatError, match="non-finite"):
             parse_checkpoint(blob)
-        loaded = parse_checkpoint(blob, allow_nonfinite=True)
-        assert np.isnan(loaded["a"][0])
 
 
 def _parses_or_refuses(blob: bytes):
@@ -314,6 +322,46 @@ class TestHostileBytes:
         closer = "]" if opener == "[" else "}"
         header = (opener * depth + "1" + closer * depth).encode()
         _parses_or_refuses(struct.pack("<Q", len(header)) + header)
+
+
+class TestReaderMapping:
+    """A reader reads like the map ``read_checkpoint`` returns."""
+
+    @pytest.fixture
+    def written(self, tmp_path, rng):
+        tensor_map = {name: rng.normal(size=3).astype(np.float32) for name in ("z", "a", "m")}
+        tensor_map["head.cls"] = rng.normal(size=(2, 3))
+        path = tmp_path / "m.safetensors"
+        write_checkpoint(tensor_map, path)
+        return path, tensor_map
+
+    def test_iteration_length_and_dict_follow_header_order(self, written):
+        path, tensor_map = written
+        loaded = read_checkpoint(path)
+        with CheckpointReader(path) as reader:
+            assert list(reader) == list(reader.keys()) == list(tensor_map) == list(loaded)
+            assert len(reader) == len(tensor_map)
+            as_dict = dict(reader)
+            assert reader["a"].tobytes() == tensor_map["a"].tobytes()
+            with pytest.raises(KeyError):
+                reader["missing"]
+        assert list(as_dict) == list(loaded)
+        for name, arr in loaded.items():
+            assert as_dict[name].dtype == arr.dtype
+            assert as_dict[name].tobytes() == arr.tobytes()
+
+    def test_partition_and_map_layers_accept_a_reader(self, written):
+        path, tensor_map = written
+        spec = PartitionSpec(("z", "a", "m"), ("head.*",), head_concat_axis=0)
+        want_shared, want_head = partition_checkpoint(tensor_map, spec)
+        with CheckpointReader(path) as reader:
+            shared, head = partition_checkpoint(reader, spec)
+            sums = dict(map_layers("sum", lambda name, x, y: float(np.sum(x + y)),
+                                   {"file": reader, "map": tensor_map}))
+        for got, want in ((shared, want_shared), (head, want_head)):
+            assert list(got) == list(want)
+            assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+        assert sums == {name: float(np.sum(arr + arr)) for name, arr in tensor_map.items()}
 
 
 class TestPartition:

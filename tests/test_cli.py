@@ -746,7 +746,21 @@ class TestCliContract:
             ],
         )
         assert code == 1
-        assert json.loads(err)["error"]["type"] == "ValueError"
+        assert json.loads(err)["error"]["type"] == "ConfigError"
+
+    @pytest.mark.parametrize(
+        "option", [["--gamma", "0.7"], ["--alpha-base", "1.5"], ["--epsilon", "0"]]
+    )
+    def test_out_of_range_sequence_options_are_config_errors(self, capsys, trio, tmp_path, option):
+        out = tmp_path / "seq"
+        code, stdout, err = run_cli(
+            capsys,
+            ["sequence", trio["base"], trio["task1"], trio["task2"],
+             "--partition", trio["partition"], "-o", out, *option],
+        )
+        assert code == 1 and stdout == ""
+        assert json.loads(err)["error"]["type"] == "ConfigError"
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, capsys, trio, tmp_path):
         args = [

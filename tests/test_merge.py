@@ -8,15 +8,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from duet.checkpoint import PartitionSpec, fingerprint_map, partition_checkpoint
+import duet.merge
+from duet.checkpoint import (
+    CheckpointReader,
+    PartitionSpec,
+    fingerprint_map,
+    partition_checkpoint,
+    write_checkpoint,
+)
 from duet.diagnostics import sign_conflicts
 from duet.errors import (
     AxisError,
     BaseMismatchError,
+    ConfigError,
+    DuetError,
     EmptyInputError,
     KeyMismatchError,
     ShapeError,
 )
+from duet.losses import DcLossConfig, LossWeights, total_loss
 from duet.merge import (
     MergeConfig,
     assemble_incremental,
@@ -28,6 +38,7 @@ from duet.merge import (
     magmax_merge,
     weight_average_merge,
 )
+from duet.metrics import rai
 from duet.task_vectors import TaskVector, compute_task_vector
 from tests.conftest import make_map
 
@@ -66,6 +77,23 @@ class TestMergeConfig:
     def test_invalid_configs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MergeConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: MergeConfig(gamma=0.7),
+            lambda: DcLossConfig(granularity="row"),
+            lambda: LossWeights(lambda_dc=-1.0),
+            lambda: total_loss(1.0, 0.0, 0.0, task_index=0),
+            lambda: rai(-1.0, 50.0),
+            lambda: incremental_head_concat({}, {}, 0, order="sideways"),
+        ],
+        ids=["MergeConfig", "DcLossConfig", "LossWeights", "total_loss", "rai", "head-order"],
+    )
+    def test_out_of_range_options_raise_config_error(self, build):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert isinstance(info.value, DuetError) and isinstance(info.value, ValueError)
 
 
 class TestLayerCoefficients:
@@ -396,8 +424,6 @@ class TestIncrementalSequence:
         assert reports[0] is None and reports[1] is not None
 
     def test_sequence_from_files(self, simple_spec, rng, tmp_path):
-        from duet.checkpoint import write_checkpoint
-
         cfg = MergeConfig()
         base, fine = build_sequence_inputs(rng, 3, simple_spec)
         base_path = tmp_path / "base.st"
@@ -466,6 +492,55 @@ class TestIncrementalSequence:
         base, _ = build_sequence_inputs(rng, 1, simple_spec)
         with pytest.raises(EmptyInputError):
             incremental_sequence(base, [], simple_spec)
+
+    def test_paths_and_maps_mix_freely(self, simple_spec, rng, tmp_path):
+        base, fine = build_sequence_inputs(rng, 3, simple_spec)
+        base_path = tmp_path / "base.st"
+        write_checkpoint(base, base_path)
+        paths = [tmp_path / f"ft{i}.st" for i in range(len(fine))]
+        for ckpt, path in zip(fine, paths):
+            write_checkpoint(ckpt, path)
+
+        def run(base_input, items) -> list:
+            return [
+                (
+                    [(name, arr.dtype, arr.tobytes()) for name, arr in step.checkpoint.items()],
+                    step.report.to_json() if step.report else None,
+                )
+                for step in iter_incremental_sequence(base_input, items, simple_spec)
+            ]
+
+        in_memory = run(base, fine)
+        assert run(base_path, fine) == in_memory
+        assert run(base, paths) == in_memory
+
+    def test_task_with_other_shared_keys_closes_its_reader(
+        self, simple_spec, rng, tmp_path, monkeypatch
+    ):
+        base, fine = build_sequence_inputs(rng, 2, simple_spec)
+        fine[1]["neck.other"] = np.zeros(2, dtype=np.float32)
+        paths = [tmp_path / f"{i}.st" for i in range(3)]
+        for ckpt, path in zip([base, *fine], paths):
+            write_checkpoint(ckpt, path)
+        opened = []
+
+        class RecordingReader(CheckpointReader):
+            def __init__(self, source):
+                super().__init__(source)
+                self.was_closed = False
+                opened.append(self)
+
+            def close(self):
+                self.was_closed = True
+                super().close()
+
+        monkeypatch.setattr(duet.merge, "CheckpointReader", RecordingReader)
+        steps = iter_incremental_sequence(paths[0], paths[1:], simple_spec)
+        next(steps)
+        with pytest.raises(KeyMismatchError, match="task 2"):
+            next(steps)
+        assert len(opened) == 3
+        assert all(reader.was_closed for reader in opened)
 
     def test_mismatched_shared_keys_rejected(self, simple_spec, rng):
         base, fine = build_sequence_inputs(rng, 1, simple_spec)

@@ -155,10 +155,6 @@ class TestTensorConstructor:
         with pytest.raises(DTypeError):
             tensor([1.0, float("nan")])
 
-    def test_permissive_flag_keeps_non_finite(self):
-        arr = tensor([1.0, float("inf")], allow_nonfinite=True)
-        assert np.isinf(arr[1])
-
     def test_rejects_integer_dtype(self):
         with pytest.raises(DTypeError):
             tensor([1, 2], dtype=np.int32)
