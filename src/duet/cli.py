@@ -25,7 +25,7 @@ from .checkpoint import (
     write_checkpoint,
 )
 from .diagnostics import SignConflictReport, layer_sign_conflicts, merge_distance, sign_conflicts
-from .errors import CheckpointFormatError, DTypeError, DuetError
+from .errors import CheckpointFormatError, ConfigError, DTypeError, DuetError
 from .losses import (
     DcLossConfig,
     dc_loss,
@@ -62,6 +62,17 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def parse_args(self, args=None, namespace=None):
+        # DUET_THREADS is read only where --threads applies and is not given.
+        namespace = super().parse_args(args, namespace)
+        if getattr(namespace, "threads", 1) is None:
+            try:
+                namespace.threads = _env_threads()
+            except ConfigError as exc:
+                _emit_error(namespace, exc)
+                raise SystemExit(1) from None
+        return namespace
+
 
 def positive_int(raw: str) -> int:
     value = int(raw)
@@ -70,12 +81,16 @@ def positive_int(raw: str) -> int:
     return value
 
 
-def _default_threads() -> int:
-    raw = os.environ.get("DUET_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
+def _env_threads() -> int:
+    """``DUET_THREADS``, or 1 when it is unset; a value that is not an
+    integer >= 1 is a ConfigError."""
+    raw = os.environ.get("DUET_THREADS")
+    if raw is None:
         return 1
+    try:
+        return positive_int(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise ConfigError(f"DUET_THREADS must be an integer >= 1, got {raw!r}") from None
 
 
 def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
@@ -85,7 +100,6 @@ def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
     common.add_argument(
         "--threads",
         type=positive_int,
-        default=_default_threads(),
         help="worker threads for per-layer tensor work (default: DUET_THREADS or 1)",
     )
     common.add_argument(

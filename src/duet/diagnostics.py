@@ -6,7 +6,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import NamedTensorMap, cosine_similarity, l2_norm, map_layers
+from .tensors import (
+    _BLOCK,
+    NamedTensorMap,
+    _blocked,
+    _blockwise,
+    cosine_similarity,
+    l2_norm,
+    map_layers,
+)
 from .task_vectors import TaskVector
 
 
@@ -64,9 +72,32 @@ def layer_sign_conflicts(left: np.ndarray, right: np.ndarray) -> TensorSignConfl
 
     Pairs where either element is zero are excluded from ``comparable``.
     """
+    # The size test inline: small calls skip a call.
+    if left.size > _BLOCK and _blocked(left, right):
+        return _layer_sign_conflicts_blocks(left, right)
     nonzero = (left != 0) & (right != 0)
     comparable = int(np.count_nonzero(nonzero))
     conflicts = int(np.count_nonzero(nonzero & (np.sign(left) != np.sign(right))))
+    return TensorSignConflicts(conflicts=conflicts, comparable=comparable)
+
+
+def _layer_sign_conflicts_blocks(left: np.ndarray, right: np.ndarray) -> TensorSignConflicts:
+    """:func:`layer_sign_conflicts` a block at a time, with the same
+    comparisons of ``np.sign`` values."""
+    flat_left, flat_right = left.reshape(-1), right.reshape(-1)
+
+    def counts(lo, hi, nonzero, differ, left_sign, right_sign) -> np.ndarray:
+        block_left, block_right = flat_left[lo:hi], flat_right[lo:hi]
+        np.not_equal(block_left, 0, out=nonzero)
+        nonzero &= np.not_equal(block_right, 0, out=differ)
+        np.sign(block_left, out=left_sign)
+        np.sign(block_right, out=right_sign)
+        np.not_equal(left_sign, right_sign, out=differ)
+        differ &= nonzero
+        return np.array((np.count_nonzero(nonzero), np.count_nonzero(differ)))
+
+    scratch = (bool, bool, left.dtype, right.dtype)
+    comparable, conflicts = _blockwise(left.size, counts, *scratch).tolist()
     return TensorSignConflicts(conflicts=conflicts, comparable=comparable)
 
 

@@ -331,6 +331,14 @@ class SequenceStep:
     report: MergeReport | None
 
 
+def _as_map(item, stack: ExitStack):
+    """A map or an open reader as it is; any other item is a checkpoint
+    source, opened here and closed with ``stack``."""
+    if isinstance(item, (dict, CheckpointReader)):
+        return item
+    return stack.enter_context(CheckpointReader(item))
+
+
 def iter_incremental_sequence(
     base,
     fine_tuned: Iterable,
@@ -341,8 +349,9 @@ def iter_incremental_sequence(
 ) -> Iterator[SequenceStep]:
     """Stream the incremental sequence, one task at a time.
 
-    ``base`` and each ``fine_tuned`` item may be a checkpoint path or an
-    in-memory map.  Task 1 is yielded verbatim; every later task merges the
+    ``base`` and each ``fine_tuned`` item may be a checkpoint path, an open
+    :class:`CheckpointReader` (read as a map and left open) or an in-memory
+    map.  Task 1 is yielded verbatim; every later task merges the
     previous incremental model's task vector with the current one and
     concatenates the heads.  Between steps only the base shared map, the
     previous step's shared layers (the arrays it yielded) and the previous
@@ -354,11 +363,11 @@ def iter_incremental_sequence(
     config = config or MergeConfig()
 
     with ExitStack() as stack:
-        if isinstance(base, dict):
-            base_fingerprint = fingerprint_map(base)
-        else:
-            base = stack.enter_context(CheckpointReader(base))
+        base = _as_map(base, stack)
+        if isinstance(base, CheckpointReader):
             base_fingerprint = base.fingerprint()
+        else:
+            base_fingerprint = fingerprint_map(base)
         base_shared_names, _ = classify_names(base, spec)
         base_shared = {name: base[name] for name in base_shared_names}
     if not base_shared:  # task 2 could not serialize its merge; refuse before task 1 is out
@@ -371,7 +380,7 @@ def iter_incremental_sequence(
 
     for task_index, item in enumerate(fine_tuned, start=1):
         with ExitStack() as stack:
-            source = item if isinstance(item, dict) else stack.enter_context(CheckpointReader(item))
+            source = _as_map(item, stack)
             shared_names, head_names = classify_names(source, spec)
             if set(shared_names) != shared_set:
                 only_ft = sorted(set(shared_names) - shared_set)

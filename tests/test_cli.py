@@ -653,15 +653,34 @@ class TestCliContract:
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] in DUET_ERRORS
 
-    def test_threads_env_fallback(self, monkeypatch):
+    def test_threads_env_fallback(self, monkeypatch, capsys):
         from duet.cli import build_parser
 
         monkeypatch.setenv("DUET_THREADS", "7")
         args = build_parser().parse_args(["distill", "--curr", "a", "--old", "b"])
         assert args.threads == 7
         monkeypatch.setenv("DUET_THREADS", "junk")
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["distill", "--curr", "a", "--old", "b"])
+        assert exc.value.code == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "ConfigError" and "DUET_THREADS" in error["message"]
+        monkeypatch.delenv("DUET_THREADS")
         args = build_parser().parse_args(["distill", "--curr", "a", "--old", "b"])
         assert args.threads == 1
+
+    @pytest.mark.parametrize("value", ["junk", "0", "-3", ""])
+    def test_invalid_threads_env_exits_1_unless_threads_is_given(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("DUET_THREADS", value)
+        argv = ["distill", "--curr", "missing_a", "--old", "missing_b"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert json.loads(err)["error"]["type"] == "ConfigError" and "DUET_THREADS" in err
+        code, _, err = run_cli(capsys, argv + ["--format", "csv"])
+        assert code == 1 and err.startswith("error: DUET_THREADS")
+        # --threads wins: the run gets past its options to the missing inputs (I/O, exit 2).
+        code, _, err = run_cli(capsys, argv + ["--threads", "2"])
+        assert code == 2 and "DUET_THREADS" not in err
 
     @pytest.mark.parametrize("argv", [
         ["sequence", "base", "ft1", "--partition", "p.json", "-o", "out"],

@@ -513,6 +513,17 @@ class TestIncrementalSequence:
         in_memory = run(base, fine)
         assert run(base_path, fine) == in_memory
         assert run(base, paths) == in_memory
+        # An open reader reads as a map, and the sequence leaves it open.
+        with CheckpointReader(base_path) as base_reader:
+            readers = [CheckpointReader(path) for path in paths]
+            try:
+                assert run(base_reader, readers) == in_memory
+                assert run(base_reader, [fine[0], readers[1], paths[2]]) == in_memory
+                for reader in (base_reader, *readers):  # still open: it reads
+                    assert list(reader) == list(dict(reader))
+            finally:
+                for reader in readers:
+                    reader.close()
 
     def test_task_with_other_shared_keys_closes_its_reader(
         self, simple_spec, rng, tmp_path, monkeypatch
