@@ -31,7 +31,6 @@ from .errors import (
 from .losses import (
     DcLossConfig,
     DistillResult,
-    LossWeights,
     PredictionBatch,
     dc_loss,
     dc_loss_grad,
@@ -39,7 +38,6 @@ from .losses import (
     distill_cls_loss,
     distill_loss,
     percentile_75,
-    total_loss,
 )
 from .merge import (
     LayerMergeRecord,
@@ -47,10 +45,8 @@ from .merge import (
     MergeReport,
     SequenceStep,
     assemble_incremental,
-    duet_layer_coefficients,
     duet_merge,
     incremental_head_concat,
-    incremental_sequence,
     iter_incremental_sequence,
     magmax_merge,
     weight_average_merge,
@@ -61,8 +57,6 @@ from .metrics import (
     MetricsReport,
     TaskPhase,
     UnseenPair,
-    avg_generalization_index,
-    avg_retention_index,
     compute_metrics,
     generalization_index,
     load_protocol,
@@ -73,7 +67,6 @@ from .metrics import (
 )
 from .task_vectors import (
     TaskVector,
-    apply_task_vector,
     compute_task_vector,
     load_task_vector,
     save_task_vector,
@@ -81,11 +74,8 @@ from .task_vectors import (
 )
 from .tensors import (
     NamedTensorMap,
-    cosine_similarity,
     inner_product,
     l1_norm,
-    l2_norm,
-    linear_combine,
     tensor,
 )
 

@@ -430,6 +430,8 @@ def _cmd_diagnose(args) -> int:
     if not getattr(args, "probe", None):
         raise DuetError("diagnose needs a probe: signs or distance")
     if args.probe == "signs":
+        if args.prev2 is not None and args.preset != "updates":
+            raise ConfigError(f"--prev2 applies only with --preset updates, not {args.preset!r}")
         tau_old = load_task_vector(args.old)
         tau_curr = load_task_vector(args.curr)
         if args.preset == "updates":

@@ -2,19 +2,12 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import (
-    _BLOCK,
-    NamedTensorMap,
-    _blocked,
-    _blockwise,
-    cosine_similarity,
-    l2_norm,
-    map_layers,
-)
+from .tensors import _BLOCK, NamedTensorMap, _blocked, _blockwise, map_layers
 from .task_vectors import TaskVector
 
 
@@ -126,31 +119,50 @@ class MergeDistanceReport:
         }
 
 
-def _flatten_canonical(tensor_map: NamedTensorMap) -> np.ndarray:
-    # Sorted-name order makes the result independent of dict insertion order.
-    # Copying into one preallocated buffer avoids a float64 copy per tensor.
-    names = sorted(tensor_map)
-    flat = np.empty(sum(tensor_map[name].size for name in names), dtype=np.float64)
-    offset = 0
-    for name in names:
-        size = tensor_map[name].size
-        flat[offset : offset + size] = tensor_map[name].reshape(-1)
-        offset += size
-    return flat
+# Stability constant added to the norm product of a cosine.  Distinct from the
+# merge epsilon; keeps the ratio strictly inside (-1, 1).
+COSINE_EPS = 1e-12
+
+
+def _distance_sums(name: str, merged: np.ndarray, old: np.ndarray, curr: np.ndarray) -> tuple:
+    """One layer's float64 sums: squared distances of ``merged`` to ``old``
+    and ``curr``, its inner products with them, and the three squared norms."""
+    m, o, c = (x.astype(np.float64, copy=False) for x in (merged, old, curr))
+    # One temporary at a time: each is summed and dropped before the next.
+    return (
+        float(np.sum(np.square(m - o))),
+        float(np.sum(np.square(m - c))),
+        float(np.sum(m * o)),
+        float(np.sum(m * c)),
+        float(np.sum(np.square(m))),
+        float(np.sum(np.square(o))),
+        float(np.sum(np.square(c))),
+    )
+
+
+def _cosine(inner: float, sq_norm_x: float, sq_norm_y: float) -> float:
+    """Cosine from an inner product and two squared norms; 0 when either norm is 0."""
+    nx, ny = math.sqrt(sq_norm_x), math.sqrt(sq_norm_y)
+    if nx == 0.0 or ny == 0.0:
+        return 0.0
+    return inner / (nx * ny + COSINE_EPS)
 
 
 def merge_distance(
     merged: NamedTensorMap, old: NamedTensorMap, curr: NamedTensorMap
 ) -> MergeDistanceReport:
+    """L2 distances and cosines over the concatenated layers, a layer at a time.
+
+    Each layer's sums are numpy's pairwise sums; ``math.fsum`` adds the layers'
+    sums exactly rounded, so the map order cannot change a bit.
+    """
     maps = {"merged": merged, "old": old, "curr": curr}
-    for _ in map_layers("merge_distance", lambda name, *layers: None, maps):
-        pass
-    flat_merged = _flatten_canonical(merged)
-    flat_old = _flatten_canonical(old)
-    flat_curr = _flatten_canonical(curr)
+    per_layer = [sums for _, sums in map_layers("merge_distance", _distance_sums, maps)]
+    totals = [math.fsum(column) for column in zip(*per_layer)] or [0.0] * 7
+    to_old, to_curr, inner_old, inner_curr, merged_sq, old_sq, curr_sq = totals
     return MergeDistanceReport(
-        l2_to_old=l2_norm(flat_merged - flat_old),
-        l2_to_curr=l2_norm(flat_merged - flat_curr),
-        cos_to_old=cosine_similarity(flat_merged, flat_old),
-        cos_to_curr=cosine_similarity(flat_merged, flat_curr),
+        l2_to_old=math.sqrt(to_old),
+        l2_to_curr=math.sqrt(to_curr),
+        cos_to_old=_cosine(inner_old, merged_sq, old_sq),
+        cos_to_curr=_cosine(inner_curr, merged_sq, curr_sq),
     )

@@ -1,5 +1,5 @@
-"""Directional-consistency loss (with analytic gradient), percentile-masked
-distillation losses on raw prediction arrays, and total-loss composition."""
+"""Directional-consistency loss (with analytic gradient) and percentile-masked
+distillation losses on raw prediction arrays."""
 
 from __future__ import annotations
 
@@ -29,16 +29,6 @@ class DcLossConfig:
             raise ConfigError(
                 f"granularity must be one of {GRANULARITIES}, got {self.granularity!r}"
             )
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    lambda_distill: float = 0.01
-    lambda_dc: float = 0.01
-
-    def __post_init__(self):
-        if self.lambda_distill < 0 or self.lambda_dc < 0:
-            raise ConfigError("loss weights must be non-negative")
 
 
 def successive_updates(
@@ -254,19 +244,3 @@ def distill_loss(curr: PredictionBatch, old: PredictionBatch) -> DistillResult:
     cls_loss, cls_mask = distill_cls_loss(curr, old)
     bbox_loss, bbox_mask = distill_bbox_loss(curr, old)
     return DistillResult(cls_loss, cls_mask, bbox_loss, bbox_mask)
-
-
-def total_loss(
-    detector_loss: float,
-    distill: float,
-    dc: float,
-    weights: LossWeights | None = None,
-    task_index: int = 1,
-) -> float:
-    """Detector loss alone on the base task; weighted sum afterwards."""
-    if task_index < 1:
-        raise ConfigError(f"task_index must be >= 1, got {task_index}")
-    weights = weights or LossWeights()
-    if task_index == 1:
-        return float(detector_loss)
-    return float(detector_loss) + weights.lambda_distill * float(distill) + weights.lambda_dc * float(dc)

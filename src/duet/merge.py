@@ -155,14 +155,6 @@ def _layer_coefficients(
     return record, warnings
 
 
-def duet_layer_coefficients(
-    tau_old_l: np.ndarray, tau_curr_l: np.ndarray, config: MergeConfig | None = None
-) -> tuple[float, float, float, float]:
-    """Return ``(p, delta, alpha, beta)`` for one layer's pair of deltas."""
-    record, _ = _layer_coefficients("<layer>", tau_old_l, tau_curr_l, config or MergeConfig())
-    return record.p, record.delta, record.alpha, record.beta
-
-
 class _Deltas:
     """A task vector computed on lookup: ``load(name) - base[name]``.
 
@@ -423,22 +415,6 @@ def iter_incremental_sequence(
             produced += 1
     if produced == 0:
         raise EmptyInputError("incremental sequence needs at least the first fine-tuned checkpoint")
-
-
-def incremental_sequence(
-    base,
-    fine_tuned: Iterable,
-    spec: PartitionSpec,
-    config: MergeConfig | None = None,
-    head_order: str = "curr-first",
-) -> tuple[list[NamedTensorMap], list[MergeReport | None]]:
-    """Collect the full sequence in memory (small runs and tests)."""
-    checkpoints: list[NamedTensorMap] = []
-    reports: list[MergeReport | None] = []
-    for step in iter_incremental_sequence(base, fine_tuned, spec, config, head_order=head_order):
-        checkpoints.append(step.checkpoint)
-        reports.append(step.report)
-    return checkpoints, reports
 
 
 def _vector_stack(

@@ -353,16 +353,6 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def avg_retention_index(protocol: EvalProtocol, records: list[EvalRecord]) -> float:
-    _check_protocol(protocol)
-    return _mean([entry.ri for entry in _retention(protocol, records)])
-
-
-def avg_generalization_index(protocol: EvalProtocol, records: list[EvalRecord]) -> float:
-    _check_protocol(protocol)
-    return _mean([entry.gi for entry in _generalization(protocol, records)])
-
-
 def compute_metrics(protocol: EvalProtocol, records: list[EvalRecord]) -> MetricsReport:
     """Evaluate every retention and generalization slot of the protocol.
 

@@ -200,10 +200,14 @@ def central_difference_check(
     """Compare :func:`dc_loss_grad` with central differences of :func:`dc_loss`
     at up to 256 evenly spaced elements of each tensor of ``tau_t``.
 
-    A bump of one element moves only its tensor's term (:func:`dc_term`), so
-    each probe evaluates that term alone.  Elements whose stencil could cross
-    the hinge are skipped and counted; elements where both values are below
-    1e-9 agree and are not counted.
+    A bump of one element moves only its own term (:func:`dc_term`): its
+    tensor's term, or at element granularity its own product, so each probe
+    evaluates that term alone.  A tensor's term is a sum over the whole
+    tensor, whose rounding moves the difference by up to its magnitude
+    ``sum |d_curr * d_prev|`` times machine epsilon over ``h``; the error
+    counts only beyond that bound.  Elements whose stencil could cross the
+    hinge are skipped and counted; elements where both values are below 1e-9
+    agree and are not counted.
     """
     grad = dc_loss_grad(tau_t, tau_prev, tau_prev2, config)
     h = 1e-5
@@ -213,34 +217,40 @@ def central_difference_check(
         prev, prev2 = tau_prev.deltas[name], tau_prev2.deltas[name]
         # float64 copy so each bump is applied exactly even for f32 storage
         layer = tau_t.deltas[name].astype(np.float64)
-        flat = layer.reshape(-1)
+        flat, flat_prev, flat_prev2 = layer.reshape(-1), prev.reshape(-1), prev2.reshape(-1)
 
         def term(flat_index: int, bump: float) -> float:
+            if config.granularity == "element":
+                own = slice(flat_index, flat_index + 1)
+                return dc_term(flat[own] + bump, flat_prev[own], flat_prev2[own], "element")[0]
             value = flat[flat_index]
             flat[flat_index] = value + bump
             try:
-                return dc_term(layer, prev, prev2, config.granularity)[0]
+                return dc_term(layer, prev, prev2, "tensor")[0]
             finally:
                 flat[flat_index] = value
 
         d_curr, d_prev = successive_updates(layer, prev, prev2)
         flat_grad = layer_grad.reshape(-1)
-        flat_prev = d_prev.reshape(-1)
+        flat_d_prev = d_prev.reshape(-1)
+        products = (d_curr * d_prev).reshape(-1)
         if config.granularity == "tensor":
-            alignment = np.full(flat_prev.size, float(np.sum(d_curr * d_prev)))
+            alignment = np.full(products.size, float(np.sum(products)))
+            noise = float(np.sum(np.abs(products)) * np.finfo(np.float64).eps / h)
         else:
-            alignment = (d_curr * d_prev).reshape(-1)
+            alignment, noise = products, 0.0
         for flat_index in _probe_indices(flat.size):
             # A +/-h bump moves this term's alignment by h*|d_prev[i]|; if
             # that can cross the hinge, the stencil straddles the kink.
-            if abs(alignment[flat_index]) <= 2.0 * h * abs(flat_prev[flat_index]):
+            if abs(alignment[flat_index]) <= 2.0 * h * abs(flat_d_prev[flat_index]):
                 skipped += 1
                 continue
             fd = (term(flat_index, h) - term(flat_index, -h)) / (2 * h)
             analytic = float(flat_grad[flat_index])
             if abs(fd) < 1e-9 and abs(analytic) < 1e-9:
                 continue
-            worst = max(worst, abs(fd - analytic) / max(abs(fd), abs(analytic), 1e-12))
+            error = max(abs(fd - analytic) - noise, 0.0)
+            worst = max(worst, error / max(abs(fd), abs(analytic), 1e-12))
             checked += 1
     return GradCheck(worst, skipped, checked)
 

@@ -80,19 +80,6 @@ def zero_task_vector(base_shared: NamedTensorMap, base_fingerprint: str, label: 
     return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)
 
 
-def apply_task_vector(
-    base_shared: NamedTensorMap,
-    base_fingerprint: str,
-    vector: TaskVector,
-    scale: float = 1.0,
-) -> NamedTensorMap:
-    """``base + scale * delta`` per tensor, in float64, cast to the base dtype."""
-    _check_bases("apply_task_vector", base_fingerprint, vector)
-    add = lambda name, base, delta: combine(((1.0, base), (float(scale), delta)), base.dtype)
-    maps = {"base": base_shared, "task vector": vector.deltas}
-    return dict(map_layers("apply_task_vector", add, maps))
-
-
 def save_task_vector(vector: TaskVector, directory: str | Path) -> Path:
     """Write a task vector bundle: deltas container plus a JSON sidecar.
 

@@ -13,7 +13,6 @@ temporaries, with the same bits as the whole-tensor expressions.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from typing import Callable, Iterable, Iterator
 
@@ -22,10 +21,6 @@ import numpy as np
 from .errors import DTypeError, KeyMismatchError, ShapeError
 
 SUPPORTED_DTYPES = (np.float32, np.float64)
-
-# Stability constant added to the norm product in cosine_similarity.  Distinct
-# from the merge epsilon; keeps the ratio strictly inside (-1, 1).
-COSINE_EPS = 1e-12
 
 NamedTensorMap = dict[str, np.ndarray]
 
@@ -147,12 +142,6 @@ def _combine_blocks(terms: tuple, dtype) -> np.ndarray:
     return out
 
 
-def linear_combine(a: float, x: np.ndarray, b: float, y: np.ndarray) -> np.ndarray:
-    """Elementwise ``a*x + b*y`` computed in float64, cast back to the input dtype."""
-    _check_pair(x, y, "linear_combine")
-    return combine(((float(a), x), (float(b), y)), x.dtype)
-
-
 def l1_norm(x: np.ndarray) -> float:
     """Sum of absolute values, accumulated in float64 in a fixed reduction order."""
     check_tensor(x)
@@ -161,11 +150,6 @@ def l1_norm(x: np.ndarray) -> float:
         leaf = lambda lo, hi, block: np.sum(np.abs(flat[lo:hi], out=block))
         return float(_blockwise(flat.size, leaf, np.float64))
     return float(np.sum(np.abs(x.astype(np.float64, copy=False)), dtype=np.float64))
-
-
-def l2_norm(x: np.ndarray) -> float:
-    check_tensor(x)
-    return math.sqrt(float(np.sum(np.square(x.astype(np.float64, copy=False)), dtype=np.float64)))
 
 
 def inner_product(x: np.ndarray, y: np.ndarray) -> float:
@@ -178,16 +162,6 @@ def inner_product(x: np.ndarray, y: np.ndarray) -> float:
     return float(
         np.sum(x.astype(np.float64, copy=False) * y.astype(np.float64, copy=False), dtype=np.float64)
     )
-
-
-def cosine_similarity(x: np.ndarray, y: np.ndarray) -> float:
-    """Cosine of the angle between flattened tensors; 0 when either norm is 0."""
-    _check_pair(x, y, "cosine_similarity")
-    nx = l2_norm(x)
-    ny = l2_norm(y)
-    if nx == 0.0 or ny == 0.0:
-        return 0.0
-    return inner_product(x, y) / (nx * ny + COSINE_EPS)
 
 
 def check_same_keys(a: NamedTensorMap, b: NamedTensorMap, op: str, a_name: str = "left", b_name: str = "right"):

@@ -372,6 +372,19 @@ class TestDiagnoseCommand:
         assert code == 0
         assert json.loads(out)["preset"] == "updates"
 
+    def test_prev2_without_updates_preset_is_a_config_error(self, capsys, trio, tmp_path):
+        tv_old = make_task_vector(capsys, trio, trio["task1"], tmp_path / "a", "old")
+        signs = ["diagnose", "signs", "--old", tv_old, "--curr", tv_old]
+        for preset in ([], ["--preset", "vectors"]):
+            code, out, err = run_cli(capsys, [*signs, *preset, "--prev2", str(tmp_path / "none")])
+            assert code == 1 and out == ""
+            error = json.loads(err)["error"]
+            assert error["type"] == "ConfigError"
+            assert "--prev2" in error["message"] and "--preset updates" in error["message"]
+        # with the updates preset the bundle is read: a missing one is an I/O error
+        code, _, err = run_cli(capsys, [*signs, "--preset", "updates", "--prev2", str(tmp_path / "none")])
+        assert code == 2, err
+
     def test_signs_csv_format(self, capsys, trio, tmp_path):
         tv_old = make_task_vector(capsys, trio, trio["task1"], tmp_path / "a", "old")
         tv_curr = make_task_vector(capsys, trio, trio["task2"], tmp_path / "b", "curr")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,41 @@ import pytest
 from duet.diagnostics import merge_distance, sign_conflicts
 from duet.errors import KeyMismatchError, ShapeError
 from duet.task_vectors import TaskVector
+
+
+# Layer shapes around the kernels' 32 Ki-element block, with small layers between.
+DISTANCE_SHAPES = ((40_000,), (7,), (3, 5), (70_001,), (32_769,), (2, 2, 2))
+
+
+def distance_maps(rng: np.random.Generator, dtypes) -> list[dict]:
+    """Merged, old and current maps; ``dtypes(i, j)`` is map ``i``'s dtype at
+    layer ``j``.  The merged map sits between the others, so no cosine is
+    near 0 and a relative tolerance is meaningful."""
+    old = [rng.normal(size=shape) for shape in DISTANCE_SHAPES]
+    curr = [rng.normal(size=shape) for shape in DISTANCE_SHAPES]
+    merged = [0.6 * o + 0.4 * c + 0.01 * rng.normal(size=o.shape) for o, c in zip(old, curr)]
+    return [
+        {f"layer{j}": layer.astype(dtypes(i, j)) for j, layer in enumerate(layers)}
+        for i, layers in enumerate((merged, old, curr))
+    ]
+
+
+def exact_distance_oracle(merged: dict, old: dict, curr: dict) -> dict:
+    """The four floats from exactly rounded sums (``math.fsum``) of float64
+    elementwise terms over the sorted-name concatenation of the layers."""
+
+    def flat(tensor_map: dict) -> np.ndarray:
+        return np.concatenate([tensor_map[k].astype(np.float64).ravel() for k in sorted(tensor_map)])
+
+    m, o, c = flat(merged), flat(old), flat(curr)
+    dot = lambda x, y: math.fsum((x * y).tolist())
+    cos = lambda x, y: dot(x, y) / (math.sqrt(dot(x, x)) * math.sqrt(dot(y, y)) + 1e-12)
+    return {
+        "l2_to_old": math.sqrt(dot(m - o, m - o)),
+        "l2_to_curr": math.sqrt(dot(m - c, m - c)),
+        "cos_to_old": cos(m, o),
+        "cos_to_curr": cos(m, c),
+    }
 
 
 def tv(deltas: dict) -> TaskVector:
@@ -105,6 +141,38 @@ class TestMergeDistance:
             {k: curr[k] for k in reversed(names)},
         )
         assert straight.to_dict() == shuffled.to_dict()
+        # Layers of many sizes, large ones included, in several orders: the same bits.
+        maps = distance_maps(rng, lambda i, j: np.float32)
+        straight = merge_distance(*maps).to_dict()
+        for _ in range(3):
+            order = rng.permutation(len(DISTANCE_SHAPES))
+            shuffled = [{f"layer{j}": m[f"layer{j}"] for j in order} for m in maps]
+            assert merge_distance(*shuffled).to_dict() == straight
+
+    @pytest.mark.parametrize("dtypes", ["f32", "f64", "mixed"])
+    def test_matches_exact_float64_oracle(self, rng, dtypes):
+        choose = {
+            "f32": lambda i, j: np.float32,
+            "f64": lambda i, j: np.float64,
+            "mixed": lambda i, j: (np.float32, np.float64)[(i + j) % 2],
+        }[dtypes]
+        maps = distance_maps(rng, choose)
+        got = merge_distance(*maps).to_dict()
+        for key, want in exact_distance_oracle(*maps).items():
+            assert abs(got[key] - want) <= 1e-12 * abs(want), key
+        assert 0.1 < got["cos_to_old"] < 1.0 and 0.1 < got["cos_to_curr"] < 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_memory_stays_under_two_input_maps(self, rng, dtype):
+        maps = [{f"l{i:02d}": rng.normal(size=50_000).astype(dtype) for i in range(16)} for _ in range(3)]
+        map_bytes = sum(layer.nbytes for layer in maps[0].values())
+        tracemalloc.start()
+        try:
+            merge_distance(*maps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * map_bytes, f"peak {peak / map_bytes:.2f} S"
 
     def test_cosines_bounded(self, rng):
         for _ in range(20):

@@ -10,7 +10,6 @@ from duet.checkpoint import write_checkpoint
 from duet.errors import BaseMismatchError, EmptyInputError, KeyMismatchError, ShapeError
 from duet.losses import (
     DcLossConfig,
-    LossWeights,
     PredictionBatch,
     dc_loss,
     dc_loss_grad,
@@ -19,7 +18,6 @@ from duet.losses import (
     distill_loss,
     load_prediction_batch,
     percentile_75,
-    total_loss,
 )
 from duet.task_vectors import TaskVector, zero_task_vector
 
@@ -142,8 +140,32 @@ class TestCentralDifferenceCheck:
                 tau_t, tau_prev, tau_prev2, DcLossConfig(granularity)
             )
             assert result.passed and result.checked > 0
-            assert set(calls) <= set(sizes)
-            assert max(calls.values()) <= 2 * 256
+            if granularity == "tensor":
+                assert set(calls) <= set(sizes)
+                assert max(calls.values()) <= 2 * 256
+            else:  # each probe evaluates the bumped element's own term
+                assert set(calls) == {1}
+                assert calls[1] <= 2 * sum(min(n, 256) for n in sizes)
+
+
+    @pytest.mark.parametrize("granularity", ["tensor", "element"])
+    def test_large_tensor_passes_with_the_correct_gradient_only(self, monkeypatch, granularity):
+        # A term summed over 100k elements rounds by more than 1e-4 of the
+        # smaller gradient entries; the check tells that from a wrong gradient.
+        from duet import selftest
+
+        rng = np.random.default_rng(11)
+        # half the entries small, so some probed gradients are small
+        magnitudes = np.where(rng.random(100_000) < 0.5, 1.0, 10.0 ** rng.uniform(-4, -2, 100_000))
+        prev = (rng.normal(size=magnitudes.size) * magnitudes).astype(np.float32)
+        tau_t = (0.5 * prev + 0.1 * rng.normal(size=prev.size)).astype(np.float32)
+        vectors = [TaskVector({"w": x}, "fp") for x in (tau_t, prev, np.zeros_like(prev))]
+        config = DcLossConfig(granularity)
+        result = selftest.central_difference_check(*vectors, config)
+        assert result.passed and result.checked > 100, result
+        off = lambda *args: {k: g * 1.001 for k, g in dc_loss_grad(*args).items()}
+        monkeypatch.setattr(selftest, "dc_loss_grad", off)
+        assert selftest.central_difference_check(*vectors, config).passed is False
 
 
 class TestDcLossGrad:
@@ -335,28 +357,7 @@ class TestPredictionBatchValidation:
 
 
 class TestTotalLoss:
-    def test_base_task_keeps_detector_loss(self):
-        assert total_loss(3.5, 100.0, 100.0, task_index=1) == 3.5
-
-    def test_incremental_task_weighted_sum(self):
-        assert total_loss(1.0, 2.0, 3.0, LossWeights(0.01, 0.01), task_index=2) == pytest.approx(
-            1.05, abs=1e-12
-        )
-
-    def test_zero_weights_reduce_to_detector(self):
-        assert total_loss(2.0, 5.0, 7.0, LossWeights(0.0, 0.0), task_index=4) == 2.0
-
-    def test_default_weights(self):
-        weights = LossWeights()
-        assert weights.lambda_distill == 0.01 and weights.lambda_dc == 0.01
-
-    def test_invalid_task_index(self):
-        with pytest.raises(ValueError):
-            total_loss(1.0, 0.0, 0.0, task_index=0)
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            LossWeights(-0.1, 0.0)
+    """The total of a distillation result."""
 
     def test_distill_total_combines_both_parts(self, rng):
         old = PredictionBatch(rng.normal(size=(5, 3)), rng.normal(size=(4, 4)))

@@ -26,14 +26,12 @@ from duet.errors import (
     KeyMismatchError,
     ShapeError,
 )
-from duet.losses import DcLossConfig, LossWeights, total_loss
+from duet.losses import DcLossConfig
 from duet.merge import (
     MergeConfig,
     assemble_incremental,
-    duet_layer_coefficients,
     duet_merge,
     incremental_head_concat,
-    incremental_sequence,
     iter_incremental_sequence,
     magmax_merge,
     weight_average_merge,
@@ -55,6 +53,17 @@ def direct_coefficients(old: np.ndarray, curr: np.ndarray, cfg: MergeConfig):
     p = (n_old - n_curr) / (n_sum + cfg.epsilon)
     alpha = cfg.alpha_base + max(-cfg.gamma, min(cfg.gamma, cfg.gamma * math.tanh(p)))
     return p, alpha, 1.0 - alpha
+
+
+def merged_layer_coefficients(
+    tau_old_l: np.ndarray, tau_curr_l: np.ndarray, config: MergeConfig | None = None
+) -> tuple[float, float, float, float]:
+    """``(p, delta, alpha, beta)`` of one layer, from the record of a
+    one-layer :func:`duet_merge` onto a zero base."""
+    base = {"w": np.zeros(np.shape(tau_old_l), dtype=np.asarray(tau_old_l).dtype)}
+    _, report = duet_merge(base, "fp", tv({"w": tau_old_l}), tv({"w": tau_curr_l}), config)
+    (record,) = report.layers
+    return record.p, record.delta, record.alpha, record.beta
 
 
 class TestMergeConfig:
@@ -83,12 +92,10 @@ class TestMergeConfig:
         [
             lambda: MergeConfig(gamma=0.7),
             lambda: DcLossConfig(granularity="row"),
-            lambda: LossWeights(lambda_dc=-1.0),
-            lambda: total_loss(1.0, 0.0, 0.0, task_index=0),
             lambda: rai(-1.0, 50.0),
             lambda: incremental_head_concat({}, {}, 0, order="sideways"),
         ],
-        ids=["MergeConfig", "DcLossConfig", "LossWeights", "total_loss", "rai", "head-order"],
+        ids=["MergeConfig", "DcLossConfig", "rai", "head-order"],
     )
     def test_out_of_range_options_raise_config_error(self, build):
         with pytest.raises(ConfigError) as info:
@@ -99,12 +106,12 @@ class TestMergeConfig:
 class TestLayerCoefficients:
     def test_symmetric_case_returns_base_coefficient(self):
         layer = np.float64([0.5, -1.5])
-        p, delta, alpha, beta = duet_layer_coefficients(layer, layer.copy())
+        p, delta, alpha, beta = merged_layer_coefficients(layer, layer.copy())
         assert (p, delta) == (0.0, 0.0)
         assert alpha == 0.5 and beta == 0.5
 
     def test_zero_current_case(self):
-        p, delta, alpha, beta = duet_layer_coefficients(
+        p, delta, alpha, beta = merged_layer_coefficients(
             np.float64([2.0, 0.0]), np.float64([0.0, 0.0])
         )
         assert abs(p - 2.0 / (2.0 + 1e-8)) < 1e-15
@@ -117,7 +124,7 @@ class TestLayerCoefficients:
         for _ in range(25):
             old = rng.normal(size=int(rng.integers(1, 40)))
             curr = rng.normal(size=old.shape)
-            p, delta, alpha, beta = duet_layer_coefficients(old, curr, cfg)
+            p, delta, alpha, beta = merged_layer_coefficients(old, curr, cfg)
             p_ref, alpha_ref, beta_ref = direct_coefficients(old, curr, cfg)
             assert abs(p - p_ref) <= 1e-12 * max(1.0, abs(p_ref))
             assert abs(alpha - alpha_ref) <= 1e-12
@@ -126,10 +133,10 @@ class TestLayerCoefficients:
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            duet_layer_coefficients(np.zeros(2), np.zeros(3))
+            merged_layer_coefficients(np.zeros(2), np.zeros(3))
 
     def test_all_zero_layers_fall_back_to_base(self):
-        p, delta, alpha, beta = duet_layer_coefficients(np.zeros(4), np.zeros(4))
+        p, delta, alpha, beta = merged_layer_coefficients(np.zeros(4), np.zeros(4))
         assert (p, delta, alpha, beta) == (0.0, 0.0, 0.5, 0.5)
 
     def test_monotone_in_old_norm_with_fixed_denominator(self):
@@ -141,7 +148,7 @@ class TestLayerCoefficients:
             old = np.float64([(t + 1.0) / 2.0, -(t - 1.0) / 2.0])
             assert abs(np.abs(old).sum() - t) < 1e-12
             assert abs(np.abs(old + curr).sum() - 4.0) < 1e-12
-            _, _, alpha, _ = duet_layer_coefficients(old, curr)
+            _, _, alpha, _ = merged_layer_coefficients(old, curr)
             alphas.append(alpha)
         assert all(b > a for a, b in zip(alphas, alphas[1:]))
 
@@ -157,7 +164,7 @@ class TestLayerCoefficients:
     def test_invariants_hold_for_any_pair(self, pair):
         old, curr = pair
         cfg = MergeConfig()
-        p, delta, alpha, beta = duet_layer_coefficients(old, curr, cfg)
+        p, delta, alpha, beta = merged_layer_coefficients(old, curr, cfg)
         assert alpha + beta == 1.0
         assert cfg.alpha_base - cfg.gamma <= alpha <= cfg.alpha_base + cfg.gamma
         assert abs(p) <= 1.0 + 1e-9
@@ -393,8 +400,9 @@ def staged_sequence_oracle(base, fine, spec, cfg):
 class TestIncrementalSequence:
     def test_single_task_passes_through_verbatim(self, simple_spec, rng):
         base, fine = build_sequence_inputs(rng, 1, simple_spec)
-        checkpoints, reports = incremental_sequence(base, fine, simple_spec)
-        assert reports == [None]
+        steps = list(iter_incremental_sequence(base, fine, simple_spec))
+        checkpoints = [step.checkpoint for step in steps]
+        assert [step.report for step in steps] == [None]
         assert list(checkpoints[0]) == list(fine[0])
         for name in fine[0]:
             np.testing.assert_array_equal(checkpoints[0][name], fine[0][name])
@@ -402,7 +410,8 @@ class TestIncrementalSequence:
     def test_identical_tasks_keep_shared_weights(self, simple_spec, rng):
         base, fine = build_sequence_inputs(rng, 1, simple_spec)
         fine = [fine[0], {k: v.copy() for k, v in fine[0].items()}]
-        checkpoints, _ = incremental_sequence(base, fine, simple_spec)
+        steps = iter_incremental_sequence(base, fine, simple_spec)
+        checkpoints = [step.checkpoint for step in steps]
         for name in ("backbone.w", "neck.w"):
             expected = fine[0][name].astype(np.float64)
             got = checkpoints[1][name].astype(np.float64)
@@ -414,14 +423,14 @@ class TestIncrementalSequence:
     def test_three_stage_sequence_matches_staged_oracle(self, simple_spec, rng):
         cfg = MergeConfig()
         base, fine = build_sequence_inputs(rng, 3, simple_spec)
-        checkpoints, reports = incremental_sequence(base, fine, simple_spec, cfg)
+        steps = list(iter_incremental_sequence(base, fine, simple_spec, cfg))
         expected = staged_sequence_oracle(base, fine, simple_spec, cfg)
-        assert len(checkpoints) == 3
-        for got, want in zip(checkpoints, expected):
+        assert len(steps) == 3
+        for got, want in zip([step.checkpoint for step in steps], expected):
             assert list(got) == list(want)
             for name in want:
                 np.testing.assert_array_equal(got[name], want[name], err_msg=name)
-        assert reports[0] is None and reports[1] is not None
+        assert steps[0].report is None and steps[1].report is not None
 
     def test_sequence_from_files(self, simple_spec, rng, tmp_path):
         cfg = MergeConfig()
@@ -433,9 +442,11 @@ class TestIncrementalSequence:
             path = tmp_path / f"ft{i}.st"
             write_checkpoint(ckpt, path)
             paths.append(path)
-        from_files, _ = incremental_sequence(base_path, paths, simple_spec, cfg)
-        in_memory, _ = incremental_sequence(base, fine, simple_spec, cfg)
+        from_files = list(iter_incremental_sequence(base_path, paths, simple_spec, cfg))
+        in_memory = list(iter_incremental_sequence(base, fine, simple_spec, cfg))
+        assert len(from_files) == len(in_memory) == 3
         for got, want in zip(from_files, in_memory):
+            got, want = got.checkpoint, want.checkpoint
             for name in want:
                 np.testing.assert_array_equal(got[name], want[name])
 
@@ -472,7 +483,8 @@ class TestIncrementalSequence:
     def test_reports_fingerprint_the_task_vectors(self, simple_spec, rng):
         base, fine = build_sequence_inputs(rng, 3, simple_spec)
         base_shared, _ = partition_checkpoint(base, simple_spec)
-        checkpoints, reports = incremental_sequence(base, fine, simple_spec)
+        steps = list(iter_incremental_sequence(base, fine, simple_spec))
+        checkpoints, reports = [s.checkpoint for s in steps], [s.report for s in steps]
         for k in (1, 2):
             old = compute_task_vector(partition_checkpoint(checkpoints[k - 1], simple_spec)[0],
                                       base_shared, "")
@@ -491,7 +503,7 @@ class TestIncrementalSequence:
     def test_empty_sequence_rejected(self, simple_spec, rng):
         base, _ = build_sequence_inputs(rng, 1, simple_spec)
         with pytest.raises(EmptyInputError):
-            incremental_sequence(base, [], simple_spec)
+            list(iter_incremental_sequence(base, [], simple_spec))
 
     def test_paths_and_maps_mix_freely(self, simple_spec, rng, tmp_path):
         base, fine = build_sequence_inputs(rng, 3, simple_spec)
@@ -558,7 +570,7 @@ class TestIncrementalSequence:
         del fine[0]["neck.w"]
         fine[0]["neck.other"] = np.zeros(2, dtype=np.float32)
         with pytest.raises(KeyMismatchError):
-            incremental_sequence(base, fine, simple_spec)
+            list(iter_incremental_sequence(base, fine, simple_spec))
 
 
 class TestBaselineMergers:

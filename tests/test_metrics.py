@@ -12,8 +12,6 @@ from duet.metrics import (
     EvalRecord,
     TaskPhase,
     UnseenPair,
-    avg_generalization_index,
-    avg_retention_index,
     compute_metrics,
     generalization_index,
     load_protocol,
@@ -41,6 +39,25 @@ def record(kind, domain, classes, map50, task=None) -> EvalRecord:
     return EvalRecord(
         kind=kind, domain=domain, class_range=tuple(classes), map50=map50, measured_at_task=task
     )
+
+
+def avg_ri_of(protocol: EvalProtocol, records: list[EvalRecord]) -> float:
+    """Avg RI of ``compute_metrics`` over the protocol's tasks alone."""
+    tasks_only = EvalProtocol(tasks=protocol.tasks)
+    return compute_metrics(tasks_only, records).avg_ri
+
+
+def avg_gi_of(protocol: EvalProtocol, records: list[EvalRecord]) -> float:
+    """Avg GI of ``compute_metrics``, with perfect retention records added
+    for the protocol's retention slots."""
+    final_task = protocol.tasks[-1].task_id
+    retention = []
+    for task in protocol.tasks[:-1]:
+        retention.append(record("new", task.domain, task.class_range, 50.0, task=task.task_id))
+        retention.append(record("old", task.domain, task.class_range, 50.0, task=final_task))
+    report = compute_metrics(protocol, records + retention)
+    assert report.avg_ri == 100.0
+    return report.avg_gi
 
 
 class TestRetentionIndex:
@@ -139,16 +156,15 @@ def duet_records() -> list[EvalRecord]:
 
 class TestAvgRetention:
     def test_published_two_phase_row(self):
-        assert avg_retention_index(two_phase_protocol(), duet_records()) == pytest.approx(
-            88.06, abs=0.02
-        )
+        report = compute_metrics(two_phase_protocol(), duet_records())
+        assert report.avg_ri == pytest.approx(88.06, abs=0.02)
 
     def test_perfect_retention(self):
         records = [
             record("new", "daytime_sunny", (1, 4), 50.0, task=1),
             record("old", "daytime_sunny", (1, 4), 50.0, task=2),
         ]
-        assert avg_retention_index(two_phase_protocol(), records) == 100.0
+        assert avg_ri_of(two_phase_protocol(), records) == 100.0
 
     def test_three_phase_mean(self):
         protocol = EvalProtocol(
@@ -164,7 +180,7 @@ class TestAvgRetention:
             record("new", "b", (3, 4), 60.0, task=2),
             record("old", "b", (3, 4), 54.0, task=3),  # RI 90
         ]
-        assert avg_retention_index(protocol, records) == pytest.approx(85.0, abs=1e-9)
+        assert avg_ri_of(protocol, records) == pytest.approx(85.0, abs=1e-9)
 
     def test_intermediate_old_records_are_ignored(self):
         protocol = EvalProtocol(
@@ -181,14 +197,14 @@ class TestAvgRetention:
             record("old", "b", (3, 4), 54.0, task=3),
         ]
         with_intermediate = records + [record("old", "a", (1, 2), 10.0, task=2)]
-        assert avg_retention_index(protocol, with_intermediate) == avg_retention_index(
+        assert avg_ri_of(protocol, with_intermediate) == avg_ri_of(
             protocol, records
         )
 
     def test_missing_record_names_slot(self):
         records = [record("new", "daytime_sunny", (1, 4), 50.0, task=1)]
         with pytest.raises(ProtocolError, match="kind='old'"):
-            avg_retention_index(two_phase_protocol(), records)
+            avg_ri_of(two_phase_protocol(), records)
 
     def test_duplicate_record_names_slot(self):
         records = [
@@ -197,7 +213,7 @@ class TestAvgRetention:
             record("old", "daytime_sunny", (1, 4), 41.0, task=2),
         ]
         with pytest.raises(ProtocolError, match="duplicate"):
-            avg_retention_index(two_phase_protocol(), records)
+            avg_ri_of(two_phase_protocol(), records)
 
     def test_record_order_does_not_matter(self):
         records = duet_records()
@@ -214,7 +230,7 @@ class TestAvgGeneralization:
             record("unseen", "daytime_sunny", (5, 7), 20.0, task=2),
             record("ref", "daytime_sunny", (5, 7), 20.0),
         ]
-        assert avg_generalization_index(two_phase_protocol(), records) == 100.0
+        assert avg_gi_of(two_phase_protocol(), records) == 100.0
 
     def test_mean_of_two_ratios(self):
         records = [
@@ -223,7 +239,7 @@ class TestAvgGeneralization:
             record("unseen", "daytime_sunny", (5, 7), 6.0, task=2),
             record("ref", "daytime_sunny", (5, 7), 10.0),
         ]
-        assert avg_generalization_index(two_phase_protocol(), records) == pytest.approx(50.0)
+        assert avg_gi_of(two_phase_protocol(), records) == pytest.approx(50.0)
 
     def test_five_pair_multi_phase_shape(self):
         # three-task protocol scoring two pairs at task 2 and three at task 3,
@@ -254,7 +270,7 @@ class TestAvgGeneralization:
         ]
         ratios = [12.0 / 30.0, 18.0 / 60.0, 15.0 / 30.0, 21.0 / 60.0, 9.0 / 45.0]
         expected = 100.0 * sum(ratios) / 5.0
-        assert avg_generalization_index(protocol, records) == pytest.approx(expected, abs=1e-9)
+        assert avg_gi_of(protocol, records) == pytest.approx(expected, abs=1e-9)
 
 
 class TestBundledFixture:

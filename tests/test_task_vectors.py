@@ -5,8 +5,9 @@ import pytest
 
 from duet.checkpoint import fingerprint_map, serialize_checkpoint
 from duet.errors import BaseMismatchError, CheckpointFormatError, KeyMismatchError, ShapeError
+from duet.merge import duet_merge
 from duet.task_vectors import (
-    apply_task_vector,
+    TaskVector,
     compute_task_vector,
     load_task_vector,
     save_task_vector,
@@ -72,48 +73,42 @@ class TestComputeTaskVector:
 
 
 class TestApplyTaskVector:
+    """A task vector merged with itself has alpha + beta = 1 on every layer,
+    so :func:`duet_merge` applies it: ``base + v`` rounded once."""
+
+    @staticmethod
+    def apply(base: dict, fingerprint: str, vector: TaskVector) -> dict:
+        merged, report = duet_merge(base, fingerprint, vector, vector)
+        assert all(record.alpha + record.beta == 1.0 for record in report.layers)
+        return merged
+
     def test_zero_scale_returns_base_bits(self, rng):
         base = make_map(rng, 3, dtype=np.float32)
-        vector = compute_task_vector(
-            {k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()},
-            base,
-            "fp",
-        )
-        out = apply_task_vector(base, "fp", vector, scale=0.0)
+        out = self.apply(base, "fp", zero_task_vector(base, "fp"))
         for name in base:
-            np.testing.assert_array_equal(out[name], base[name])
+            assert out[name].tobytes() == base[name].tobytes()
 
     def test_roundtrip_within_one_ulp(self, rng):
         base = make_map(rng, 4, dtype=np.float32)
         fine = {k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()}
         vector = compute_task_vector(fine, base, "fp")
-        rebuilt = apply_task_vector(base, "fp", vector, scale=1.0)
+        rebuilt = self.apply(base, "fp", vector)
         for name in base:
+            direct = base[name].astype(np.float64) + vector.deltas[name].astype(np.float64)
+            assert rebuilt[name].tobytes() == direct.astype(np.float32).tobytes()
             assert np.all(ulps_apart(rebuilt[name], fine[name], base[name]) <= 1.0)
-
-    def test_apply_then_invert_recovers_base(self, rng):
-        base = make_map(rng, 3, dtype=np.float32)
-        vector = compute_task_vector(
-            {k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()},
-            base,
-            "fp",
-        )
-        stepped = apply_task_vector(base, "fp", vector, scale=1.0)
-        back = apply_task_vector(stepped, "fp", vector, scale=-1.0)
-        for name in base:
-            assert np.all(ulps_apart(back[name], base[name], vector.deltas[name]) <= 1.0)
 
     def test_fingerprint_mismatch_rejected(self, rng):
         base = make_map(rng, 2)
         vector = compute_task_vector(dict(base), base, "other-base")
         with pytest.raises(BaseMismatchError):
-            apply_task_vector(base, "this-base", vector)
+            self.apply(base, "this-base", vector)
 
     def test_compute_of_apply_recovers_vector(self, rng):
         base = make_map(rng, 3, dtype=np.float32)
         fine = {k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()}
         vector = compute_task_vector(fine, base, "fp")
-        recovered = compute_task_vector(apply_task_vector(base, "fp", vector), base, "fp")
+        recovered = compute_task_vector(self.apply(base, "fp", vector), base, "fp")
         for name in base:
             assert np.all(ulps_apart(recovered.deltas[name], vector.deltas[name], base[name]) <= 1.0)
 

@@ -9,17 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from duet.diagnostics import layer_sign_conflicts
+from duet.diagnostics import layer_sign_conflicts, merge_distance
 from duet.errors import DTypeError, ShapeError
 from duet.merge import MergeConfig, _layer_coefficients
-from duet.tensors import (
-    cosine_similarity,
-    inner_product,
-    combine,
-    l1_norm,
-    linear_combine,
-    tensor,
-)
+from duet.task_vectors import _subtract
+from duet.tensors import inner_product, combine, l1_norm, tensor
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=64
@@ -69,35 +63,43 @@ def vector_pairs(max_len: int = 32):
     )
 
 
+def combine_two(a: float, x: np.ndarray, b: float, y: np.ndarray) -> np.ndarray:
+    return combine(((a, x), (b, y)), x.dtype)
+
+
 class TestLinearCombine:
+    """Two-term :func:`combine`, as the merge kernels call it."""
+
     def test_self_subtraction_is_exact_zero(self):
         x = tensor([1.0, 2.0])
-        out = linear_combine(1.0, x, -1.0, x)
+        out = combine_two(1.0, x, -1.0, x)
         assert out.tolist() == [0.0, 0.0]
 
     def test_average_of_equal_tensors(self):
         x = tensor([2.0, 4.0])
-        assert linear_combine(0.5, x, 0.5, x).tolist() == [2.0, 4.0]
+        assert combine_two(0.5, x, 0.5, x).tolist() == [2.0, 4.0]
 
     def test_weighted_mix_matches_direct_evaluation(self):
         # frozen from an elementwise float64 evaluation: a*x[i] + b*y[i]
         x = tensor([1.0, 0.0, -2.0])
         y = tensor([0.0, 10.0, 1.0])
         expected = [0.3 * 1.0 + 0.7 * 0.0, 0.3 * 0.0 + 0.7 * 10.0, 0.3 * -2.0 + 0.7 * 1.0]
-        assert linear_combine(0.3, x, 0.7, y).tolist() == expected
+        assert combine_two(0.3, x, 0.7, y).tolist() == expected
 
+    # combine leaves pair checks to its callers: the subtraction that forms
+    # every task vector, in the library and in the merge, checks its pair.
     def test_shape_mismatch_raises(self):
-        with pytest.raises(ShapeError):
-            linear_combine(1.0, tensor([1.0, 2.0]), 1.0, tensor([1.0, 2.0, 3.0]))
+        with pytest.raises(ShapeError, match="shape mismatch"):
+            _subtract("w", tensor([1.0, 2.0]), tensor([1.0, 2.0, 3.0]))
 
     def test_dtype_mismatch_raises(self):
-        with pytest.raises(DTypeError):
-            linear_combine(1.0, tensor([1.0], dtype="f32"), 1.0, tensor([1.0], dtype="f64"))
+        with pytest.raises(ShapeError, match="dtype mismatch"):
+            _subtract("w", tensor([1.0], dtype="f32"), tensor([1.0], dtype="f64"))
 
     @given(vector_pairs())
     def test_identity_coefficients_return_first_operand(self, pair):
         x, y = pair
-        assert linear_combine(1.0, x, 0.0, y).tolist() == x.tolist()
+        assert combine_two(1.0, x, 0.0, y).tolist() == x.tolist()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_combine_matches_inline_float64_expression(self, dtype):
@@ -119,13 +121,13 @@ class TestLinearCombine:
                 got = combine(((1.0, b), (a, x), (c, y)), dtype)
                 assert got.dtype == dtype and not got.flags.writeable
                 assert got.shape == b.shape and got.tobytes() == expected.tobytes()
-                pair = linear_combine(a, x, c, y)
+                pair = combine_two(a, x, c, y)
                 assert pair.tobytes() == (a * x64 + c * y64).astype(dtype).tobytes()
 
     def test_float32_storage_rounds_result(self):
         x = tensor([1.0], dtype="f32")
         y = tensor([1e-9], dtype="f32")
-        out = linear_combine(1.0, x, 1.0, y)
+        out = combine_two(1.0, x, 1.0, y)
         assert out.dtype == np.float32
         assert out[0] == np.float32(1.0)
 
@@ -222,25 +224,31 @@ class TestInnerProduct:
             inner_product(tensor([1.0]), tensor([1.0, 2.0]))
 
 
+def one_layer_cosine(x: np.ndarray, y: np.ndarray) -> float:
+    """The cosine of :func:`merge_distance` on one-layer maps."""
+    return merge_distance({"w": x}, {"w": y}, {"w": y}).cos_to_old
+
+
 class TestCosineSimilarity:
     def test_parallel(self):
         x = tensor([0.3, -1.2, 4.0])
-        assert abs(cosine_similarity(x, x) - 1.0) <= 1e-9
+        assert abs(one_layer_cosine(x, x) - 1.0) <= 1e-9
 
     def test_orthogonal_axes(self):
-        assert cosine_similarity(tensor([1.0, 0.0]), tensor([0.0, 1.0])) == 0.0
+        assert one_layer_cosine(tensor([1.0, 0.0]), tensor([0.0, 1.0])) == 0.0
 
     def test_orthogonal_diagonal(self):
-        assert cosine_similarity(tensor([1.0, 1.0]), tensor([1.0, -1.0])) == 0.0
+        assert one_layer_cosine(tensor([1.0, 1.0]), tensor([1.0, -1.0])) == 0.0
 
     def test_zero_norm_returns_zero(self):
-        assert cosine_similarity(tensor([0.0, 0.0]), tensor([1.0, 2.0])) == 0.0
+        assert one_layer_cosine(tensor([0.0, 0.0]), tensor([1.0, 2.0])) == 0.0
+        assert one_layer_cosine(tensor([1.0, 2.0]), tensor([0.0, 0.0])) == 0.0
 
     @given(vector_pairs())
     @settings(max_examples=200)
     def test_bounded(self, pair):
         x, y = pair
-        value = cosine_similarity(x, y)
+        value = one_layer_cosine(x, y)
         assert -1.0 - 1e-9 <= value <= 1.0 + 1e-9
 
 
