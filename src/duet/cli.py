@@ -14,10 +14,12 @@ import json
 import os
 import sys
 import warnings
+from contextlib import ExitStack
 from pathlib import Path
 
 from .checkpoint import (
     CheckpointReader,
+    classify_names,
     load_partition_spec,
     partition_checkpoint,
     read_checkpoint,
@@ -426,6 +428,23 @@ def _emit_report(args, payload_dict: dict, csv_rows: list[list]):
             print(text)
 
 
+class _Subset:
+    """The named tensors of a map, looked up in it on access."""
+
+    def __init__(self, source, names: list[str]):
+        self._source = source
+        self._names = dict.fromkeys(names)
+
+    def keys(self):
+        return self._names.keys()
+
+    def __iter__(self):
+        return iter(self._names)
+
+    def __getitem__(self, name: str):
+        return self._source[name]
+
+
 def _cmd_diagnose(args) -> int:
     if not getattr(args, "probe", None):
         raise DuetError("diagnose needs a probe: signs or distance")
@@ -449,15 +468,14 @@ def _cmd_diagnose(args) -> int:
         rows.append(["TOTAL", report.total_conflicts, report.total_comparable, report.total_fraction])
         _emit_report(args, payload, rows)
         return 0
-    merged_map = read_checkpoint(args.merged)
-    old_map = read_checkpoint(args.old)
-    curr_map = read_checkpoint(args.curr)
-    if args.partition:
-        spec = load_partition_spec(args.partition)
-        merged_map, _ = partition_checkpoint(merged_map, spec)
-        old_map, _ = partition_checkpoint(old_map, spec)
-        curr_map, _ = partition_checkpoint(curr_map, spec)
-    report = merge_distance(merged_map, old_map, curr_map)
+    with ExitStack() as stack:
+        # Walked a layer at a time: no input is loaded whole.
+        paths = (args.merged, args.old, args.curr)
+        maps = [stack.enter_context(CheckpointReader(path)) for path in paths]
+        if args.partition:
+            spec = load_partition_spec(args.partition)
+            maps = [_Subset(reader, classify_names(reader, spec)[0]) for reader in maps]
+        report = merge_distance(*maps)
     payload = report.to_dict()
     rows = [
         ["metric", "value"],

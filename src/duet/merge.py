@@ -22,8 +22,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
+from functools import partial
+from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -36,9 +39,28 @@ from .checkpoint import (
     classify_names,
     fingerprint_map,
 )
-from .diagnostics import SignConflictReport, layer_sign_conflicts
-from .errors import AxisError, ConfigError, EmptyInputError, KeyMismatchError, ShapeError
-from .tensors import NamedTensorMap, check_same_keys, check_tensor, combine, l1_norm, map_layers
+from .diagnostics import SignConflictReport, TensorSignConflicts, layer_sign_conflicts
+from .errors import (
+    AxisError,
+    ConfigError,
+    DTypeError,
+    EmptyInputError,
+    KeyMismatchError,
+    ShapeError,
+)
+from .tensors import (
+    _BLOCK,
+    NamedTensorMap,
+    _layer_args,
+    _walk,
+    check_aligned,
+    check_same_keys,
+    check_shapes,
+    check_tensor,
+    combine,
+    l1_norm,
+    map_layers,
+)
 from .task_vectors import TaskVector, _check_bases, _check_layer_pair, _subtract
 
 # Slack on the |p| <= 1 bound; the triangle inequality caps the exact ratio at
@@ -90,6 +112,50 @@ class LayerMergeRecord:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
+class _Encoded(str):
+    """JSON text that :func:`_indented` writes as it is."""
+
+
+def _flat_records_json(records: list | dict, depth: int) -> _Encoded:
+    """``json.dumps(records, indent=2)`` as written ``depth`` levels deep, for
+    a list or a dict of non-empty dicts whose values are scalars.
+
+    The C encoder writes it in one call, with the fields' newline and indent
+    as its item separator.  JSON escapes control characters within strings,
+    so a brace beside a newline is a record's own, and so is a brace after a
+    key separator that holds a carriage return: the records' indent goes in
+    by replacing those.
+    """
+    if not records:
+        return _Encoded(json.dumps(records))
+    field, record, close = ("\n" + "  " * level for level in (depth + 2, depth + 1, depth))
+    if isinstance(records, dict):
+        text = json.JSONEncoder(separators=("," + field, ":\r")).encode(records)
+        text = text.replace("}," + field, record + "}," + record)
+        text = text.replace(":\r{", ": {" + field).replace(":\r", ": ")
+        return _Encoded("{" + record + text[1:-2] + record + "}" + close + "}")
+    text = json.JSONEncoder(separators=("," + field, ": ")).encode(records)
+    text = text.replace("}," + field + "{", record + "}," + record + "{" + field)
+    return _Encoded("[" + record + "{" + field + text[2:-2] + record + "}" + close + "]")
+
+
+def _indented(value, depth: int) -> str:
+    """``json.dumps(value, indent=2)`` as written ``depth`` levels deep, with
+    :class:`_Encoded` text taken as it is."""
+    if isinstance(value, _Encoded):
+        return value
+    if isinstance(value, dict) and value:
+        items = [f"{encode_basestring_ascii(k)}: {_indented(v, depth + 1)}" for k, v in value.items()]
+        brackets = "{}"
+    elif isinstance(value, (list, tuple)) and value:
+        items = [_indented(v, depth + 1) for v in value]
+        brackets = "[]"
+    else:
+        return json.dumps(value)
+    pad = "\n" + "  " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+
+
 @dataclass
 class MergeReport:
     """Per-layer coefficient records plus provenance for one merge invocation."""
@@ -114,7 +180,15 @@ class MergeReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        """``json.dumps(self.to_dict(), indent=2)``, byte for byte.  That
+        encoder is pure Python; here the flat records, one per layer and one
+        sign count per tensor, go through the C encoder."""
+        report = self.to_dict()
+        report["layers"] = _flat_records_json(report["layers"], 1)
+        if report["sign_conflicts"] is not None:
+            counts = report["sign_conflicts"]
+            counts["per_tensor"] = _flat_records_json(counts["per_tensor"], 2)
+        return _indented(report, 0)
 
     def csv_rows(self) -> list[list]:
         header = ["layer_name", "p", "delta", "alpha", "beta", "norm_old", "norm_curr", "norm_sum"]
@@ -132,6 +206,12 @@ def _layer_coefficients(
     norm_old = l1_norm(tau_old_l)
     norm_curr = l1_norm(tau_curr_l)
     norm_sum = l1_norm(np.add(tau_old_l, tau_curr_l, dtype=np.float64))
+    return _coefficients(name, norm_old, norm_curr, norm_sum, config)
+
+
+def _coefficients(
+    name: str, norm_old: float, norm_curr: float, norm_sum: float, config: MergeConfig
+) -> tuple[LayerMergeRecord, list[str]]:
     p = (norm_old - norm_curr) / (norm_sum + config.epsilon)
     warnings: list[str] = []
     if abs(p) > 1.0 + _P_BOUND_SLACK:
@@ -172,6 +252,73 @@ class _Deltas:
     def __getitem__(self, name: str) -> np.ndarray:
         return _subtract(name, self._load(name), self.layout[name])
 
+    def raw(self, name: str) -> np.ndarray:
+        """The loaded layer before the subtraction, with its checks."""
+        layer = self._load(name)
+        _check_layer_pair(name, layer, self.layout[name])
+        return layer
+
+
+def _windows(layout: NamedTensorMap) -> Iterator[str | list[str]]:
+    """The merge's units of work, in base order: the name of each layer of
+    more than ``_BLOCK`` elements, and lists of the consecutive layers
+    between them, cut into windows of at most ``_BLOCK`` elements."""
+    window: list[str] = []
+    total = 0
+    for name, layer in layout.items():
+        size = getattr(layer, "size", _BLOCK + 1)  # not an array: alone, refused there
+        if size > _BLOCK or total + size > _BLOCK:
+            if window:
+                yield window
+            window, total = [], 0
+        if size > _BLOCK:
+            yield name
+        else:
+            window.append(name)
+            total += size
+    if window:
+        yield window
+
+
+def _deltas(name: str, subtract: list[bool], base, old, curr) -> list:
+    """The two deltas from a window's fetched layers: a :class:`_Deltas`
+    vector's loaded layer is subtracted from the base here."""
+    return [_subtract(name, x, base) if raw else x for x, raw in zip((old, curr), subtract)]
+
+
+def _merge_group(
+    names: list[str], layers: list[list[np.ndarray]], subtract: list[bool], config: MergeConfig
+) -> list[tuple]:
+    """Merge layers of one shape and one dtype triple as rows of stacked
+    matrices, with the bits of the per-layer kernels.
+
+    Every step is elementwise except the norms, and a row sum of a
+    C-contiguous float64 matrix is numpy's pairwise sum of that row, the
+    sum :func:`l1_norm` takes of the layer alone.
+    """
+    shape, size = layers[0][0].shape, layers[0][0].size
+    base, old, curr = (np.array(column).reshape(len(names), size) for column in zip(*layers))
+    old, curr = _deltas(names[0], subtract, base, old, curr)
+    f64 = np.float64
+    norms = [np.sum(np.abs(x.astype(f64, copy=False)), axis=1, dtype=f64) for x in (old, curr)]
+    norms.append(np.sum(np.abs(np.add(old, curr, dtype=f64)), axis=1, dtype=f64))
+    nonzero = (old != 0) & (curr != 0)
+    comparable = np.count_nonzero(nonzero, axis=1).tolist()
+    nonzero &= np.sign(old) != np.sign(curr)
+    conflicts = np.count_nonzero(nonzero, axis=1).tolist()
+    coefficients = [
+        _coefficients(name, *row, config)
+        for name, row in zip(names, zip(*(n.tolist() for n in norms)))
+    ]
+    alpha = np.array([[record.alpha] for record, _ in coefficients])
+    beta = np.array([[record.beta] for record, _ in coefficients])
+    merged = combine(((1.0, base), (alpha, old), (beta, curr)), base.dtype)
+    return [
+        (name, record, merged[i].reshape(shape), warnings, old[i], curr[i],
+         TensorSignConflicts(conflicts=conflicts[i], comparable=comparable[i]))
+        for i, (name, (record, warnings)) in enumerate(zip(names, coefficients))
+    ]
+
 
 def _merge_layers(
     base_shared: NamedTensorMap,
@@ -180,41 +327,97 @@ def _merge_layers(
     tau_curr: NamedTensorMap | _Deltas,
     config: MergeConfig,
     threads: int = 1,
+    header: bytes | None = None,
 ) -> tuple[MergeReport, Iterator[tuple[str, np.ndarray]]]:
     """The report plus a lazy ``(name, merged_layer)`` stream in base order.
 
     Each layer adds its record, its sign conflicts and its bytes to both
     vectors' fingerprints as it is yielded; the fingerprints and the sign
     conflicts are set when the stream ends.  Once a layer is yielded its
-    inputs are never read again.
-    """
+    inputs are never read again.  ``header`` is the canonical header of
+    ``tau_old``'s layout, when the caller has it.
 
-    def merge_one(name, base_l, old_l, curr_l):
-        # The deltas go back with the result: the consuming thread counts and hashes them.
+    A layer of more than ``_BLOCK`` elements is merged alone, through the
+    blocked kernels.  The others are walked in windows (:func:`_windows`):
+    a window's layers of one shape and dtypes are merged as one stacked
+    group (:func:`_merge_group`), and a layer with no such partner alone.
+    """
+    maps = {"base": base_shared, "tau_old": tau_old, "tau_curr": tau_curr}
+    check_aligned("duet_merge", maps)
+    vectors = (tau_old, tau_curr)
+    subtract = [isinstance(v, _Deltas) for v in vectors]
+    # A window fetches a _Deltas vector's loaded layers, to subtract them as a group.
+    lookups = [base_shared.__getitem__, *(v.raw if raw else v.__getitem__
+                                          for v, raw in zip(vectors, subtract))]
+
+    def fetch_raw(name: str) -> list:
+        # The checks of the per-layer path, in its order.  A _Deltas vector's
+        # layer was checked against the base, so two of them need no more.
+        layers = [lookup(name) for lookup in lookups]
+        if not all(subtract):
+            check_shapes("duet_merge", maps, name, layers)
+            _check_layer_pair(name, layers[1], layers[2])
+        return layers
+
+    def merge_one(name, base_l, old_l, curr_l, signs=None) -> tuple:
         record, warnings = _layer_coefficients(name, old_l, curr_l, config)
         terms = ((1.0, base_l), (record.alpha, old_l), (record.beta, curr_l))
-        return record, combine(terms, base_l.dtype), warnings, old_l, curr_l
+        return name, record, combine(terms, base_l.dtype), warnings, old_l, curr_l, signs
 
-    maps = {"base": base_shared, "tau_old": tau_old, "tau_curr": tau_curr}
-    results = map_layers("duet_merge", merge_one, maps, threads)
-    layouts = [v.layout if isinstance(v, _Deltas) else v for v in (tau_old, tau_curr)]
+    def merge_alone(*args) -> deque:
+        # The consuming thread counts this layer's signs, as it hashes it.
+        return deque([merge_one(*args)])
+
+    def merge_window(names: list[str], layers: list[list[np.ndarray]]) -> deque:
+        groups: dict[tuple, list[int]] = {}
+        for i, (base_l, old_l, curr_l) in enumerate(layers):
+            groups.setdefault((base_l.shape, base_l.dtype, old_l.dtype, curr_l.dtype), []).append(i)
+        entries: list = [None] * len(names)
+        for members in groups.values():
+            if len(members) == 1:
+                (i,) = members
+                old_l, curr_l = _deltas(names[i], subtract, *layers[i])
+                signs = layer_sign_conflicts(old_l, curr_l)
+                entries[i] = merge_one(names[i], layers[i][0], old_l, curr_l, signs)
+                continue
+            group = _merge_group([names[i] for i in members], [layers[i] for i in members],
+                                 subtract, config)
+            for i, entry in zip(members, group):
+                entries[i] = entry
+        return deque(entries)
+
+    def calls():
+        for unit in _windows(base_shared):
+            if isinstance(unit, str):
+                yield unit, partial(merge_alone, *_layer_args("duet_merge", maps, unit))
+            else:
+                yield unit, partial(merge_window, unit, [fetch_raw(name) for name in unit])
+
+    layouts = [v.layout if isinstance(v, _Deltas) else v for v in vectors]
     # Each digest opens with its vector's own header (a vector may hold f64
     # deltas over an f32 base), so header errors surface before any layer.
-    digests = [hashlib.sha256(canonical_header(layout)) for layout in layouts]
+    # Both vectors of a sequence step share the base's layout: one header.
+    header = header or canonical_header(layouts[0])
+    digests = [
+        hashlib.sha256(header if layout is layouts[0] else canonical_header(layout))
+        for layout in layouts
+    ]
     report = MergeReport(
         config=config, base_fingerprint=base_fingerprint, old_fingerprint="", curr_fingerprint=""
     )
 
     def layers() -> Iterator[tuple[str, np.ndarray]]:
         counts = {}
-        for name, (record, merged_layer, warnings, old_l, curr_l) in results:
-            report.layers.append(record)
-            report.warnings.extend(warnings)
-            counts[name] = layer_sign_conflicts(old_l, curr_l)
-            for digest, layer in zip(digests, (old_l, curr_l)):
-                digest.update(canonical_payload(layer))
-            del old_l, curr_l, layer  # not held while the next layer is formed
-            yield name, merged_layer
+        for _, entries in _walk(calls(), threads):
+            while entries:
+                name, record, merged_layer, warnings, old_l, curr_l, signs = entries.popleft()
+                report.layers.append(record)
+                report.warnings.extend(warnings)
+                counts[name] = layer_sign_conflicts(old_l, curr_l) if signs is None else signs
+                for digest, layer in zip(digests, (old_l, curr_l)):
+                    digest.update(canonical_payload(layer))
+                del old_l, curr_l, layer  # not held while the next layer is formed
+                yield name, merged_layer
         # The digests took the layers in base order; an in-memory vector
         # stored in another order is hashed again, whole.
         report.old_fingerprint, report.curr_fingerprint = (
@@ -273,7 +476,7 @@ def incremental_head_concat(
         check_tensor(curr, name)
         check_tensor(prev, name)
         if prev.dtype != curr.dtype:
-            raise ShapeError(f"tensor {name!r}: dtype mismatch {prev.dtype} vs {curr.dtype}")
+            raise DTypeError(f"tensor {name!r}: dtype mismatch {prev.dtype} vs {curr.dtype}")
         if name in replace:
             if prev.shape != curr.shape:
                 raise ShapeError(
@@ -362,8 +565,9 @@ def iter_incremental_sequence(
             base_fingerprint = fingerprint_map(base)
         base_shared_names, _ = classify_names(base, spec)
         base_shared = {name: base[name] for name in base_shared_names}
-    if not base_shared:  # task 2 could not serialize its merge; refuse before task 1 is out
-        raise EmptyInputError("cannot serialize an empty tensor map")
+    # The header both task vectors of every merge open with, built once.  A
+    # map it refuses (an empty one) is refused before task 1 is out.
+    shared_header = canonical_header(base_shared)
     shared_set = set(base_shared)
 
     prev_shared: NamedTensorMap | None = None
@@ -398,7 +602,7 @@ def iter_incremental_sequence(
                 tau_old = _Deltas(base_shared, prev_shared.pop)
                 tau_curr = _Deltas(base_shared, source.__getitem__)
                 report, layers = _merge_layers(
-                    base_shared, base_fingerprint, tau_old, tau_curr, config, threads
+                    base_shared, base_fingerprint, tau_old, tau_curr, config, threads, shared_header
                 )
                 merged = dict(layers)
                 curr_head = {name: source[name] for name in head_names}

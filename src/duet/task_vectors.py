@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import read_checkpoint, read_json, write_atomically, write_checkpoint
-from .errors import BaseMismatchError, CheckpointFormatError, ShapeError
+from .errors import BaseMismatchError, CheckpointFormatError, DTypeError, ShapeError
 from .tensors import NamedTensorMap, check_tensor, combine, map_layers
 
 _DELTAS_FILE = "deltas.safetensors"
@@ -48,7 +48,7 @@ def _check_layer_pair(name: str, a: np.ndarray, b: np.ndarray):
     if a.shape != b.shape:
         raise ShapeError(f"tensor {name!r}: shape mismatch {a.shape} vs {b.shape}")
     if a.dtype != b.dtype:
-        raise ShapeError(f"tensor {name!r}: dtype mismatch {a.dtype} vs {b.dtype}")
+        raise DTypeError(f"tensor {name!r}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
 def _subtract(name: str, minuend: np.ndarray, subtrahend: np.ndarray) -> np.ndarray:

@@ -14,6 +14,7 @@ temporaries, with the same bits as the whole-tensor expressions.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -184,38 +185,56 @@ def map_layers(
     sets the order and the key set (KeyMismatchError, checked now); each
     name's layers must share one shape (ShapeError, checked on reaching it).
     """
+    check_aligned(op, maps)
+    names = next(iter(maps.values()))
+    calls = ((name, partial(fn, *_layer_args(op, maps, name))) for name in names)
+    return _walk(calls, threads)
+
+
+def check_aligned(op: str, maps: dict[str, NamedTensorMap]):
+    """The key check of :func:`map_layers`: every map has the first map's keys."""
     (first_label, first), *others = maps.items()
     for label, other in others:
         check_same_keys(other, first, op, label, first_label)
-    return _walk(op, fn, maps, first, threads)
 
 
-def _walk(op: str, fn: Callable, maps: dict, names: Iterable, threads: int) -> Iterator:
-    """Up to ``2 * threads`` calls in flight.  Layers are fetched on the consuming
-    thread, so a caller may replace a name's entries once it has been yielded."""
+def _layer_args(op: str, maps: dict, name: str) -> list:
+    layers = [tensor_map[name] for tensor_map in maps.values()]
+    check_shapes(op, maps, name, layers)
+    return [name, *layers]
 
-    def args(name: str) -> list:
-        layers = [tensor_map[name] for tensor_map in maps.values()]
-        shapes = [getattr(layer, "shape", None) for layer in layers]
-        if shapes.count(shapes[0]) != len(shapes):
-            listed = " vs ".join(f"{label} {shape}" for label, shape in zip(maps, shapes))
-            raise ShapeError(f"{op}: tensor {name!r}: shape mismatch {listed}")
-        return [name, *layers]
 
+def check_shapes(op: str, labels: Iterable[str], name: str, layers: list):
+    """The check of :func:`map_layers`: one name's layers, one per label, share one shape."""
+    shapes = [getattr(layer, "shape", None) for layer in layers]
+    if shapes.count(shapes[0]) != len(shapes):
+        listed = " vs ".join(f"{label} {shape}" for label, shape in zip(labels, shapes))
+        raise ShapeError(f"{op}: tensor {name!r}: shape mismatch {listed}")
+
+
+def _walk(calls: Iterable[tuple[object, Callable]], threads: int) -> Iterator:
+    """``(key, call())`` for each ``(key, call)``, in order, with up to
+    ``2 * threads`` calls in flight.  ``calls`` is advanced on the consuming
+    thread, so the layers it fetches are fetched there, and a caller may
+    replace a name's entries once it has been yielded."""
+    # Each ``del call`` drops the call's layers before the next fetch.
     if threads <= 1:
-        for name in names:
-            yield name, fn(*args(name))
+        for key, call in calls:
+            result = call()
+            del call
+            yield key, result
         return
     # Imported here: only a walk with threads > 1 needs the pool.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         pending: deque = deque()
-        for name in names:
-            pending.append((name, pool.submit(fn, *args(name))))
+        for key, call in calls:
+            pending.append((key, pool.submit(call)))
+            del call
             if len(pending) >= 2 * threads:
-                name, future = pending.popleft()
-                yield name, future.result()
+                key, future = pending.popleft()
+                yield key, future.result()
         while pending:
-            name, future = pending.popleft()
-            yield name, future.result()
+            key, future = pending.popleft()
+            yield key, future.result()

@@ -515,6 +515,19 @@ class TestCliContract:
         assert code == 1
         assert json.loads(err)["error"]["type"] == "DTypeError"
 
+    def test_task_vector_over_another_dtype_is_a_dtype_error(self, capsys, trio, tmp_path):
+        from duet.checkpoint import write_checkpoint
+
+        fine = {name: arr.astype(np.float64) for name, arr in read_checkpoint(trio["task1"]).items()}
+        write_checkpoint(fine, tmp_path / "f64.st")
+        argv = ["task-vector", trio["base"], tmp_path / "f64.st", "--partition", trio["partition"],
+                "-o", tmp_path / "tv"]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 1
+        assert '"type": "DTypeError"' in err
+        assert "dtype mismatch float64 vs float32" in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "tv").exists()
+
     def test_bad_partition_json_exits_2(self, capsys, trio, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

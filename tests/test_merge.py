@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import json
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -16,11 +18,12 @@ from duet.checkpoint import (
     partition_checkpoint,
     write_checkpoint,
 )
-from duet.diagnostics import sign_conflicts
+from duet.diagnostics import SignConflictReport, TensorSignConflicts, sign_conflicts
 from duet.errors import (
     AxisError,
     BaseMismatchError,
     ConfigError,
+    DTypeError,
     DuetError,
     EmptyInputError,
     KeyMismatchError,
@@ -29,6 +32,7 @@ from duet.errors import (
 from duet.losses import DcLossConfig
 from duet.merge import (
     MergeConfig,
+    MergeReport,
     assemble_incremental,
     duet_merge,
     incremental_head_concat,
@@ -497,7 +501,7 @@ class TestIncrementalSequence:
     def test_first_task_layout_checked_before_it_is_yielded(self, simple_spec, rng):
         base, fine = build_sequence_inputs(rng, 1, simple_spec)
         fine[0]["backbone.w"] = fine[0]["backbone.w"].astype(np.float64)
-        with pytest.raises(ShapeError, match="backbone.w"):
+        with pytest.raises(DTypeError, match="backbone.w"):
             next(iter_incremental_sequence(base, fine, simple_spec))
 
     def test_empty_sequence_rejected(self, simple_spec, rng):
@@ -656,3 +660,171 @@ class TestBaselineMergers:
         zeros = {k: np.zeros_like(v) for k, v in base.items()}
         with pytest.raises(BaseMismatchError):
             weight_average_merge(base, fp, [tv(zeros, "other")])
+
+
+# -- the windowed merge against the per-layer path --------------------------
+
+_SIZES = (1, 7, 8, 9, 127, 128, 129, 4096)
+# (base dtype, delta dtype): a vector may hold f64 deltas over an f32 base.
+_DTYPES = ((np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64))
+
+
+def _per_layer(layout):
+    """Every layer as its own unit: the per-layer path of ``_merge_layers``."""
+    return iter(list(layout))
+
+
+def _outputs(merged: dict, reports: list) -> tuple:
+    layers = [(name, arr.dtype.str, arr.shape, arr.tobytes()) for name, arr in merged.items()]
+    return layers, [report.to_json() for report in reports]
+
+
+@st.composite
+def windowed_layouts(draw):
+    """Layers drawn from a few (size, dtypes) templates, so that windows hold
+    groups of one and of many; each layer's deltas are random, all zero (a
+    norm of 0) or huge (infinite f64 norms: a NaN p and a delta clamp)."""
+    templates = draw(
+        st.lists(st.tuples(st.sampled_from(_SIZES), st.sampled_from(_DTYPES)), min_size=1,
+                 max_size=4)
+    )
+    picks = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(templates) - 1),
+                      st.sampled_from(("normal", "zero", "huge"))),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base, old, curr = {}, {}, {}
+    for i, (template, fill) in enumerate(picks):
+        size, (base_dtype, delta_dtype) = templates[template]
+        shape = (2, size // 2) if size % 2 == 0 and template % 2 else (size,)
+        name = f"backbone.l{i:02d}"
+        base[name] = rng.normal(size=shape).astype(base_dtype)
+        if fill == "zero":
+            old[name] = np.zeros(shape, delta_dtype)
+            curr[name] = np.zeros(shape, delta_dtype)
+        elif fill == "huge":
+            old[name] = np.full(shape, np.finfo(delta_dtype).max / 2, delta_dtype)
+            curr[name] = -old[name]
+        else:
+            old[name] = rng.normal(scale=0.01, size=shape).astype(delta_dtype)
+            curr[name] = rng.normal(scale=0.01, size=shape).astype(delta_dtype)
+    return base, old, curr
+
+
+_SPEC = PartitionSpec(("backbone.*",), ("head.*",), head_concat_axis=0)
+
+
+class TestWindowedMerge:
+    # The huge layers' norms overflow to inf, and p to NaN.
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @settings(max_examples=40, deadline=None)
+    @given(layout=windowed_layouts(), threads=st.sampled_from((1, 2)))
+    def test_windows_match_the_per_layer_path(self, layout, threads):
+        base, old, curr = layout
+
+        def run():
+            merged, report = duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
+            return _outputs(merged, [report])
+
+        windowed = run()
+        with patch.object(duet.merge, "_windows", _per_layer):
+            assert run() == windowed
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+    @settings(max_examples=20, deadline=None)
+    @given(layout=windowed_layouts(), threads=st.sampled_from((1, 2)))
+    def test_sequence_windows_match_the_per_layer_path(self, layout, threads):
+        base, old, curr = layout
+        # A sequence's deltas are taken in the base dtype, from finite models.
+        base = {name: arr.astype(old[name].dtype) for name, arr in base.items()}
+        head = {"head.cls": np.ones((1, 3), np.float32)}
+        fine = [
+            {name: base[name] + np.clip(deltas[name], -1, 1) for name in base} | head
+            for deltas in (old, curr, old)
+        ]
+
+        def run():
+            steps = list(iter_incremental_sequence(base | head, fine, _SPEC, threads=threads))
+            return _outputs(steps[-1].checkpoint, [step.report for step in steps[1:]])
+
+        windowed = run()
+        with patch.object(duet.merge, "_windows", _per_layer):
+            assert run() == windowed
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize(
+        "case, error, layer",
+        [
+            ("sequence dtype", DTypeError, "backbone.l3"),
+            ("shape", ShapeError, "backbone.l2"),
+            ("delta dtypes", DTypeError, "backbone.l4"),
+            ("two faults", ShapeError, "backbone.l2"),  # the first in base order
+        ],
+    )
+    def test_a_faulty_layer_in_a_window_raises_the_per_layer_error(self, case, error, layer,
+                                                                    threads):
+        base = {f"backbone.l{i}": np.full(8, float(i), np.float32) for i in range(6)}
+        old = {name: arr + np.float32(0.5) for name, arr in base.items()}
+        curr = {name: arr - np.float32(0.5) for name, arr in base.items()}
+        if case == "sequence dtype":
+            curr["backbone.l3"] = curr["backbone.l3"].astype(np.float64)
+        if case in ("shape", "two faults"):
+            curr["backbone.l2"] = np.zeros(9, np.float32)
+        if case in ("delta dtypes", "two faults"):
+            curr["backbone.l4"] = curr["backbone.l4"].astype(np.float64)
+
+        def raised() -> tuple:
+            with pytest.raises(DuetError) as info:
+                if case == "sequence dtype":
+                    list(iter_incremental_sequence(base, [old, curr], _SPEC, threads=threads))
+                else:
+                    duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
+            return type(info.value), str(info.value)
+
+        windowed = raised()
+        with patch.object(duet.merge, "_windows", _per_layer):
+            assert raised() == windowed
+        assert windowed[0] is error and repr(layer) in windowed[1]
+
+
+# -- the report writer -------------------------------------------------------
+
+# Names and texts with quotes, escapes, control and non-ASCII characters.
+_TRICKY = st.text(
+    st.sampled_from('a"\\/\n\r\t\x00\x1f\x7fé \U0001d11e{}[],: ') | st.characters(), max_size=8
+)
+_ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+@st.composite
+def merge_reports(draw) -> MergeReport:
+    record = st.builds(duet.merge.LayerMergeRecord, _TRICKY, *[_ANY_FLOAT] * 7)
+    records = draw(st.lists(record, max_size=6))
+    counts = st.builds(TensorSignConflicts, st.integers(0, 10**6), st.integers(0, 10**6))
+    signs = draw(st.none() | st.dictionaries(_TRICKY, counts, max_size=6).map(SignConflictReport))
+    return MergeReport(
+        config=MergeConfig(gamma=draw(st.sampled_from((0.0, 0.1, 0.25)))),
+        base_fingerprint=draw(_TRICKY),
+        old_fingerprint="0" * 64,
+        curr_fingerprint=draw(_TRICKY),
+        layers=records,
+        sign_conflicts=signs,
+        warnings=draw(st.lists(_TRICKY, max_size=3)),
+    )
+
+
+class TestReportJson:
+    @settings(max_examples=300, deadline=None)
+    @given(merge_reports())
+    def test_to_json_is_the_indent_encoder_output(self, report):
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+    def test_empty_report(self):
+        report = MergeReport(MergeConfig(), "a", "b", "c")
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+        report.sign_conflicts = SignConflictReport()
+        assert report.to_json() == json.dumps(report.to_dict(), indent=2)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from duet.checkpoint import fingerprint_map, serialize_checkpoint
-from duet.errors import BaseMismatchError, CheckpointFormatError, KeyMismatchError, ShapeError
+from duet.errors import (
+    BaseMismatchError,
+    CheckpointFormatError,
+    DTypeError,
+    KeyMismatchError,
+    ShapeError,
+)
 from duet.merge import duet_merge
 from duet.task_vectors import (
     TaskVector,
@@ -60,7 +66,7 @@ class TestComputeTaskVector:
             compute_task_vector({"w": np.zeros(3)}, {"w": np.zeros(2)}, "fp", "t")
 
     def test_mixed_dtype_rejected(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DTypeError, match="dtype mismatch"):
             compute_task_vector(
                 {"w": np.zeros(2, dtype=np.float32)}, {"w": np.zeros(2)}, "fp", "t"
             )

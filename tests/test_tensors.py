@@ -93,7 +93,7 @@ class TestLinearCombine:
             _subtract("w", tensor([1.0, 2.0]), tensor([1.0, 2.0, 3.0]))
 
     def test_dtype_mismatch_raises(self):
-        with pytest.raises(ShapeError, match="dtype mismatch"):
+        with pytest.raises(DTypeError, match="dtype mismatch"):
             _subtract("w", tensor([1.0], dtype="f32"), tensor([1.0], dtype="f64"))
 
     @given(vector_pairs())
@@ -202,6 +202,29 @@ class TestBlockedKernels:
             assert got.tobytes() == (x64 + 0.3 * x64).astype(np.float32).tobytes()
             counts = layer_sign_conflicts(view, -view)
             assert counts.conflicts == counts.comparable == int(np.count_nonzero(view))
+
+
+# Row lengths around numpy's 8-wide unrolled sum and its 128-element pairwise block.
+ROW_LENGTHS = (*range(1, 18), *range(120, 138), 255, 256, 257, 1000, 4096)
+
+
+class TestRowSums:
+    """The merge stacks same-shape small layers and takes their norms as row
+    sums (``merge._merge_group``): each must be the sum numpy takes of that
+    layer alone, bit for bit."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 33])
+    @pytest.mark.parametrize("length", ROW_LENGTHS)
+    def test_row_sums_are_the_sums_of_the_rows(self, rows, length):
+        rng = np.random.default_rng(length)
+        matrix = np.abs(spread_values(rng, rows * length, np.float64)).reshape(rows, length)
+        sums = np.sum(matrix, axis=1)
+        for i, row in enumerate(matrix):
+            assert sums[i].tobytes() == np.sum(row).tobytes()
+            if length % 2 == 0:  # a two-dimensional layer sums as its flat row
+                assert sums[i].tobytes() == np.sum(row.reshape(2, -1)).tobytes()
+        if length >= 16 and rows == 33:  # the data tells a left-to-right sum from numpy's
+            assert any(np.cumsum(row)[-1] != total for row, total in zip(matrix, sums))
 
 
 class TestInnerProduct:
