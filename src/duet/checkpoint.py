@@ -53,15 +53,6 @@ def _nbytes(shape: tuple[int, ...], dtype: np.dtype) -> int:
     return n * dtype.itemsize
 
 
-@dataclass(frozen=True)
-class _Entry:
-    name: str
-    dtype: np.dtype
-    shape: tuple[int, ...]
-    begin: int
-    end: int
-
-
 class CheckpointReader:
     """Validating random-access reader over one checkpoint container.
 
@@ -134,8 +125,12 @@ class CheckpointReader:
 
         payload_size = file_size - _HEADER_LEN_BYTES - header_len
         self._payload_start = _HEADER_LEN_BYTES + header_len
-        self._entries: dict[str, _Entry] = {}
-        prev: _Entry | None = None
+        # Name to (dtype, shape, begin, end), as a plain tuple: the collector
+        # stops tracking a tuple of untracked values once a collection has
+        # seen it (a NamedTuple or a dataclass instance it tracks for good),
+        # so a reader of many tensors adds nothing to each collection.
+        self._entries: dict[str, tuple[np.dtype, tuple[int, ...], int, int]] = {}
+        prev_name, prev_end = None, 0
         for name, meta in header.items():
             if name == _METADATA_KEY:
                 continue
@@ -170,22 +165,19 @@ class CheckpointReader:
                     f"tensor {name!r}: data_offsets span {end - begin} bytes but "
                     f"shape {list(shape)} x {tag} needs {_nbytes(shape, dtype)}"
                 )
-            if prev is not None and begin < prev.end:
+            if begin < prev_end:
                 raise self._fail(
-                    f"tensors {prev.name!r} and {name!r} have overlapping data_offsets"
+                    f"tensors {prev_name!r} and {name!r} have overlapping data_offsets"
                 )
-            expected_begin = 0 if prev is None else prev.end
-            if begin != expected_begin:
+            if begin != prev_end:
                 raise self._fail(
-                    f"tensor {name!r}: data_offsets leave a gap (begin {begin}, expected {expected_begin})"
+                    f"tensor {name!r}: data_offsets leave a gap (begin {begin}, expected {prev_end})"
                 )
-            entry = _Entry(name, dtype, shape, begin, end)
-            self._entries[name] = entry
-            prev = entry
-        total = 0 if prev is None else prev.end
-        if total != payload_size:
+            self._entries[name] = (dtype, shape, begin, end)
+            prev_name, prev_end = name, end
+        if prev_end != payload_size:
             raise self._fail(
-                f"payload is {payload_size} bytes but data_offsets tile {total} (truncated or trailing bytes)"
+                f"payload is {payload_size} bytes but data_offsets tile {prev_end} (truncated or trailing bytes)"
             )
 
     def keys(self):
@@ -201,15 +193,15 @@ class CheckpointReader:
         return self.load(name)
 
     def load(self, name: str) -> np.ndarray:
-        entry = self._entries[name]
-        self._fh.seek(self._payload_start + entry.begin)
-        raw = self._fh.read(entry.end - entry.begin)
-        if len(raw) != entry.end - entry.begin:
+        dtype, shape, begin, end = self._entries[name]
+        self._fh.seek(self._payload_start + begin)
+        raw = self._fh.read(end - begin)
+        if len(raw) != end - begin:
             raise self._fail(f"tensor {name!r}: payload truncated")
         try:
-            arr = np.frombuffer(raw, dtype=entry.dtype).reshape(entry.shape)
+            arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
         except ValueError as exc:  # more dimensions or elements than numpy allows
-            raise self._fail(f"tensor {name!r}: shape {list(entry.shape)} is not loadable: {exc}") from exc
+            raise self._fail(f"tensor {name!r}: shape {list(shape)} is not loadable: {exc}") from exc
         if arr.size and not np.isfinite(arr).all():
             raise self._fail(f"tensor {name!r} contains non-finite values")
         return arr
@@ -298,11 +290,12 @@ def canonical_payload(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[_KIND_TO_TAG[arr.dtype.itemsize]])
 
 
-def _iter_chunks(tensor_map: NamedTensorMap) -> Iterator[bytes]:
-    """Yield the canonical byte stream of a map: header, then payload."""
+def _iter_chunks(tensor_map: NamedTensorMap) -> Iterator[bytes | np.ndarray]:
+    """Yield the canonical byte stream of a map: the header, then each
+    tensor's payload as a contiguous array, whose buffer is written as it is."""
     yield canonical_header(tensor_map)
     for arr in tensor_map.values():
-        yield canonical_payload(arr).tobytes()
+        yield canonical_payload(arr)
 
 
 def serialize_checkpoint(tensor_map: NamedTensorMap) -> bytes:
@@ -317,7 +310,7 @@ def fingerprint_map(tensor_map: NamedTensorMap) -> str:
     return digest.hexdigest()
 
 
-def write_atomically(path: str | Path, chunks: Iterable[bytes]) -> None:
+def write_atomically(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None:
     """Write ``chunks`` to a temporary file beside ``path``, then move it onto
     ``path``.  On any error the temporary file is removed and ``path`` keeps
     its earlier contents."""

@@ -74,23 +74,31 @@ def layer_sign_conflicts(left: np.ndarray, right: np.ndarray) -> TensorSignConfl
     return TensorSignConflicts(conflicts=conflicts, comparable=comparable)
 
 
+def _sign_scratch(left: np.ndarray, right: np.ndarray) -> tuple:
+    """The scratch dtypes :func:`_sign_counts` takes its blocks in."""
+    return bool, bool, left.dtype, right.dtype
+
+
+def _sign_counts(left, right, nonzero, differ, left_sign, right_sign) -> tuple[int, int]:
+    """The sign-count leaf of a blocked walk: ``(comparable, conflicts)`` of
+    one pair of blocks, from the comparisons of ``np.sign`` values that
+    :func:`layer_sign_conflicts` makes, through :func:`_sign_scratch` blocks."""
+    np.not_equal(left, 0, out=nonzero)
+    nonzero &= np.not_equal(right, 0, out=differ)
+    np.sign(left, out=left_sign)
+    np.sign(right, out=right_sign)
+    np.not_equal(left_sign, right_sign, out=differ)
+    differ &= nonzero
+    return np.count_nonzero(nonzero), np.count_nonzero(differ)
+
+
 def _layer_sign_conflicts_blocks(left: np.ndarray, right: np.ndarray) -> TensorSignConflicts:
-    """:func:`layer_sign_conflicts` a block at a time, with the same
-    comparisons of ``np.sign`` values."""
+    """:func:`layer_sign_conflicts` a block at a time."""
     flat_left, flat_right = left.reshape(-1), right.reshape(-1)
-
-    def counts(lo, hi, nonzero, differ, left_sign, right_sign) -> np.ndarray:
-        block_left, block_right = flat_left[lo:hi], flat_right[lo:hi]
-        np.not_equal(block_left, 0, out=nonzero)
-        nonzero &= np.not_equal(block_right, 0, out=differ)
-        np.sign(block_left, out=left_sign)
-        np.sign(block_right, out=right_sign)
-        np.not_equal(left_sign, right_sign, out=differ)
-        differ &= nonzero
-        return np.array((np.count_nonzero(nonzero), np.count_nonzero(differ)))
-
-    scratch = (bool, bool, left.dtype, right.dtype)
-    comparable, conflicts = _blockwise(left.size, counts, *scratch).tolist()
+    counts = lambda lo, hi, *scratch: np.array(
+        _sign_counts(flat_left[lo:hi], flat_right[lo:hi], *scratch)
+    )
+    comparable, conflicts = _blockwise(left.size, counts, *_sign_scratch(left, right)).tolist()
     return TensorSignConflicts(conflicts=conflicts, comparable=comparable)
 
 

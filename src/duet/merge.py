@@ -39,7 +39,13 @@ from .checkpoint import (
     classify_names,
     fingerprint_map,
 )
-from .diagnostics import SignConflictReport, TensorSignConflicts, layer_sign_conflicts
+from .diagnostics import (
+    SignConflictReport,
+    TensorSignConflicts,
+    _sign_counts,
+    _sign_scratch,
+    layer_sign_conflicts,
+)
 from .errors import (
     AxisError,
     ConfigError,
@@ -51,6 +57,9 @@ from .errors import (
 from .tensors import (
     _BLOCK,
     NamedTensorMap,
+    _abs_sum,
+    _blocked,
+    _blockwise,
     _layer_args,
     _walk,
     check_aligned,
@@ -201,12 +210,40 @@ class MergeReport:
 
 def _layer_coefficients(
     name: str, tau_old_l: np.ndarray, tau_curr_l: np.ndarray, config: MergeConfig
-) -> tuple[LayerMergeRecord, list[str]]:
+) -> tuple[LayerMergeRecord, list[str], TensorSignConflicts]:
+    """One layer's record and warnings, from the L1 norms of both deltas and
+    of their float64 sum, and its sign counts."""
     _check_layer_pair(name, tau_old_l, tau_curr_l)
-    norm_old = l1_norm(tau_old_l)
-    norm_curr = l1_norm(tau_curr_l)
-    norm_sum = l1_norm(np.add(tau_old_l, tau_curr_l, dtype=np.float64))
-    return _coefficients(name, norm_old, norm_curr, norm_sum, config)
+    # The size test inline, as in the kernels.
+    if tau_old_l.size > _BLOCK and _blocked(tau_old_l, tau_curr_l):
+        *norms, signs = _layer_statistics_blocks(tau_old_l, tau_curr_l)
+    else:
+        # np.asarray: the sum of a 0-d pair is a numpy scalar.
+        norm_sum = l1_norm(np.asarray(np.add(tau_old_l, tau_curr_l, dtype=np.float64)))
+        norms = (l1_norm(tau_old_l), l1_norm(tau_curr_l), norm_sum)
+        signs = layer_sign_conflicts(tau_old_l, tau_curr_l)
+    return (*_coefficients(name, *norms, config), signs)
+
+
+def _layer_statistics_blocks(old: np.ndarray, curr: np.ndarray) -> tuple:
+    """The three norms and the sign counts of :func:`_layer_coefficients` in
+    one blocked walk: a block's L1 leaves over ``old``, ``curr`` and their
+    float64 sum share one float64 scratch block, beside the sign-count leaf.
+    The walk adds the five block results up numpy's pairwise tree, so each
+    norm has the bits of :func:`l1_norm`; the counts, added as float64, are
+    exact below 2**53 elements."""
+    flat_old, flat_curr = old.reshape(-1), curr.reshape(-1)
+
+    def leaf(lo: int, hi: int, wide: np.ndarray, *signs: np.ndarray) -> np.ndarray:
+        block_old, block_curr = flat_old[lo:hi], flat_curr[lo:hi]
+        norm_old, norm_curr = _abs_sum(block_old, wide), _abs_sum(block_curr, wide)
+        pair = np.add(block_old, block_curr, out=wide, dtype=np.float64)
+        counts = _sign_counts(block_old, block_curr, *signs)
+        return np.array((norm_old, norm_curr, _abs_sum(pair, wide), *counts))
+
+    scratch = (np.float64, *_sign_scratch(old, curr))
+    *norms, comparable, conflicts = _blockwise(old.size, leaf, *scratch).tolist()
+    return (*norms, TensorSignConflicts(conflicts=int(conflicts), comparable=int(comparable)))
 
 
 def _coefficients(
@@ -337,10 +374,13 @@ def _merge_layers(
     inputs are never read again.  ``header`` is the canonical header of
     ``tau_old``'s layout, when the caller has it.
 
-    A layer of more than ``_BLOCK`` elements is merged alone, through the
-    blocked kernels.  The others are walked in windows (:func:`_windows`):
-    a window's layers of one shape and dtypes are merged as one stacked
-    group (:func:`_merge_group`), and a layer with no such partner alone.
+    A layer of more than ``_BLOCK`` elements is merged alone in two blocked
+    walks: one for its norms and sign counts, one for :func:`combine`.  The
+    consuming thread only fetches its deltas (a :class:`_Deltas` vector
+    subtracts there) and hashes them.  The others are walked in windows
+    (:func:`_windows`): a window's layers of one shape and dtypes are merged
+    as one stacked group (:func:`_merge_group`), and a layer with no such
+    partner alone.
     """
     maps = {"base": base_shared, "tau_old": tau_old, "tau_curr": tau_curr}
     check_aligned("duet_merge", maps)
@@ -359,13 +399,12 @@ def _merge_layers(
             _check_layer_pair(name, layers[1], layers[2])
         return layers
 
-    def merge_one(name, base_l, old_l, curr_l, signs=None) -> tuple:
-        record, warnings = _layer_coefficients(name, old_l, curr_l, config)
+    def merge_one(name, base_l, old_l, curr_l) -> tuple:
+        record, warnings, signs = _layer_coefficients(name, old_l, curr_l, config)
         terms = ((1.0, base_l), (record.alpha, old_l), (record.beta, curr_l))
         return name, record, combine(terms, base_l.dtype), warnings, old_l, curr_l, signs
 
     def merge_alone(*args) -> deque:
-        # The consuming thread counts this layer's signs, as it hashes it.
         return deque([merge_one(*args)])
 
     def merge_window(names: list[str], layers: list[list[np.ndarray]]) -> deque:
@@ -377,8 +416,7 @@ def _merge_layers(
             if len(members) == 1:
                 (i,) = members
                 old_l, curr_l = _deltas(names[i], subtract, *layers[i])
-                signs = layer_sign_conflicts(old_l, curr_l)
-                entries[i] = merge_one(names[i], layers[i][0], old_l, curr_l, signs)
+                entries[i] = merge_one(names[i], layers[i][0], old_l, curr_l)
                 continue
             group = _merge_group([names[i] for i in members], [layers[i] for i in members],
                                  subtract, config)
@@ -413,7 +451,7 @@ def _merge_layers(
                 name, record, merged_layer, warnings, old_l, curr_l, signs = entries.popleft()
                 report.layers.append(record)
                 report.warnings.extend(warnings)
-                counts[name] = layer_sign_conflicts(old_l, curr_l) if signs is None else signs
+                counts[name] = signs
                 for digest, layer in zip(digests, (old_l, curr_l)):
                     digest.update(canonical_payload(layer))
                 del old_l, curr_l, layer  # not held while the next layer is formed

@@ -11,7 +11,7 @@ import numpy as np
 
 from .checkpoint import read_checkpoint, read_json, write_atomically, write_checkpoint
 from .errors import BaseMismatchError, CheckpointFormatError, DTypeError, ShapeError
-from .tensors import NamedTensorMap, check_tensor, combine, map_layers
+from .tensors import NamedTensorMap, check_tensor, map_layers
 
 _DELTAS_FILE = "deltas.safetensors"
 _META_FILE = "meta.json"
@@ -52,8 +52,15 @@ def _check_layer_pair(name: str, a: np.ndarray, b: np.ndarray):
 
 
 def _subtract(name: str, minuend: np.ndarray, subtrahend: np.ndarray) -> np.ndarray:
+    """Read-only ``minuend - subtrahend`` in their one dtype: the exact
+    difference rounded once.  These are the bits of ``combine(((1.0,
+    minuend), (-1.0, subtrahend)), dtype)``, whose float64 difference,
+    rounded again to float32, moves no bit (53 >= 2 * 24 + 2)."""
     _check_layer_pair(name, minuend, subtrahend)
-    return combine(((1.0, minuend), (-1.0, subtrahend)), subtrahend.dtype)
+    difference = np.empty(subtrahend.shape, subtrahend.dtype)
+    np.subtract(minuend, subtrahend, out=difference)
+    difference.flags.writeable = False
+    return difference
 
 
 def compute_task_vector(
@@ -62,7 +69,7 @@ def compute_task_vector(
     base_fingerprint: str,
     label: str = "",
 ) -> TaskVector:
-    """Per-tensor ``fine_tuned - base`` in float64, stored in the base dtype."""
+    """Per-tensor ``fine_tuned - base``, rounded once to the base dtype."""
     maps = {"base": base_shared, "fine_tuned": fine_tuned_shared}
     subtract = lambda name, base, fine_tuned: _subtract(name, fine_tuned, base)
     deltas = dict(map_layers("compute_task_vector", subtract, maps))

@@ -120,7 +120,7 @@ def combine(terms, dtype) -> np.ndarray:
         # Not ``+=``: that left the heap more fragmented on many small tensors.
         # Large sums reuse the product's buffer (numpy elides the temporary).
         total = total + np.multiply(c, x, dtype=np.float64)
-    out = total.astype(dtype, copy=False)
+    out = np.asarray(total.astype(dtype, copy=False))  # a 0-d total is a numpy scalar
     out.flags.writeable = False
     return out
 
@@ -143,12 +143,19 @@ def _combine_blocks(terms: tuple, dtype) -> np.ndarray:
     return out
 
 
+def _abs_sum(block: np.ndarray, scratch: np.ndarray) -> np.float64:
+    """The L1 leaf of a blocked walk: the float64 sum of ``|block|``, taken
+    through a float64 ``scratch`` block as long as ``block`` (which may be
+    ``scratch`` itself)."""
+    return np.sum(np.abs(block, out=scratch))
+
+
 def l1_norm(x: np.ndarray) -> float:
     """Sum of absolute values, accumulated in float64 in a fixed reduction order."""
     check_tensor(x)
     if x.size > _BLOCK and _blocked(x):  # the size test inline, as in combine
         flat = x.reshape(-1)
-        leaf = lambda lo, hi, block: np.sum(np.abs(flat[lo:hi], out=block))
+        leaf = lambda lo, hi, block: _abs_sum(flat[lo:hi], block)
         return float(_blockwise(flat.size, leaf, np.float64))
     return float(np.sum(np.abs(x.astype(np.float64, copy=False)), dtype=np.float64))
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import json
 import struct
 import tracemalloc
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from duet.checkpoint import (
     CheckpointReader,
     PartitionSpec,
+    canonical_header,
     classify_names,
     fingerprint_map,
     load_partition_spec,
@@ -112,6 +114,33 @@ class TestRoundtrip:
         blob = serialize_checkpoint(tensor_map)
         loaded = parse_checkpoint(blob)
         assert serialize_checkpoint(loaded) == blob
+
+    def test_payload_bytes_of_awkward_arrays(self, tmp_path, rng):
+        # Each payload is written from its canonical array's buffer: the bytes
+        # are those of the little-endian row-major copy, whatever the input.
+        matrix = rng.normal(size=(6, 5))
+        tensor_map = {
+            "scalar": np.array(-2.5, np.float32),
+            "scalar_big_endian": np.array(7.0, ">f8"),
+            "empty": np.zeros((0, 3)),
+            "empty_big_endian": np.zeros((2, 0), ">f4"),
+            "strided": matrix.astype(np.float32)[::2, 1::2],
+            "column_major": matrix.T,
+            "big_endian": matrix.astype(">f4"),
+            "big_endian_strided": matrix.astype(">f8")[:, ::3],
+        }
+        payload = b"".join(
+            arr.astype(f"<f{arr.dtype.itemsize}").tobytes(order="C") for arr in tensor_map.values()
+        )
+        blob = serialize_checkpoint(tensor_map)
+        assert blob == canonical_header(tensor_map) + payload
+        path = tmp_path / "m.safetensors"
+        write_checkpoint(tensor_map, path)
+        assert path.read_bytes() == blob
+        loaded = parse_checkpoint(blob)
+        for name, arr in tensor_map.items():
+            assert loaded[name].shape == arr.shape
+            assert loaded[name].tolist() == arr.tolist()
 
     def test_reserved_metadata_name_rejected_on_write(self):
         with pytest.raises(CheckpointFormatError, match="'__metadata__' is reserved"):
@@ -349,6 +378,14 @@ class TestReaderMapping:
         for name, arr in loaded.items():
             assert as_dict[name].dtype == arr.dtype
             assert as_dict[name].tobytes() == arr.tobytes()
+
+    def test_entries_leave_the_garbage_collector(self, written):
+        # A reader of many tensors must not add to every collection's walk.
+        path, _ = written
+        with CheckpointReader(path) as reader:
+            gc.collect()  # untracks the shapes, then the next pass the entries that hold them
+            gc.collect()
+            assert not any(gc.is_tracked(entry) for entry in reader._entries.values())
 
     def test_partition_and_map_layers_accept_a_reader(self, written):
         path, tensor_map = written

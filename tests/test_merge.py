@@ -43,6 +43,7 @@ from duet.merge import (
 from duet.metrics import rai
 from duet.task_vectors import TaskVector, compute_task_vector
 from tests.conftest import make_map
+from tests.test_tensors import BLOCK_EDGE_LENGTHS, spread_values, with_warning_kinds
 
 
 def tv(deltas: dict, fp: str = "fp", label: str = "") -> TaskVector:
@@ -789,6 +790,100 @@ class TestWindowedMerge:
         with patch.object(duet.merge, "_windows", _per_layer):
             assert raised() == windowed
         assert windowed[0] is error and repr(layer) in windowed[1]
+
+
+# -- the fused statistics walk against the separate kernels -----------------
+
+
+def _large_layout(base_dtype, delta_dtype) -> tuple[dict, dict, dict]:
+    """Layers at the block-edge lengths with spread, all-zero, signed-zero and
+    huge deltas (f64: infinite norms, a NaN p), plus a column-major layer."""
+    rng = np.random.default_rng(13)
+    huge = np.finfo(delta_dtype).max / 2
+    fills = {
+        "spread": lambda n: (spread_values(rng, n, delta_dtype), spread_values(rng, n, delta_dtype)),
+        "zero": lambda n: (np.zeros(n, delta_dtype), np.zeros(n, delta_dtype)),
+        "signed_zero": lambda n: (np.full(n, -0.0, delta_dtype),
+                                  np.where(rng.random(n) < 0.5, 0.0, -0.0).astype(delta_dtype)),
+        "huge": lambda n: (np.full(n, huge, delta_dtype), np.full(n, -huge, delta_dtype)),
+    }
+    base, old, curr = {}, {}, {}
+    for length in BLOCK_EDGE_LENGTHS:
+        for fill, make in fills.items():
+            if length == BLOCK_EDGE_LENGTHS[-1] and fill != "spread":
+                continue
+            name = f"backbone.n{length}_{fill}"
+            base[name] = rng.normal(size=length).astype(base_dtype)
+            old[name], curr[name] = make(length)
+    shape = (300, 200)  # column-major deltas take the separate kernels
+    base["backbone.fortran"] = rng.normal(size=shape).astype(base_dtype)
+    old["backbone.fortran"], curr["backbone.fortran"] = (
+        np.asfortranarray(spread_values(rng, 60_000, delta_dtype).reshape(shape)) for _ in "oc"
+    )
+    return base, old, curr
+
+
+class TestFusedMerge:
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("dtypes", _DTYPES, ids=["f32", "f64", "f64_over_f32"])
+    def test_merge_matches_the_separate_kernels(self, dtypes, threads):
+        base, old, curr = _large_layout(*dtypes)
+
+        def run():
+            merged, report = duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
+            return _outputs(merged, [report])
+
+        walk = duet.merge._layer_statistics_blocks
+        with patch.object(duet.merge, "_layer_statistics_blocks", wraps=walk) as fused:
+            outputs, kinds = with_warning_kinds(run)
+        # Every C-contiguous layer past one block took the walk.
+        assert fused.call_count == sum(
+            arr.size > 32768 and arr.flags.c_contiguous for arr in old.values()
+        )
+        with patch.object(duet.merge, "_blocked", lambda *arrays: False):
+            assert with_warning_kinds(run) == (outputs, kinds)
+        if dtypes[1] is np.float64:  # the huge layers' norms overflow, and p is NaN
+            report = json.loads(outputs[1][0])
+            assert any(math.isnan(record["p"]) for record in report["layers"])
+            assert report["warnings"]
+
+
+class TestZeroDimensionalLayers:
+    """A 0-d layer merges with the bits of the same value as a 1-element
+    layer: alone, and stacked with another 0-d layer."""
+
+    @staticmethod
+    def maps(shape) -> tuple[dict, dict, dict]:
+        rng = np.random.default_rng(21)
+        # The f64 scale is merged alone, the f32 bias and gain as one group.
+        dtypes = {"backbone.scale": np.float64, "backbone.bias": np.float32,
+                  "backbone.gain": np.float32, "backbone.w": np.float32}
+        shapes = {"backbone.w": (4,)}
+        values = [{name: rng.normal(size=shapes.get(name, 1)).astype(dtype)
+                   for name, dtype in dtypes.items()} for _ in range(3)]
+        return tuple(
+            {name: arr.reshape(shapes.get(name, shape)) for name, arr in model.items()}
+            for model in values
+        )
+
+    @staticmethod
+    def records(report: MergeReport) -> tuple:
+        return [record.to_dict() for record in report.layers], report.sign_conflicts.to_dict()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_merge_and_sequence(self, threads):
+        scalars, vectors = self.maps(()), self.maps((1,))
+        outputs = []
+        for base, old, curr in (scalars, vectors):
+            merged, report = duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
+            steps = list(iter_incremental_sequence(base, [old, curr], _SPEC, threads=threads))
+            outputs.append((merged, self.records(report), steps[-1].checkpoint,
+                            self.records(steps[-1].report)))
+        (merged, report, last, last_report), (merged_1d, report_1d, last_1d, last_report_1d) = outputs
+        assert (report, last_report) == (report_1d, last_report_1d)
+        for got, want in ((merged, merged_1d), (last, last_1d)):
+            assert [arr.shape for arr in got.values()] == [(), (), (), (4,)]
+            assert [arr.tobytes() for arr in got.values()] == [arr.tobytes() for arr in want.values()]
 
 
 # -- the report writer -------------------------------------------------------

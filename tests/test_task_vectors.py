@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from duet.checkpoint import fingerprint_map, serialize_checkpoint
 from duet.errors import (
@@ -14,12 +17,15 @@ from duet.errors import (
 from duet.merge import duet_merge
 from duet.task_vectors import (
     TaskVector,
+    _subtract,
     compute_task_vector,
     load_task_vector,
     save_task_vector,
     zero_task_vector,
 )
+from duet.tensors import combine
 from tests.conftest import make_map
+from tests.test_tensors import spread_values
 
 
 def ulps_apart(a: np.ndarray, b: np.ndarray, *refs: np.ndarray) -> np.ndarray:
@@ -117,6 +123,77 @@ class TestApplyTaskVector:
         recovered = compute_task_vector(self.apply(base, "fp", vector), base, "fp")
         for name in base:
             assert np.all(ulps_apart(recovered.deltas[name], vector.deltas[name], base[name]) <= 1.0)
+
+
+def special_values(dtype) -> np.ndarray:
+    """Signed zeros, subnormals, the smallest normals, values an ulp apart
+    (differences that cancel) and values whose differences overflow."""
+    info = np.finfo(dtype)
+    sub = info.smallest_subnormal
+    values = [0.0, sub, 3 * sub, info.tiny - sub, info.tiny, info.tiny * (1 + info.eps),
+              1.0, 1.0 + info.eps, 1.0 - info.epsneg, 1.5, 1e-3, info.max / 2, info.max]
+    return np.array(values + [-v for v in values], dtype)
+
+
+def finite_arrays(width: int, length: int):
+    """Arrays of ``length`` finite floats of ``width`` bits."""
+    elements = st.floats(allow_nan=False, allow_infinity=False, width=width)
+    return arrays(np.dtype(f"f{width // 8}"), length, elements=elements)
+
+
+def combine_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The subtraction through ``combine``: in float64, rounded once to the dtype."""
+    return combine(((1.0, x), (-1.0, y)), y.dtype)
+
+
+def assert_same_difference(x: np.ndarray, y: np.ndarray):
+    got, expected = _subtract("w", x, y), combine_difference(x, y)
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert not got.flags.writeable
+    assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+class TestSubtract:
+    """``_subtract`` takes the difference in the pair's own dtype: the bits of
+    the float64 combine it replaces."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64, ">f4", ">f8"])
+    def test_every_pair_of_special_values(self, dtype):
+        values = special_values(dtype)
+        x, y = (np.ascontiguousarray(grid) for grid in np.meshgrid(values, values))
+        assert_same_difference(x, y)
+        assert_same_difference(x.T, y.T)  # column-major
+        difference = _subtract("w", x, y)
+        assert np.isinf(difference).any() and (difference == 0).any()
+        assert (np.signbit(difference) & (difference == 0)).any()  # -0 - +0 is -0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocked_lengths(self, dtype):
+        # Past one block, combine streams its blocks; the bits stay those of
+        # the difference.
+        length = 2 * 32768 + 3
+        rng = np.random.default_rng(length)
+        values = special_values(dtype)
+        x, y = (
+            np.where(rng.random(length) < 0.5, rng.choice(values, length),
+                     spread_values(rng, length, dtype))
+            for _ in "xy"
+        )
+        assert_same_difference(x, y)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_dimensional_pair(self, dtype):
+        x, y = np.array(0.75, dtype), np.array(-0.5, dtype)
+        assert_same_difference(x, y)
+        assert float(_subtract("w", x, y)) == 1.25
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.sampled_from([32, 64]), st.integers(1, 16)).flatmap(
+        lambda width_length: st.tuples(*[finite_arrays(*width_length)] * 2)
+    ))
+    def test_any_finite_pair(self, pair):
+        assert_same_difference(*pair)
 
 
 class TestZeroVector:

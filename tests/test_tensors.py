@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 from typing import Callable
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from duet.diagnostics import layer_sign_conflicts, merge_distance
 from duet.errors import DTypeError, ShapeError
-from duet.merge import MergeConfig, _layer_coefficients
+from duet.merge import MergeConfig, _layer_coefficients, _layer_statistics_blocks
 from duet.task_vectors import _subtract
 from duet.tensors import inner_product, combine, l1_norm, tensor
 
@@ -124,6 +125,12 @@ class TestLinearCombine:
                 pair = combine_two(a, x, c, y)
                 assert pair.tobytes() == (a * x64 + c * y64).astype(dtype).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_dimensional_operands_give_a_zero_dimensional_tensor(self, dtype):
+        got = combine(((1.0, np.array(1.5, dtype)), (0.5, np.array(2.0, dtype))), dtype)
+        assert isinstance(got, np.ndarray) and got.shape == () and got.dtype == dtype
+        assert not got.flags.writeable and float(got) == 2.5
+
     def test_float32_storage_rounds_result(self):
         x = tensor([1.0], dtype="f32")
         y = tensor([1e-9], dtype="f32")
@@ -177,7 +184,7 @@ class TestBlockedKernels:
         expected = float(np.sum(np.abs(pair_sum)))
         if length > 2 * 32768:
             assert abs_sum_by_fixed_chunks(pair_sum) != expected
-        record, _ = _layer_coefficients("w", x, y, MergeConfig())
+        record, _, _ = _layer_coefficients("w", x, y, MergeConfig())
         assert record.norm_sum == expected
         assert record.norm_old == float(np.sum(np.abs(x.astype(np.float64))))
 
@@ -202,6 +209,78 @@ class TestBlockedKernels:
             assert got.tobytes() == (x64 + 0.3 * x64).astype(np.float32).tobytes()
             counts = layer_sign_conflicts(view, -view)
             assert counts.conflicts == counts.comparable == int(np.count_nonzero(view))
+
+
+def separate_statistics(x: np.ndarray, y: np.ndarray) -> tuple:
+    """The three norms and the sign counts, each from its own kernel."""
+    norm_sum = l1_norm(np.add(x, y, dtype=np.float64))
+    return l1_norm(x), l1_norm(y), norm_sum, layer_sign_conflicts(x, y)
+
+
+def statistics_bits(statistics: tuple) -> list:
+    """The norms as exact hex strings (NaN, inf and signed zeros included)."""
+    assert all(type(norm) is float for norm in statistics[:3])
+    return [norm.hex() for norm in statistics[:3]] + [statistics[3]]
+
+
+def with_warning_kinds(fn: Callable) -> tuple:
+    """``fn()`` and the kinds of warning it raised, without numpy's name of the
+    operation ("overflow encountered in add" is an "overflow encountered")."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = fn()
+    return result, sorted({(w.category, str(w.message).split(" in ")[0]) for w in caught})
+
+
+class TestFusedStatistics:
+    """A large layer's three norms and its sign counts come from one blocked
+    walk (``merge._layer_statistics_blocks``); each keeps the bits that
+    ``l1_norm`` and ``layer_sign_conflicts`` give on their own."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
+    def test_one_walk_equals_the_separate_kernels(self, dtype, length):
+        x, y = order_sensitive_pair(length, dtype, lambda x, y: np.add(x, y, dtype=np.float64))
+        fused = _layer_statistics_blocks(x, y)
+        assert statistics_bits(fused) == statistics_bits(separate_statistics(x, y))
+        counts = fused[3]
+        assert type(counts.conflicts) is int and type(counts.comparable) is int
+        assert 0 < counts.conflicts < counts.comparable < length
+        # Past one block, the merge takes the walk; the records agree with it.
+        record, _, signs = _layer_coefficients("w", x, y, MergeConfig())
+        assert statistics_bits((record.norm_old, record.norm_curr, record.norm_sum, signs)) == (
+            statistics_bits(fused)
+        )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_signed_zeros_and_all_zero_layers(self, dtype):
+        length = 2 * 32768 + 3
+        rng = np.random.default_rng(3)
+        zeros = np.zeros(length, dtype)
+        negative = np.full(length, -0.0, dtype)
+        mixed = np.where(rng.random(length) < 0.5, zeros, negative)
+        spread = spread_values(rng, length, dtype)
+        for x, y in ((zeros, zeros), (negative, mixed), (mixed, spread), (spread, negative)):
+            fused = _layer_statistics_blocks(x, y)
+            assert statistics_bits(fused) == statistics_bits(separate_statistics(x, y))
+        assert statistics_bits(_layer_statistics_blocks(negative, mixed)) == (
+            [(0.0).hex()] * 3 + [layer_sign_conflicts(zeros, zeros)]
+        )
+
+    # f64 deltas over an f32 base reach the walk as a pair of f64 deltas.
+    @pytest.mark.parametrize("scale", [0.5, 0.75, 1 / 40_000])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_huge_float64_layers_overflow_alike(self, scale, sign):
+        # 0.5 and 0.75: block sums overflow (0.75: the pair sum too);
+        # 1 / 40_000: only the sum of two block sums does.
+        length = 2 * 32768 + 3
+        x = np.full(length, np.finfo(np.float64).max * scale)
+        y = sign * x
+        fused, fused_warnings = with_warning_kinds(lambda: _layer_statistics_blocks(x, y))
+        separate, separate_warnings = with_warning_kinds(lambda: separate_statistics(x, y))
+        assert statistics_bits(fused) == statistics_bits(separate)
+        assert fused_warnings == separate_warnings
+        assert math.isinf(fused[0])
 
 
 # Row lengths around numpy's 8-wide unrolled sum and its 128-element pairwise block.
