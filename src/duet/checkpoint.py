@@ -21,6 +21,9 @@ import os
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
+from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
@@ -39,6 +42,11 @@ _HASH_CHUNK = 1 << 20
 _MAX_HEADER_BYTES = 100_000_000
 # Header key that carries free-form metadata, not a tensor; readers skip it.
 _METADATA_KEY = "__metadata__"
+# Longest run of adjacent same-dtype tensors that the reader reads, checks and
+# the writer checks and writes in one call.  A tensor of more bytes is read,
+# checked and written alone.
+_RUN_BYTES = 64 * 1024
+_HEADER_FIELDS = itemgetter("dtype", "shape", "data_offsets")
 
 
 def _dtype_tag(arr: np.ndarray, name: str) -> str:
@@ -53,6 +61,33 @@ def _nbytes(shape: tuple[int, ...], dtype: np.dtype) -> int:
     return n * dtype.itemsize
 
 
+def _lean_entries(header: dict, payload_size: int) -> dict | None:
+    """The reader's entries of ``header`` when it passes every check of
+    ``CheckpointReader._checked_entries``, in a leaner loop; ``None`` when any
+    check fails, for that loop to name the entry."""
+    entries = {}
+    prev_end = 0
+    try:
+        for name, (tag, shape, (begin, end)) in zip(header, map(_HEADER_FIELDS, header.values())):
+            dtype = _TAG_TO_DTYPE[tag]
+            # type(x) is int: JSON true/false are bools, an int subclass.  A
+            # begin and an end that are ints can only come from a list.
+            if type(shape) is not list or type(begin) is not int or type(end) is not int:
+                return None
+            size = dtype.itemsize
+            for extent in shape:
+                if type(extent) is not int or extent < 0:
+                    return None
+                size *= extent
+            if begin != prev_end or end - begin != size:
+                return None
+            entries[name] = (dtype, tuple(shape), begin, end, len(entries))
+            prev_end = end
+    except (KeyError, TypeError, ValueError):  # a missing field or dtype, an entry not an object
+        return None
+    return entries if prev_end == payload_size else None
+
+
 class CheckpointReader:
     """Validating random-access reader over one checkpoint container.
 
@@ -61,18 +96,26 @@ class CheckpointReader:
     loads every tensor and ``map_layers`` or ``partition_checkpoint`` take a
     reader as they take a dict.  Tensors are loaded one at a time from their
     byte ranges, so callers that stream layer-by-layer never hold the whole
-    payload in memory.
+    payload in memory.  Loading a small tensor reads and checks the run of
+    adjacent same-dtype tensors that opens with it (at most ``_RUN_BYTES``)
+    into one scratch buffer, from which it and the run's later tensors are
+    copied out.  Like the file it reads, a reader serves one thread at a
+    time.
     """
 
-    def __init__(self, source: str | Path | BinaryIO):
-        if isinstance(source, (str, Path)):
-            self._path = str(source)
+    def __init__(self, source: str | os.PathLike | BinaryIO):
+        if isinstance(source, (str, os.PathLike)):
+            self._path = os.fsdecode(source)
             self._fh: BinaryIO = open(source, "rb")
             self._owns_fh = True
         else:
             self._path = getattr(source, "name", "<buffer>")
             self._fh = source
             self._owns_fh = False
+        # The scratch buffer, and the run in it: its first byte, its bytes and
+        # whether all of them are finite.
+        self._scratch = memoryview(bytearray())
+        self._run: tuple[int, memoryview, bool] = (0, self._scratch, True)
         try:
             self._parse_header()
         except Exception:
@@ -125,15 +168,25 @@ class CheckpointReader:
 
         payload_size = file_size - _HEADER_LEN_BYTES - header_len
         self._payload_start = _HEADER_LEN_BYTES + header_len
-        # Name to (dtype, shape, begin, end), as a plain tuple: the collector
-        # stops tracking a tuple of untracked values once a collection has
-        # seen it (a NamedTuple or a dataclass instance it tracks for good),
-        # so a reader of many tensors adds nothing to each collection.
-        self._entries: dict[str, tuple[np.dtype, tuple[int, ...], int, int]] = {}
+        header.pop(_METADATA_KEY, None)
+        # Name to (dtype, shape, begin, end, index), as a plain tuple: the
+        # collector stops tracking a tuple of untracked values once a
+        # collection has seen it (a NamedTuple or a dataclass instance it
+        # tracks for good), so a reader of many tensors adds nothing to each
+        # collection.
+        self._entries = _lean_entries(header, payload_size)
+        if self._entries is None:
+            self._entries = self._checked_entries(header, payload_size)
+        # Per entry, in header order: its dtype and its end, to find runs.
+        self._dtypes = list(map(itemgetter(0), self._entries.values()))
+        self._ends = list(map(itemgetter(3), self._entries.values()))
+
+    def _checked_entries(self, header: dict, payload_size: int) -> dict:
+        """The entries of ``header``, checked one at a time: the error names
+        the first entry that fails."""
+        entries: dict[str, tuple[np.dtype, tuple[int, ...], int, int, int]] = {}
         prev_name, prev_end = None, 0
         for name, meta in header.items():
-            if name == _METADATA_KEY:
-                continue
             if not isinstance(meta, dict):
                 raise self._fail(f"tensor {name!r}: header entry must be an object")
             try:
@@ -173,12 +226,13 @@ class CheckpointReader:
                 raise self._fail(
                     f"tensor {name!r}: data_offsets leave a gap (begin {begin}, expected {prev_end})"
                 )
-            self._entries[name] = (dtype, shape, begin, end)
+            entries[name] = (dtype, shape, begin, end, len(entries))
             prev_name, prev_end = name, end
         if prev_end != payload_size:
             raise self._fail(
                 f"payload is {payload_size} bytes but data_offsets tile {prev_end} (truncated or trailing bytes)"
             )
+        return entries
 
     def keys(self):
         return self._entries.keys()
@@ -193,18 +247,47 @@ class CheckpointReader:
         return self.load(name)
 
     def load(self, name: str) -> np.ndarray:
-        dtype, shape, begin, end = self._entries[name]
-        self._fh.seek(self._payload_start + begin)
-        raw = self._fh.read(end - begin)
+        dtype, shape, begin, end, index = self._entries[name]
+        if end - begin <= _RUN_BYTES:
+            start, run, finite = self._run
+            if begin < start or end - start > len(run):
+                start, run, finite = self._run = self._read_run(index)
+            raw = run[begin - start : end - start].tobytes()
+        else:
+            self._fh.seek(self._payload_start + begin)
+            raw = self._fh.read(end - begin)
+            finite = False
         if len(raw) != end - begin:
             raise self._fail(f"tensor {name!r}: payload truncated")
         try:
             arr = np.frombuffer(raw, dtype=dtype).reshape(shape)
         except ValueError as exc:  # more dimensions or elements than numpy allows
             raise self._fail(f"tensor {name!r}: shape {list(shape)} is not loadable: {exc}") from exc
-        if arr.size and not np.isfinite(arr).all():
+        # A run with a non-finite value checks each tensor, so the error names
+        # the tensor asked for, and only when it is the one at fault.
+        if not finite and arr.size and not np.isfinite(arr).all():
             raise self._fail(f"tensor {name!r} contains non-finite values")
         return arr
+
+    def _read_run(self, index: int) -> tuple[int, memoryview, bool]:
+        """Read the run that opens with entry ``index`` into the scratch
+        buffer: the entries that follow it while their dtype is its dtype and
+        the run stays within ``_RUN_BYTES``.  Returns its first byte, the
+        bytes read and whether all of them are finite."""
+        dtypes, ends = self._dtypes, self._ends
+        dtype = dtypes[index]
+        begin = ends[index - 1] if index else 0
+        limit = begin + _RUN_BYTES
+        stop = index + 1
+        while stop < len(ends) and dtypes[stop] is dtype and ends[stop] <= limit:
+            stop += 1
+        size = ends[stop - 1] - begin
+        if len(self._scratch) < size:
+            self._scratch = memoryview(bytearray(_RUN_BYTES))
+        self._fh.seek(self._payload_start + begin)
+        got = self._fh.readinto(self._scratch[:size])
+        values = np.frombuffer(self._scratch, dtype, got // dtype.itemsize)
+        return begin, self._scratch[:got], bool(np.isfinite(values).all())
 
     def fingerprint(self) -> str:
         """SHA-256 of the whole file, read once more from its start."""
@@ -263,25 +346,29 @@ def read_csv_rows(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
 
 def canonical_header(tensor_map: NamedTensorMap) -> bytes:
     """The length prefix and header JSON that open a map's canonical byte
-    stream.  Only the names, dtypes and shapes of ``tensor_map`` are read."""
+    stream.  Only the names, dtypes and shapes of ``tensor_map`` are read.
+    The JSON is ``json.dumps(header, separators=(",", ":"),
+    ensure_ascii=False)``, written an entry at a time."""
     if not tensor_map:
         raise EmptyInputError("cannot serialize an empty tensor map")
     if _METADATA_KEY in tensor_map:
         raise CheckpointFormatError(
             f"tensor name {_METADATA_KEY!r} is reserved for the header metadata entry"
         )
-    header: dict[str, dict] = {}
+    entries = []
     offset = 0
     for name, arr in tensor_map.items():
         tag = _dtype_tag(arr, name)
-        size = arr.size * arr.dtype.itemsize
-        header[name] = {
-            "dtype": tag,
-            "shape": list(arr.shape),
-            "data_offsets": [offset, offset + size],
-        }
-        offset += size
-    header_bytes = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        end = offset + arr.size * arr.dtype.itemsize
+        shape = ",".join(map(str, arr.shape))
+        entries.append(f'{{"dtype":"{tag}","shape":[{shape}],"data_offsets":[{offset},{end}]}}')
+        offset = end
+    try:
+        keys = list(map(encode_basestring, tensor_map))
+    except TypeError:  # a name that is not a str: json's own key conversion, or its error
+        keys = [json.dumps({name: 0}, separators=(",", ":"), ensure_ascii=False)[1:-3]
+                for name in tensor_map]
+    header_bytes = ("{" + ",".join(map("{}:{}".format, keys, entries)) + "}").encode("utf-8")
     return struct.pack(_HEADER_LEN_FMT, len(header_bytes)) + header_bytes
 
 
@@ -290,12 +377,37 @@ def canonical_payload(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[_KIND_TO_TAG[arr.dtype.itemsize]])
 
 
+def _runs(tensor_map: NamedTensorMap) -> Iterator[list[tuple[str, np.ndarray]]]:
+    """The map's ``(name, array)`` pairs in map order, cut into runs: adjacent
+    arrays of one dtype and of at most ``_RUN_BYTES`` together share a run,
+    and any other tensor is a run of its own."""
+    run: list[tuple[str, np.ndarray]] = []
+    size = 0
+    for name, arr in tensor_map.items():
+        nbytes = arr.nbytes if isinstance(arr, np.ndarray) else _RUN_BYTES + 1
+        if run and (size + nbytes > _RUN_BYTES or arr.dtype != run[0][1].dtype):
+            yield run
+            run, size = [], 0
+        run.append((name, arr))
+        size += nbytes
+    if run:
+        yield run
+
+
+def _run_payload(run: list[tuple[str, np.ndarray]]) -> np.ndarray:
+    """The canonical bytes of a run's tensors, one after another."""
+    if len(run) == 1:
+        return canonical_payload(run[0][1])
+    return canonical_payload(np.concatenate([arr for _, arr in run], axis=None))
+
+
 def _iter_chunks(tensor_map: NamedTensorMap) -> Iterator[bytes | np.ndarray]:
-    """Yield the canonical byte stream of a map: the header, then each
-    tensor's payload as a contiguous array, whose buffer is written as it is."""
+    """Yield the canonical byte stream of a map: the header, then the
+    payload of each run as one contiguous array, whose buffer is written as
+    it is."""
     yield canonical_header(tensor_map)
-    for arr in tensor_map.values():
-        yield canonical_payload(arr)
+    for run in _runs(tensor_map):
+        yield _run_payload(run)
 
 
 def serialize_checkpoint(tensor_map: NamedTensorMap) -> bytes:
@@ -304,9 +416,9 @@ def serialize_checkpoint(tensor_map: NamedTensorMap) -> bytes:
 
 def fingerprint_map(tensor_map: NamedTensorMap) -> str:
     """SHA-256 of the canonical serialization, without materializing it."""
-    digest = hashlib.sha256(canonical_header(tensor_map))
-    for arr in tensor_map.values():
-        digest.update(canonical_payload(arr))
+    digest = hashlib.sha256()
+    for chunk in _iter_chunks(tensor_map):
+        digest.update(chunk)
     return digest.hexdigest()
 
 
@@ -328,14 +440,18 @@ def write_atomically(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> 
 
 def write_checkpoint(tensor_map: NamedTensorMap, path: str | Path) -> None:
     """Stream the canonical serialization to ``path`` atomically.  Like the
-    reader, refuses tensors with non-finite values.  Nothing is hashed:
-    ``fingerprint_map`` gives the digest of a map where one is used."""
-    for name, arr in tensor_map.items():
-        check_tensor(arr, name)
-        if arr.size and not np.isfinite(arr).all():
-            raise CheckpointFormatError(
-                f"{path}: tensor {name!r} contains non-finite values; refusing to write it"
-            )
+    reader, refuses tensors with non-finite values, naming the first in map
+    order; each run of small tensors is checked in one call.  Nothing is
+    hashed: ``fingerprint_map`` gives the digest of a map where one is used."""
+    for run in _runs(tensor_map):
+        check_tensor(run[0][1], run[0][0])  # a run shares one dtype
+        if len(run) > 1 and np.isfinite(_run_payload(run)).all():
+            continue
+        for name, arr in run:
+            if arr.size and not np.isfinite(arr).all():
+                raise CheckpointFormatError(
+                    f"{path}: tensor {name!r} contains non-finite values; refusing to write it"
+                )
     write_atomically(path, _iter_chunks(tensor_map))
 
 
@@ -361,10 +477,16 @@ def _check_pattern(pattern: str) -> str:
     return pattern
 
 
-def _matches(name: str, pattern: str) -> bool:
-    if pattern.endswith("*"):
-        return name.startswith(pattern[:-1])
-    return name == pattern
+def _pattern_table(patterns: tuple[str, ...]) -> tuple[frozenset[str], tuple[str, ...]]:
+    """The exact names and the prefixes (each ``*`` pattern without its ``*``)
+    of a pattern list."""
+    exact = frozenset(p for p in patterns if not p.endswith("*"))
+    return exact, tuple(p[:-1] for p in patterns if p.endswith("*"))
+
+
+def _matches(name: str, table: tuple[frozenset[str], tuple[str, ...]]) -> bool:
+    exact, prefixes = table
+    return name in exact or (bool(prefixes) and name.startswith(prefixes))
 
 
 @dataclass(frozen=True)
@@ -420,14 +542,20 @@ class PartitionSpec:
             out["replace"] = list(self.replace_patterns)
         return out
 
+    @cached_property
+    def _tables(self) -> tuple[tuple[frozenset[str], tuple[str, ...]], ...]:
+        """The shared, task-specific and replace lists as ``_pattern_table``s."""
+        patterns = (self.shared_patterns, self.task_specific_patterns, self.replace_patterns)
+        return tuple(map(_pattern_table, patterns))
+
     def is_shared(self, name: str) -> bool:
-        return any(_matches(name, p) for p in self.shared_patterns)
+        return _matches(name, self._tables[0])
 
     def is_task_specific(self, name: str) -> bool:
-        return any(_matches(name, p) for p in self.task_specific_patterns)
+        return _matches(name, self._tables[1])
 
     def is_replace(self, name: str) -> bool:
-        return any(_matches(name, p) for p in self.replace_patterns)
+        return _matches(name, self._tables[2])
 
 
 def load_partition_spec(path: str | Path) -> PartitionSpec:
@@ -440,9 +568,10 @@ def classify_names(names: Iterable[str], spec: PartitionSpec) -> tuple[list[str]
     task: list[str] = []
     unmatched: list[str] = []
     doubly: list[str] = []
+    shared_table, task_table, _ = spec._tables
     for name in names:
-        in_shared = spec.is_shared(name)
-        in_task = spec.is_task_specific(name)
+        in_shared = _matches(name, shared_table)
+        in_task = _matches(name, task_table)
         if in_shared and in_task:
             doubly.append(name)
         elif in_shared:

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
 import gc
+import io
 import json
+import os
+import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import duet.checkpoint as checkpoint
 from duet.checkpoint import (
     CheckpointReader,
     PartitionSpec,
@@ -23,7 +28,7 @@ from duet.checkpoint import (
     serialize_checkpoint,
     write_checkpoint,
 )
-from duet.errors import CheckpointFormatError, EmptyInputError, PartitionError
+from duet.errors import CheckpointFormatError, DuetError, EmptyInputError, PartitionError
 from duet.tensors import map_layers
 from tests.conftest import make_map
 
@@ -345,6 +350,26 @@ class TestHostileBytes:
     def test_any_header(self, header, payload):
         _parses_or_refuses(build_container(header, payload))
 
+    @given(
+        st.dictionaries(st.text(max_size=4), _HEADER_ENTRIES | _JSON_VALUES, max_size=4),
+        st.integers(min_value=0, max_value=64),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_lean_header_loop_accepts_only_what_the_checked_loop_accepts(self, header, size):
+        reader = CheckpointReader(io.BytesIO(build_container({}, b"")))
+        lean = checkpoint._lean_entries(header, size)
+        try:
+            checked = reader._checked_entries(header, size)
+        except CheckpointFormatError:
+            assert lean is None
+        else:
+            assert lean is None or lean == checked
+
+    def test_lean_header_loop_takes_a_valid_header(self):
+        entries = CheckpointReader(io.BytesIO(serialize_checkpoint(reference_map())))._entries
+        header = json.loads(canonical_header(reference_map())[8:])
+        assert checkpoint._lean_entries(header, 4 * 4 + 2 * 8 + 8) == entries
+
     @given(st.integers(min_value=1, max_value=100_000), st.sampled_from(["[", '{"a":']))
     @settings(max_examples=30, deadline=None)
     def test_any_nesting_depth(self, depth, opener):
@@ -386,6 +411,16 @@ class TestReaderMapping:
             gc.collect()  # untracks the shapes, then the next pass the entries that hold them
             gc.collect()
             assert not any(gc.is_tracked(entry) for entry in reader._entries.values())
+
+    def test_any_path_like_source_opens(self, written):
+        path, tensor_map = written
+        (entry,) = [e for e in os.scandir(path.parent) if e.name == path.name]
+        with CheckpointReader(entry) as reader:
+            assert list(reader) == list(tensor_map)
+        assert list(read_checkpoint(entry)) == list(tensor_map)
+        path.write_bytes(b"short")
+        with pytest.raises(CheckpointFormatError, match=f"^{re.escape(str(path))}: file too short"):
+            CheckpointReader(entry)
 
     def test_partition_and_map_layers_accept_a_reader(self, written):
         path, tensor_map = written
@@ -480,3 +515,216 @@ class TestPartition:
         path.write_text("[" * 100_000)
         with pytest.raises(CheckpointFormatError, match="malformed partition JSON"):
             load_partition_spec(path)
+
+
+def _per_tensor():
+    """Reads, checks and writes every tensor alone: the path runs must match."""
+    return mock.patch.object(checkpoint, "_RUN_BYTES", -1)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (DuetError, UnicodeError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+# Element counts around the run bound: 16384 float32 or 8192 float64 are 64 KiB.
+_RUN_SIZES = st.sampled_from([0, 1, 3, 200, 4095, 8191, 8192, 8193, 16383, 16384, 16385])
+_TENSOR_LAYOUTS = st.lists(
+    st.tuples(
+        st.sampled_from(["<f4", "<f8"]),
+        _RUN_SIZES | st.integers(min_value=0, max_value=40),
+        st.sampled_from(["flat", "matrix", "lone"]),  # "lone": 0-d for one element, else (n, 0)
+        st.none() | st.tuples(st.floats(0, 1, exclude_max=True),
+                              st.sampled_from([np.nan, np.inf, -np.inf])),
+    ),
+    min_size=1,
+    max_size=10,
+)
+
+
+def _tensor_map(layout, seed: int) -> dict:
+    """Named tensors of the layout; a tensor's optional (place, value) puts a
+    non-finite value there."""
+    rng = np.random.default_rng(seed)
+    out = {}
+    for i, (dtype, size, form, bad) in enumerate(layout):
+        shape = {"flat": (size,), "matrix": (1, size), "lone": () if size == 1 else (size, 0)}[form]
+        arr = rng.normal(size=shape).astype(dtype)
+        if bad and arr.size:
+            arr.reshape(-1)[int(bad[0] * arr.size)] = bad[1]
+        out[f"t{i}"] = arr
+    return out
+
+
+def _unchecked_container(tensor_map: dict) -> bytes:
+    return canonical_header(tensor_map) + b"".join(arr.tobytes() for arr in tensor_map.values())
+
+
+class TestRuns:
+    """Runs of small tensors give what the per-tensor path gives."""
+
+    @given(_TENSOR_LAYOUTS, st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_reads_match_the_per_tensor_path(self, layout, seed, data):
+        blob = _unchecked_container(_tensor_map(layout, seed))
+        names = [f"t{i}" for i in range(len(layout))]
+        order = data.draw(st.lists(st.sampled_from(names), max_size=2 * len(names)) | st.just(names))
+        cut = data.draw(st.none() | st.integers(0, len(blob)))
+
+        def loads():
+            fh = io.BytesIO(blob)
+            out = []
+            with CheckpointReader(fh) as reader:
+                if cut is not None:  # the file shrinks after its header was read
+                    fh.truncate(cut)
+                for name in order:
+                    arr = _outcome(lambda: reader.load(name))
+                    if isinstance(arr, np.ndarray):
+                        arr = (arr.dtype.str, arr.shape, arr.flags.writeable, arr.tobytes())
+                    out.append(arr)
+            return out
+
+        runs = loads()
+        with _per_tensor():
+            assert runs == loads()
+
+    def test_in_order_loads_read_each_run_once(self):
+        tensor_map = {f"t{i}": np.full(64, i, np.float32) for i in range(300)}  # 75 KiB
+        tensor_map["wide"] = np.zeros(3 * 8192)
+        reads = []
+
+        class Counting(io.BytesIO):
+            def read(self, size=-1):
+                reads.append(size)
+                return super().read(size)
+
+            def readinto(self, buffer):
+                reads.append(len(buffer))
+                return super().readinto(buffer)
+
+        with CheckpointReader(Counting(serialize_checkpoint(tensor_map))) as reader:
+            reads.clear()
+            loaded = dict(reader)
+        assert reads == [256 * 256, 44 * 256, 3 * 8192 * 8]  # two runs, then the wide tensor alone
+        assert all(loaded[name].tobytes() == arr.tobytes() for name, arr in tensor_map.items())
+
+    def test_a_bad_tensor_is_named_only_when_loaded(self):
+        tensor_map = {"a": np.ones(4, np.float32), "b": np.float32([1, np.nan]), "c": np.ones(2, np.float32)}
+        with CheckpointReader(io.BytesIO(_unchecked_container(tensor_map))) as reader:
+            assert reader["c"].tolist() == [1.0, 1.0]
+            assert reader["a"].tolist() == [1.0] * 4
+            with pytest.raises(CheckpointFormatError, match="^<buffer>: tensor 'b' contains non-finite"):
+                reader["b"]
+
+    def test_a_run_stops_where_the_dtype_changes(self):
+        # Read as float64, the float32 pair [1, nan] is a finite number.
+        tensor_map = {"a": np.ones(1), "b": np.float32([1, np.nan])}
+        with CheckpointReader(io.BytesIO(_unchecked_container(tensor_map))) as reader:
+            assert reader["a"].tolist() == [1.0]
+            with pytest.raises(CheckpointFormatError, match="tensor 'b' contains non-finite"):
+                reader["b"]
+
+    @given(_TENSOR_LAYOUTS, st.integers(0, 2**32 - 1), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_writes_match_the_per_tensor_path(self, layout, seed, data):
+        tensor_map = _tensor_map(layout, seed)
+        # Awkward arrays: a big-endian or a strided view, and a dtype the container refuses.
+        for name in data.draw(st.lists(st.sampled_from(list(tensor_map)), max_size=3)):
+            arr = tensor_map[name]
+            tensor_map[name] = data.draw(st.sampled_from([
+                arr.astype(arr.dtype.newbyteorder(">")),
+                np.stack([arr, arr], axis=-1)[..., 0],
+                arr.astype(np.float16),
+            ]))
+        path = f"/nonexistent-{seed}/m.safetensors"
+
+        def write():
+            written = []
+            with mock.patch.object(checkpoint, "write_atomically",
+                                   lambda _, chunks: written.append(b"".join(chunks))):
+                refusal = _outcome(lambda: write_checkpoint(tensor_map, path))
+            return (refusal, written, _outcome(lambda: serialize_checkpoint(tensor_map)),
+                    _outcome(lambda: fingerprint_map(tensor_map)))
+
+        runs = write()
+        with _per_tensor():
+            assert runs == write()
+
+    def test_write_names_the_first_non_finite_tensor_in_map_order(self, tmp_path):
+        tensor_map = {f"t{i}": np.ones(100, np.float32) for i in range(50)}
+        tensor_map["t7"][3] = np.inf
+        tensor_map["t30"][0] = np.nan
+        path = tmp_path / "m.safetensors"
+        with pytest.raises(CheckpointFormatError, match="tensor 't7' contains non-finite"):
+            write_checkpoint(tensor_map, path)
+        assert list(tmp_path.iterdir()) == []
+
+    @given(
+        st.lists(
+            st.text(st.characters(exclude_categories=()) | st.sampled_from('"\\\x00\x1f\x7f\ud800\udfff\u2028é'),
+                    max_size=6),
+            min_size=1,
+            max_size=6,
+            unique=True,
+        ),
+        st.lists(st.sampled_from([(), (0,), (3,), (2, 0), (2, 3)]), min_size=6, max_size=6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_header_is_the_json_encoders(self, names, shapes):
+        tensor_map = {name: np.zeros(shape, np.float32) for name, shape in zip(names, shapes)}
+
+        def reference():
+            header, offset = {}, 0
+            for name, arr in tensor_map.items():
+                header[name] = {"dtype": "F32", "shape": list(arr.shape),
+                                "data_offsets": [offset, offset + arr.nbytes]}
+                offset += arr.nbytes
+            text = json.dumps(header, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+            return struct.pack("<Q", len(text)) + text
+
+        assert _outcome(lambda: canonical_header(tensor_map)) == _outcome(reference)
+
+    def test_header_of_names_json_converts(self):
+        tensor_map = {1: np.zeros(2), 2.5: np.zeros(1), None: np.zeros(0), "b": np.zeros(1)}
+        assert canonical_header(tensor_map)[8:] == (
+            b'{"1":{"dtype":"F64","shape":[2],"data_offsets":[0,16]},'
+            b'"2.5":{"dtype":"F64","shape":[1],"data_offsets":[16,24]},'
+            b'"null":{"dtype":"F64","shape":[0],"data_offsets":[24,24]},'
+            b'"b":{"dtype":"F64","shape":[1],"data_offsets":[24,32]}}'
+        )
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            canonical_header({("a",): np.zeros(1)})
+
+    @given(
+        st.lists(st.text("ab.", max_size=3), max_size=12),
+        *[st.lists(st.tuples(st.text("ab.", max_size=2), st.booleans())
+                   .map(lambda p: p[0] + "*" if p[1] else p[0]).filter(bool), max_size=3)] * 3,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_classifier_matches_the_pattern_walk(self, names, shared, task, replace):
+        spec = PartitionSpec(tuple(shared), tuple(task), 0, tuple(replace))
+
+        def matches(name, patterns):
+            return any(name.startswith(p[:-1]) if p.endswith("*") else name == p for p in patterns)
+
+        def reference():
+            split = {(True, False): [], (False, True): [], (True, True): [], (False, False): []}
+            for name in names:
+                split[matches(name, shared), matches(name, task)].append(name)
+            problems = []
+            if split[True, True]:
+                problems.append(f"matched by both pattern lists: {split[True, True]}")
+            if split[False, False]:
+                problems.append(f"matched by neither pattern list: {split[False, False]}")
+            if problems:
+                raise PartitionError(
+                    "partition does not cover names exactly once; " + "; ".join(problems))
+            return split[True, False], split[False, True]
+
+        assert _outcome(lambda: classify_names(names, spec)) == _outcome(reference)
+        for name in names:
+            assert spec.is_shared(name) == matches(name, shared)
+            assert spec.is_task_specific(name) == matches(name, task)
+            assert spec.is_replace(name) == matches(name, replace)

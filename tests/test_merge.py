@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from unittest.mock import patch
 
 import numpy as np
@@ -541,6 +542,18 @@ class TestIncrementalSequence:
             finally:
                 for reader in readers:
                     reader.close()
+
+    def test_directory_entries_open_as_paths(self, simple_spec, rng, tmp_path):
+        base, fine = build_sequence_inputs(rng, 2, simple_spec)
+        for name, ckpt in zip(("base.st", "ft0.st", "ft1.st"), (base, *fine)):
+            write_checkpoint(ckpt, tmp_path / name)
+        entries = {entry.name: entry for entry in os.scandir(tmp_path)}
+        from_entries = iter_incremental_sequence(
+            entries["base.st"], [entries["ft0.st"], entries["ft1.st"]], simple_spec
+        )
+        for got, want in zip(from_entries, iter_incremental_sequence(base, fine, simple_spec)):
+            assert got.checkpoint.keys() == want.checkpoint.keys()
+            assert all(got.checkpoint[n].tobytes() == a.tobytes() for n, a in want.checkpoint.items())
 
     def test_task_with_other_shared_keys_closes_its_reader(
         self, simple_spec, rng, tmp_path, monkeypatch
