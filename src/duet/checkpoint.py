@@ -22,6 +22,7 @@ import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -52,40 +53,6 @@ _HEADER_FIELDS = itemgetter("dtype", "shape", "data_offsets")
 def _dtype_tag(arr: np.ndarray, name: str) -> str:
     check_tensor(arr, name)
     return _KIND_TO_TAG[arr.dtype.itemsize]
-
-
-def _nbytes(shape: tuple[int, ...], dtype: np.dtype) -> int:
-    n = 1
-    for extent in shape:
-        n *= extent
-    return n * dtype.itemsize
-
-
-def _lean_entries(header: dict, payload_size: int) -> dict | None:
-    """The reader's entries of ``header`` when it passes every check of
-    ``CheckpointReader._checked_entries``, in a leaner loop; ``None`` when any
-    check fails, for that loop to name the entry."""
-    entries = {}
-    prev_end = 0
-    try:
-        for name, (tag, shape, (begin, end)) in zip(header, map(_HEADER_FIELDS, header.values())):
-            dtype = _TAG_TO_DTYPE[tag]
-            # type(x) is int: JSON true/false are bools, an int subclass.  A
-            # begin and an end that are ints can only come from a list.
-            if type(shape) is not list or type(begin) is not int or type(end) is not int:
-                return None
-            size = dtype.itemsize
-            for extent in shape:
-                if type(extent) is not int or extent < 0:
-                    return None
-                size *= extent
-            if begin != prev_end or end - begin != size:
-                return None
-            entries[name] = (dtype, tuple(shape), begin, end, len(entries))
-            prev_end = end
-    except (KeyError, TypeError, ValueError):  # a missing field or dtype, an entry not an object
-        return None
-    return entries if prev_end == payload_size else None
 
 
 class CheckpointReader:
@@ -173,66 +140,67 @@ class CheckpointReader:
         # collector stops tracking a tuple of untracked values once a
         # collection has seen it (a NamedTuple or a dataclass instance it
         # tracks for good), so a reader of many tensors adds nothing to each
-        # collection.
-        self._entries = _lean_entries(header, payload_size)
-        if self._entries is None:
-            self._entries = self._checked_entries(header, payload_size)
-        # Per entry, in header order: its dtype and its end, to find runs.
-        self._dtypes = list(map(itemgetter(0), self._entries.values()))
-        self._ends = list(map(itemgetter(3), self._entries.values()))
-
-    def _checked_entries(self, header: dict, payload_size: int) -> dict:
-        """The entries of ``header``, checked one at a time: the error names
-        the first entry that fails."""
+        # collection.  The error names the first entry that fails a check.
         entries: dict[str, tuple[np.dtype, tuple[int, ...], int, int, int]] = {}
         prev_name, prev_end = None, 0
         for name, meta in header.items():
-            if not isinstance(meta, dict):
-                raise self._fail(f"tensor {name!r}: header entry must be an object")
             try:
-                tag = meta["dtype"]
-                shape_raw = meta["shape"]
-                offsets = meta["data_offsets"]
+                tag, shape, offsets = _HEADER_FIELDS(meta)
+            except TypeError:  # a JSON array, string, number or null
+                raise self._fail(f"tensor {name!r}: header entry must be an object") from None
             except KeyError as exc:
                 raise self._fail(f"tensor {name!r}: missing header field {exc.args[0]!r}") from exc
-            if not isinstance(tag, str) or tag not in _TAG_TO_DTYPE:
-                raise self._fail(f"tensor {name!r}: unknown dtype {tag!r} (expected F32 or F64)")
-            # bool is an int subclass, so JSON true/false would pass isinstance(x, int)
-            if not isinstance(shape_raw, list) or any(
-                type(extent) is not int or extent < 0 for extent in shape_raw
-            ):
+            try:
+                dtype = _TAG_TO_DTYPE[tag]
+            except (KeyError, TypeError):  # TypeError: an array or an object
+                raise self._fail(
+                    f"tensor {name!r}: unknown dtype {tag!r} (expected F32 or F64)"
+                ) from None
+            # type(x) is int: JSON true/false are bools, an int subclass.
+            if type(shape) is not list:
                 raise self._fail(f"tensor {name!r}: shape must be a list of non-negative integers")
+            size = dtype.itemsize
+            for extent in shape:
+                if type(extent) is not int or extent < 0:
+                    raise self._fail(
+                        f"tensor {name!r}: shape must be a list of non-negative integers"
+                    )
+                size *= extent
             if (
-                not isinstance(offsets, list)
+                type(offsets) is not list
                 or len(offsets) != 2
-                or any(type(off) is not int for off in offsets)
+                or type(offsets[0]) is not int
+                or type(offsets[1]) is not int
             ):
                 raise self._fail(f"tensor {name!r}: data_offsets must be [begin, end]")
             begin, end = offsets
-            dtype = _TAG_TO_DTYPE[tag]
-            shape = tuple(shape_raw)
-            if begin < 0 or end < begin:
-                raise self._fail(f"tensor {name!r}: invalid data_offsets [{begin}, {end})")
-            if end - begin != _nbytes(shape, dtype):
-                raise self._fail(
-                    f"tensor {name!r}: data_offsets span {end - begin} bytes but "
-                    f"shape {list(shape)} x {tag} needs {_nbytes(shape, dtype)}"
-                )
-            if begin < prev_end:
-                raise self._fail(
-                    f"tensors {prev_name!r} and {name!r} have overlapping data_offsets"
-                )
-            if begin != prev_end:
+            # prev_end >= 0 and size >= 0, so an entry that starts at
+            # prev_end and spans size bytes passes every check below.
+            if begin != prev_end or end - begin != size:
+                if begin < 0 or end < begin:
+                    raise self._fail(f"tensor {name!r}: invalid data_offsets [{begin}, {end})")
+                if end - begin != size:
+                    raise self._fail(
+                        f"tensor {name!r}: data_offsets span {end - begin} bytes but "
+                        f"shape {shape} x {tag} needs {size}"
+                    )
+                if begin < prev_end:
+                    raise self._fail(
+                        f"tensors {prev_name!r} and {name!r} have overlapping data_offsets"
+                    )
                 raise self._fail(
                     f"tensor {name!r}: data_offsets leave a gap (begin {begin}, expected {prev_end})"
                 )
-            entries[name] = (dtype, shape, begin, end, len(entries))
+            entries[name] = (dtype, tuple(shape), begin, end, len(entries))
             prev_name, prev_end = name, end
         if prev_end != payload_size:
             raise self._fail(
                 f"payload is {payload_size} bytes but data_offsets tile {prev_end} (truncated or trailing bytes)"
             )
-        return entries
+        self._entries = entries
+        # Per entry, in header order: its dtype and its end, to find runs.
+        self._dtypes = list(map(itemgetter(0), entries.values()))
+        self._ends = list(map(itemgetter(3), entries.values()))
 
     def keys(self):
         return self._entries.keys()
@@ -438,21 +406,27 @@ def write_atomically(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> 
         raise
 
 
+def _checked_payloads(tensor_map: NamedTensorMap, path: str | Path) -> Iterator[np.ndarray]:
+    """The payload of each run, checked just before it is yielded: a run with
+    a non-finite value raises, naming its first non-finite tensor."""
+    for run in _runs(tensor_map):
+        payload = _run_payload(run)
+        if not np.isfinite(payload).all():
+            name = next(name for name, arr in run if not np.isfinite(arr).all())
+            raise CheckpointFormatError(
+                f"{path}: tensor {name!r} contains non-finite values; refusing to write it"
+            )
+        yield payload
+
+
 def write_checkpoint(tensor_map: NamedTensorMap, path: str | Path) -> None:
     """Stream the canonical serialization to ``path`` atomically.  Like the
     reader, refuses tensors with non-finite values, naming the first in map
-    order; each run of small tensors is checked in one call.  Nothing is
-    hashed: ``fingerprint_map`` gives the digest of a map where one is used."""
-    for run in _runs(tensor_map):
-        check_tensor(run[0][1], run[0][0])  # a run shares one dtype
-        if len(run) > 1 and np.isfinite(_run_payload(run)).all():
-            continue
-        for name, arr in run:
-            if arr.size and not np.isfinite(arr).all():
-                raise CheckpointFormatError(
-                    f"{path}: tensor {name!r} contains non-finite values; refusing to write it"
-                )
-    write_atomically(path, _iter_chunks(tensor_map))
+    order; each run is checked as it is written, and a refusal leaves
+    ``path`` as it was.  Nothing is hashed: ``fingerprint_map`` gives the
+    digest of a map where one is used."""
+    header = canonical_header(tensor_map)  # checks every name and dtype first
+    write_atomically(path, chain([header], _checked_payloads(tensor_map, path)))
 
 
 def read_checkpoint(path: str | Path) -> NamedTensorMap:

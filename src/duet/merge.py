@@ -212,8 +212,8 @@ def _layer_coefficients(
     name: str, tau_old_l: np.ndarray, tau_curr_l: np.ndarray, config: MergeConfig
 ) -> tuple[LayerMergeRecord, list[str], TensorSignConflicts]:
     """One layer's record and warnings, from the L1 norms of both deltas and
-    of their float64 sum, and its sign counts."""
-    _check_layer_pair(name, tau_old_l, tau_curr_l)
+    of their float64 sum, and its sign counts.  The caller has checked that
+    the two deltas share a shape and a dtype."""
     # The size test inline, as in the kernels.
     if tau_old_l.size > _BLOCK and _blocked(tau_old_l, tau_curr_l):
         *norms, signs = _layer_statistics_blocks(tau_old_l, tau_curr_l)
@@ -399,6 +399,13 @@ def _merge_layers(
             _check_layer_pair(name, layers[1], layers[2])
         return layers
 
+    def fetch_alone(name: str) -> list:
+        # Checked here, not in a worker, so the first fault in base order
+        # raises at any thread count.
+        args = _layer_args("duet_merge", maps, name)
+        _check_layer_pair(name, args[2], args[3])
+        return args
+
     def merge_one(name, base_l, old_l, curr_l) -> tuple:
         record, warnings, signs = _layer_coefficients(name, old_l, curr_l, config)
         terms = ((1.0, base_l), (record.alpha, old_l), (record.beta, curr_l))
@@ -427,7 +434,7 @@ def _merge_layers(
     def calls():
         for unit in _windows(base_shared):
             if isinstance(unit, str):
-                yield unit, partial(merge_alone, *_layer_args("duet_merge", maps, unit))
+                yield unit, partial(merge_alone, *fetch_alone(unit))
             else:
                 yield unit, partial(merge_window, unit, [fetch_raw(name) for name in unit])
 
@@ -603,6 +610,7 @@ def iter_incremental_sequence(
             base_fingerprint = fingerprint_map(base)
         base_shared_names, _ = classify_names(base, spec)
         base_shared = {name: base[name] for name in base_shared_names}
+    del base  # a reader opened here is closed; its entry table is not kept
     # The header both task vectors of every merge open with, built once.  A
     # map it refuses (an empty one) is refused before task 1 is out.
     shared_header = canonical_header(base_shared)

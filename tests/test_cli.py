@@ -528,6 +528,30 @@ class TestCliContract:
         assert "dtype mismatch float64 vs float32" in json.loads(err)["error"]["message"]
         assert not (tmp_path / "tv").exists()
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_merge_error_does_not_depend_on_threads(self, capsys, tmp_path, threads):
+        from duet.checkpoint import write_checkpoint
+        from duet.task_vectors import TaskVector, save_task_vector
+
+        # An f32 and an f64 bundle: "a" (merged alone) fails before the window holding "b".
+        base = tmp_path / "base.st"
+        write_checkpoint({"a": np.zeros(40_000, np.float32), "b": np.zeros(3, np.float32)}, base)
+        bundles = {
+            "old": {"a": np.ones(40_000, np.float32), "b": np.ones(3, np.float32)},
+            "curr": {"a": np.ones(40_000), "b": np.ones(4)},
+        }
+        for label, deltas in bundles.items():
+            save_task_vector(TaskVector(deltas, base_fingerprint(base), label), tmp_path / label)
+        code, _, err = run_cli(capsys, ["merge", "duet", base, "--old", tmp_path / "old",
+                                        "--curr", tmp_path / "curr", "-o", tmp_path / "m.st",
+                                        "--threads", threads])
+        assert code == 1
+        assert json.loads(err)["error"] == {
+            "type": "DTypeError",
+            "message": "tensor 'a': dtype mismatch float32 vs float64",
+        }
+        assert not (tmp_path / "m.st").exists()
+
     def test_bad_partition_json_exits_2(self, capsys, trio, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{broken")

@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
+import weakref
 from unittest.mock import patch
 
 import numpy as np
@@ -583,6 +585,23 @@ class TestIncrementalSequence:
         assert len(opened) == 3
         assert all(reader.was_closed for reader in opened)
 
+    def test_the_base_reader_is_not_kept(self, simple_spec, rng, tmp_path, monkeypatch):
+        base, fine = build_sequence_inputs(rng, 2, simple_spec)
+        write_checkpoint(base, tmp_path / "base.st")
+        opened = []
+
+        class RecordingReader(CheckpointReader):
+            def __init__(self, source):
+                super().__init__(source)
+                opened.append(weakref.ref(self))
+
+        monkeypatch.setattr(duet.merge, "CheckpointReader", RecordingReader)
+        steps = iter_incremental_sequence(tmp_path / "base.st", fine, simple_spec)
+        next(steps)
+        gc.collect()
+        assert len(opened) == 1 and opened[0]() is None
+        assert next(steps).report is not None
+
     def test_mismatched_shared_keys_rejected(self, simple_spec, rng):
         base, fine = build_sequence_inputs(rng, 1, simple_spec)
         del fine[0]["neck.w"]
@@ -803,6 +822,16 @@ class TestWindowedMerge:
         with patch.object(duet.merge, "_windows", _per_layer):
             assert raised() == windowed
         assert windowed[0] is error and repr(layer) in windowed[1]
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_large_layer_fault_raises_before_a_later_window(self, threads):
+        # "a" is merged alone, "b" in a window after it: each fault is found
+        # on the consuming thread, so the first in base order raises.
+        base = {"a": np.zeros(40_000, np.float32), "b": np.zeros(3, np.float32)}
+        old = {"a": np.ones(40_000, np.float32), "b": np.ones(3, np.float32)}
+        curr = {"a": np.ones(40_000), "b": np.ones(4, np.float32)}
+        with pytest.raises(DTypeError, match="^tensor 'a': dtype mismatch float32 vs float64$"):
+            duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
 
 
 # -- the fused statistics walk against the separate kernels -----------------
