@@ -550,8 +550,6 @@ def main(argv: list[str] | None = None) -> int:
     except (DuetError, ValueError) as exc:
         _emit_error(args, exc)
         return 1
-    except SystemExit as exc:
-        return int(exc.code or 0)
 
 
 if __name__ == "__main__":

@@ -68,10 +68,17 @@ def layer_sign_conflicts(left: np.ndarray, right: np.ndarray) -> TensorSignConfl
     # The size test inline: small calls skip a call.
     if left.size > _BLOCK and _blocked(left, right):
         return _layer_sign_conflicts_blocks(left, right)
+    comparable, conflicts = _sign_count_rows(left, right)
+    return TensorSignConflicts(conflicts=int(conflicts), comparable=int(comparable))
+
+
+def _sign_count_rows(left: np.ndarray, right: np.ndarray, axis=None) -> tuple:
+    """``(comparable, conflicts)`` of a pair, whole or, with numpy's
+    reduction ``axis``, per row of stacked layers."""
     nonzero = (left != 0) & (right != 0)
-    comparable = int(np.count_nonzero(nonzero))
-    conflicts = int(np.count_nonzero(nonzero & (np.sign(left) != np.sign(right))))
-    return TensorSignConflicts(conflicts=conflicts, comparable=comparable)
+    comparable = np.count_nonzero(nonzero, axis=axis)
+    nonzero &= np.sign(left) != np.sign(right)
+    return comparable, np.count_nonzero(nonzero, axis=axis)
 
 
 def _sign_scratch(left: np.ndarray, right: np.ndarray) -> tuple:

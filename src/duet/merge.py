@@ -42,9 +42,9 @@ from .checkpoint import (
 from .diagnostics import (
     SignConflictReport,
     TensorSignConflicts,
+    _sign_count_rows,
     _sign_counts,
     _sign_scratch,
-    layer_sign_conflicts,
 )
 from .errors import (
     AxisError,
@@ -58,7 +58,6 @@ from .tensors import (
     _BLOCK,
     NamedTensorMap,
     _abs_sum,
-    _blocked,
     _blockwise,
     _layer_args,
     _walk,
@@ -208,27 +207,11 @@ class MergeReport:
         return rows
 
 
-def _layer_coefficients(
-    name: str, tau_old_l: np.ndarray, tau_curr_l: np.ndarray, config: MergeConfig
-) -> tuple[LayerMergeRecord, list[str], TensorSignConflicts]:
-    """One layer's record and warnings, from the L1 norms of both deltas and
-    of their float64 sum, and its sign counts.  The caller has checked that
-    the two deltas share a shape and a dtype."""
-    # The size test inline, as in the kernels.
-    if tau_old_l.size > _BLOCK and _blocked(tau_old_l, tau_curr_l):
-        *norms, signs = _layer_statistics_blocks(tau_old_l, tau_curr_l)
-    else:
-        # np.asarray: the sum of a 0-d pair is a numpy scalar.
-        norm_sum = l1_norm(np.asarray(np.add(tau_old_l, tau_curr_l, dtype=np.float64)))
-        norms = (l1_norm(tau_old_l), l1_norm(tau_curr_l), norm_sum)
-        signs = layer_sign_conflicts(tau_old_l, tau_curr_l)
-    return (*_coefficients(name, *norms, config), signs)
-
-
 def _layer_statistics_blocks(old: np.ndarray, curr: np.ndarray) -> tuple:
-    """The three norms and the sign counts of :func:`_layer_coefficients` in
-    one blocked walk: a block's L1 leaves over ``old``, ``curr`` and their
-    float64 sum share one float64 scratch block, beside the sign-count leaf.
+    """A large layer's statistics: the L1 norms of its row-major deltas and
+    of their float64 sum, and its sign counts, in one blocked walk.  A
+    block's L1 leaves over ``old``, ``curr`` and their float64 sum share one
+    float64 scratch block, beside the sign-count leaf.
     The walk adds the five block results up numpy's pairwise tree, so each
     norm has the bits of :func:`l1_norm`; the counts, added as float64, are
     exact below 2**53 elements."""
@@ -317,32 +300,23 @@ def _windows(layout: NamedTensorMap) -> Iterator[str | list[str]]:
         yield window
 
 
-def _deltas(name: str, subtract: list[bool], base, old, curr) -> list:
-    """The two deltas from a window's fetched layers: a :class:`_Deltas`
-    vector's loaded layer is subtracted from the base here."""
-    return [_subtract(name, x, base) if raw else x for x, raw in zip((old, curr), subtract)]
-
-
 def _merge_group(
-    names: list[str], layers: list[list[np.ndarray]], subtract: list[bool], config: MergeConfig
+    names: list[str], layers: list[list[np.ndarray]], subtract: bool, config: MergeConfig
 ) -> list[tuple]:
-    """Merge layers of one shape and one dtype triple as rows of stacked
-    matrices, with the bits of the per-layer kernels.
+    """Merge small layers of one shape and one dtype triple, one or many, as
+    rows of stacked row-major matrices.  With ``subtract`` the fetched
+    layers are models, and the deltas are taken here from the base.
 
     Every step is elementwise except the norms, and a row sum of a
     C-contiguous float64 matrix is numpy's pairwise sum of that row, the
-    sum :func:`l1_norm` takes of the layer alone.
+    sum :func:`l1_norm` takes of the layer alone, row-major.
     """
     shape, size = layers[0][0].shape, layers[0][0].size
     base, old, curr = (np.array(column).reshape(len(names), size) for column in zip(*layers))
-    old, curr = _deltas(names[0], subtract, base, old, curr)
-    f64 = np.float64
-    norms = [np.sum(np.abs(x.astype(f64, copy=False)), axis=1, dtype=f64) for x in (old, curr)]
-    norms.append(np.sum(np.abs(np.add(old, curr, dtype=f64)), axis=1, dtype=f64))
-    nonzero = (old != 0) & (curr != 0)
-    comparable = np.count_nonzero(nonzero, axis=1).tolist()
-    nonzero &= np.sign(old) != np.sign(curr)
-    conflicts = np.count_nonzero(nonzero, axis=1).tolist()
+    if subtract:
+        old, curr = (_subtract(names[0], x, base) for x in (old, curr))
+    norms = [l1_norm(x, axis=1) for x in (old, curr, np.add(old, curr, dtype=np.float64))]
+    comparable, conflicts = (counts.tolist() for counts in _sign_count_rows(old, curr, axis=1))
     coefficients = [
         _coefficients(name, *row, config)
         for name, row in zip(names, zip(*(n.tolist() for n in norms)))
@@ -378,23 +352,22 @@ def _merge_layers(
     walks: one for its norms and sign counts, one for :func:`combine`.  The
     consuming thread only fetches its deltas (a :class:`_Deltas` vector
     subtracts there) and hashes them.  The others are walked in windows
-    (:func:`_windows`): a window's layers of one shape and dtypes are merged
-    as one stacked group (:func:`_merge_group`), and a layer with no such
-    partner alone.
+    (:func:`_windows`): a window's layers of one shape and dtypes, one or
+    many, are merged as one stacked group (:func:`_merge_group`).
     """
     maps = {"base": base_shared, "tau_old": tau_old, "tau_curr": tau_curr}
     check_aligned("duet_merge", maps)
     vectors = (tau_old, tau_curr)
-    subtract = [isinstance(v, _Deltas) for v in vectors]
+    # Both vectors are _Deltas (a sequence step) or both are maps (duet_merge).
+    subtract = isinstance(tau_old, _Deltas)
     # A window fetches a _Deltas vector's loaded layers, to subtract them as a group.
-    lookups = [base_shared.__getitem__, *(v.raw if raw else v.__getitem__
-                                          for v, raw in zip(vectors, subtract))]
+    lookups = [base_shared.__getitem__, *(v.raw if subtract else v.__getitem__ for v in vectors)]
 
     def fetch_raw(name: str) -> list:
-        # The checks of the per-layer path, in its order.  A _Deltas vector's
-        # layer was checked against the base, so two of them need no more.
+        # The checks of fetch_alone, in its order.  A _Deltas vector's layer
+        # was checked against the base, so two of them need no more.
         layers = [lookup(name) for lookup in lookups]
-        if not all(subtract):
+        if not subtract:
             check_shapes("duet_merge", maps, name, layers)
             _check_layer_pair(name, layers[1], layers[2])
         return layers
@@ -406,13 +379,14 @@ def _merge_layers(
         _check_layer_pair(name, args[2], args[3])
         return args
 
-    def merge_one(name, base_l, old_l, curr_l) -> tuple:
-        record, warnings, signs = _layer_coefficients(name, old_l, curr_l, config)
+    def merge_alone(name, base_l, old_l, curr_l) -> deque:
+        # The blocked walk takes flat slices: a library caller's column-major
+        # or strided pair is summed row-major, as a small layer's rows are.
+        old_l, curr_l = np.ascontiguousarray(old_l), np.ascontiguousarray(curr_l)
+        *norms, signs = _layer_statistics_blocks(old_l, curr_l)
+        record, warnings = _coefficients(name, *norms, config)
         terms = ((1.0, base_l), (record.alpha, old_l), (record.beta, curr_l))
-        return name, record, combine(terms, base_l.dtype), warnings, old_l, curr_l, signs
-
-    def merge_alone(*args) -> deque:
-        return deque([merge_one(*args)])
+        return deque([(name, record, combine(terms, base_l.dtype), warnings, old_l, curr_l, signs)])
 
     def merge_window(names: list[str], layers: list[list[np.ndarray]]) -> deque:
         groups: dict[tuple, list[int]] = {}
@@ -420,11 +394,6 @@ def _merge_layers(
             groups.setdefault((base_l.shape, base_l.dtype, old_l.dtype, curr_l.dtype), []).append(i)
         entries: list = [None] * len(names)
         for members in groups.values():
-            if len(members) == 1:
-                (i,) = members
-                old_l, curr_l = _deltas(names[i], subtract, *layers[i])
-                entries[i] = merge_one(names[i], layers[i][0], old_l, curr_l)
-                continue
             group = _merge_group([names[i] for i in members], [layers[i] for i in members],
                                  subtract, config)
             for i, entry in zip(members, group):

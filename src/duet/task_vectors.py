@@ -29,9 +29,6 @@ class TaskVector:
     base_fingerprint: str
     label: str = ""
 
-    def keys(self):
-        return self.deltas.keys()
-
 
 def _check_bases(op: str, base_fingerprint: str, *vectors: TaskVector):
     for vector in vectors:

@@ -150,14 +150,12 @@ def _abs_sum(block: np.ndarray, scratch: np.ndarray) -> np.float64:
     return np.sum(np.abs(block, out=scratch))
 
 
-def l1_norm(x: np.ndarray) -> float:
-    """Sum of absolute values, accumulated in float64 in a fixed reduction order."""
+def l1_norm(x: np.ndarray, axis=None):
+    """Sum of absolute values, accumulated in float64 in a fixed reduction
+    order: a float, or with numpy's reduction ``axis`` a float64 array."""
     check_tensor(x)
-    if x.size > _BLOCK and _blocked(x):  # the size test inline, as in combine
-        flat = x.reshape(-1)
-        leaf = lambda lo, hi, block: _abs_sum(flat[lo:hi], block)
-        return float(_blockwise(flat.size, leaf, np.float64))
-    return float(np.sum(np.abs(x.astype(np.float64, copy=False)), dtype=np.float64))
+    norms = np.sum(np.abs(x.astype(np.float64, copy=False)), axis=axis, dtype=np.float64)
+    return float(norms) if axis is None else norms
 
 
 def inner_product(x: np.ndarray, y: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import duet
 import duet.errors
-from duet.checkpoint import CheckpointReader, read_checkpoint
+from duet.checkpoint import CheckpointReader, read_checkpoint, write_checkpoint
 from duet.cli import main
 from duet.fixtures import materialize_trio, protocol_path, records_path
 from duet.task_vectors import load_task_vector
@@ -34,6 +35,11 @@ def run_cli(capsys, argv: list[str]):
     code = main([str(a) for a in argv])
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def csv_rows(path) -> list[list[str]]:
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
 
 
 def make_task_vector(capsys, trio, source, out_dir, label):
@@ -220,6 +226,26 @@ class TestMergeCommand:
         code, _, err = run_cli(capsys, ["merge"])
         assert code == 1
 
+    def test_csv_report_has_the_json_report_values(self, capsys, trio, tmp_path):
+        tv_old = make_task_vector(capsys, trio, trio["task1"], tmp_path / "a", "old")
+        tv_curr = make_task_vector(capsys, trio, trio["task2"], tmp_path / "b", "curr")
+        merge = ["merge", "duet", trio["base"], "--old", tv_old, "--curr", tv_curr,
+                 "-o", tmp_path / "m.st"]
+        for fmt in ("json", "csv"):
+            code, _, err = run_cli(capsys, [*merge, "--report", tmp_path / f"r.{fmt}",
+                                            "--format", fmt])
+            assert code == 0, err
+        layers = json.loads((tmp_path / "r.json").read_text())["layers"]
+        header, *rows = csv_rows(tmp_path / "r.csv")
+        assert header == ["layer_name", "p", "delta", "alpha", "beta", "norm_old", "norm_curr",
+                          "norm_sum"]
+        assert [row[0] for row in rows] == [
+            "backbone.conv1.weight", "backbone.conv1.bias", "neck.fuse.weight"
+        ]
+        assert [[row[0], *map(float, row[1:])] for row in rows] == [
+            [layer[column] for column in header] for layer in layers
+        ]
+
 
 class TestHeadConcatCommand:
     def test_concatenates_head_blocks(self, capsys, trio, tmp_path):
@@ -246,6 +272,18 @@ class TestHeadConcatCommand:
         np.testing.assert_array_equal(head["head.cls.weight"][:3], task2["head.cls.weight"])
         # stem is flagged replace in the fixture manifest: taken from current
         np.testing.assert_array_equal(head["head.stem.weight"], task2["head.stem.weight"])
+
+    def test_mixed_head_dtypes_are_a_dtype_error(self, capsys, trio, tmp_path):
+        curr = read_checkpoint(trio["task2"])
+        curr["head.cls.weight"] = curr["head.cls.weight"].astype(np.float64)
+        write_checkpoint(curr, tmp_path / "curr.st")
+        code, out, err = run_cli(capsys, ["head-concat", trio["task1"], tmp_path / "curr.st",
+                                          "--partition", trio["partition"], "-o", tmp_path / "h.st"])
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "DTypeError"
+        assert error["message"] == "tensor 'head.cls.weight': dtype mismatch float32 vs float64"
+        assert not (tmp_path / "h.st").exists()
 
     def test_prev_first_order(self, capsys, trio, tmp_path):
         out_path = tmp_path / "head.st"
@@ -397,6 +435,18 @@ class TestDiagnoseCommand:
         assert lines[0] == "tensor,conflicts,comparable,fraction"
         assert lines[-1].startswith("TOTAL,")
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_signs_output_file_holds_the_printed_report(self, capsys, trio, tmp_path, fmt):
+        tv_old = make_task_vector(capsys, trio, trio["task1"], tmp_path / "a", "old")
+        tv_curr = make_task_vector(capsys, trio, trio["task2"], tmp_path / "b", "curr")
+        signs = ["diagnose", "signs", "--old", tv_old, "--curr", tv_curr, "--format", fmt]
+        code, printed, err = run_cli(capsys, signs)
+        assert code == 0, err
+        code, out, err = run_cli(capsys, [*signs, "-o", tmp_path / "signs.out"])
+        assert code == 0, err
+        assert out == ""
+        assert (tmp_path / "signs.out").read_text() == printed
+
     def test_distance(self, capsys, trio, tmp_path):
         code, out, err = run_cli(
             capsys,
@@ -452,6 +502,24 @@ class TestMetricsCommand:
         assert code == 0
         payload = json.loads(out_path.read_text())
         assert payload["avg_ri"] == pytest.approx(66.80, abs=0.02)
+
+    def test_csv_report_has_the_json_report_values(self, capsys, tmp_path):
+        metrics = ["metrics", "--protocol", protocol_path(), "--records", records_path("duet")]
+        for fmt in ("json", "csv"):
+            code, _, err = run_cli(capsys, [*metrics, "-o", tmp_path / f"m.{fmt}", "--format", fmt])
+            assert code == 0, err
+        report = json.loads((tmp_path / "m.json").read_text())
+        header, *rows = csv_rows(tmp_path / "m.csv")
+        assert header == ["section", "domain", "class_lo", "class_hi", "task_id", "value"]
+        expected = [
+            ["ri", entry["domain"], *map(str, entry["classes"]), "", entry["ri"]]
+            for entry in report["retention"]
+        ] + [
+            ["gi", entry["domain"], *map(str, entry["classes"]), str(entry["task_id"]), entry["gi"]]
+            for entry in report["generalization"]
+        ] + [[name, "", "", "", "", report[name]] for name in ("avg_ri", "avg_gi", "rai")]
+        assert report["retention"] and report["generalization"]
+        assert [[*row[:5], float(row[5])] for row in rows] == expected
 
     def test_missing_records_file_is_io_error(self, capsys, tmp_path):
         code, _, err = run_cli(

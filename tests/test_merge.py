@@ -21,7 +21,12 @@ from duet.checkpoint import (
     partition_checkpoint,
     write_checkpoint,
 )
-from duet.diagnostics import SignConflictReport, TensorSignConflicts, sign_conflicts
+from duet.diagnostics import (
+    SignConflictReport,
+    TensorSignConflicts,
+    layer_sign_conflicts,
+    sign_conflicts,
+)
 from duet.errors import (
     AxisError,
     BaseMismatchError,
@@ -45,6 +50,7 @@ from duet.merge import (
 )
 from duet.metrics import rai
 from duet.task_vectors import TaskVector, compute_task_vector
+from duet.tensors import l1_norm
 from tests.conftest import make_map
 from tests.test_tensors import BLOCK_EDGE_LENGTHS, spread_values, with_warning_kinds
 
@@ -703,8 +709,27 @@ _DTYPES = ((np.float32, np.float32), (np.float64, np.float64), (np.float32, np.f
 
 
 def _per_layer(layout):
-    """Every layer as its own unit: the per-layer path of ``_merge_layers``."""
-    return iter(list(layout))
+    """Every layer as its own unit: a large layer alone, a small one as a
+    window of one."""
+    return iter([name if layout[name].size > 32768 else [name] for name in layout])
+
+
+def _alone_statistics(old: np.ndarray, curr: np.ndarray) -> list:
+    """What ``l1_norm`` and ``layer_sign_conflicts`` give of a row-major layer alone."""
+    old, curr = np.ascontiguousarray(old), np.ascontiguousarray(curr)
+    with np.errstate(over="ignore"):  # huge f64 layers: infinite norms, as in the merge
+        norms = (l1_norm(old), l1_norm(curr), l1_norm(np.add(old, curr, dtype=np.float64)))
+    return [norm.hex() for norm in norms] + [layer_sign_conflicts(old, curr)]
+
+
+def _check_against_the_kernels(report: MergeReport, old: dict, curr: dict):
+    """Each record's norms, as exact hex strings, and its sign counts have
+    the bits of the kernels'."""
+    for record in report.layers:
+        name = record.layer_name
+        norms = (record.norm_old, record.norm_curr, record.norm_sum)
+        got = [norm.hex() for norm in norms] + [report.sign_conflicts.per_tensor[name]]
+        assert got == _alone_statistics(old[name], curr[name]), name
 
 
 def _outputs(merged: dict, reports: list) -> tuple:
@@ -766,6 +791,8 @@ class TestWindowedMerge:
         windowed = run()
         with patch.object(duet.merge, "_windows", _per_layer):
             assert run() == windowed
+        _, report = duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
+        _check_against_the_kernels(report, old, curr)
 
     @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
     @settings(max_examples=20, deadline=None)
@@ -824,6 +851,27 @@ class TestWindowedMerge:
         assert windowed[0] is error and repr(layer) in windowed[1]
 
     @pytest.mark.parametrize("threads", [1, 2])
+    def test_a_column_major_layer_merges_alone_as_beside_a_partner(self, threads):
+        # Its norms are row sums of its row-major copy, alone or stacked.
+        rng = np.random.default_rng(17)
+        shape = (96, 96)
+        spread = lambda: spread_values(rng, 96 * 96, np.float64).reshape(shape)
+        base, old, curr = (
+            {"backbone.fortran": np.asfortranarray(make()), "backbone.partner": make()}
+            for make in (lambda: rng.normal(size=shape), spread, spread)
+        )
+
+        def merged(names: list[str]) -> tuple:
+            maps = [{name: model[name] for name in names} for model in (base, old, curr)]
+            merged, report = duet_merge(maps[0], "fp", tv(maps[1]), tv(maps[2]), threads=threads)
+            _check_against_the_kernels(report, old, curr)
+            record = report.layers[0]
+            signs = report.sign_conflicts.per_tensor[record.layer_name]
+            return json.dumps(record.to_dict()), signs, merged[record.layer_name].tobytes()
+
+        assert merged(["backbone.fortran"]) == merged(["backbone.fortran", "backbone.partner"])
+
+    @pytest.mark.parametrize("threads", [1, 2])
     def test_a_large_layer_fault_raises_before_a_later_window(self, threads):
         # "a" is merged alone, "b" in a window after it: each fault is found
         # on the consuming thread, so the first in base order raises.
@@ -857,7 +905,7 @@ def _large_layout(base_dtype, delta_dtype) -> tuple[dict, dict, dict]:
             name = f"backbone.n{length}_{fill}"
             base[name] = rng.normal(size=length).astype(base_dtype)
             old[name], curr[name] = make(length)
-    shape = (300, 200)  # column-major deltas take the separate kernels
+    shape = (300, 200)  # column-major deltas, summed row-major
     base["backbone.fortran"] = rng.normal(size=shape).astype(base_dtype)
     old["backbone.fortran"], curr["backbone.fortran"] = (
         np.asfortranarray(spread_values(rng, 60_000, delta_dtype).reshape(shape)) for _ in "oc"
@@ -870,24 +918,22 @@ class TestFusedMerge:
     @pytest.mark.parametrize("dtypes", _DTYPES, ids=["f32", "f64", "f64_over_f32"])
     def test_merge_matches_the_separate_kernels(self, dtypes, threads):
         base, old, curr = _large_layout(*dtypes)
-
-        def run():
-            merged, report = duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
-            return _outputs(merged, [report])
-
         walk = duet.merge._layer_statistics_blocks
         with patch.object(duet.merge, "_layer_statistics_blocks", wraps=walk) as fused:
-            outputs, kinds = with_warning_kinds(run)
-        # Every C-contiguous layer past one block took the walk.
-        assert fused.call_count == sum(
-            arr.size > 32768 and arr.flags.c_contiguous for arr in old.values()
-        )
-        with patch.object(duet.merge, "_blocked", lambda *arrays: False):
-            assert with_warning_kinds(run) == (outputs, kinds)
+            (merged, report), _ = with_warning_kinds(
+                lambda: duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
+            )
+        # Every layer past one block took the walk, the column-major one too.
+        assert fused.call_count == sum(arr.size > 32768 for arr in old.values())
+        _check_against_the_kernels(report, old, curr)
+        for record in report.layers:
+            name = record.layer_name
+            wide = [x.astype(np.float64) for x in (base[name], old[name], curr[name])]
+            expected = wide[0] + record.alpha * wide[1] + record.beta * wide[2]
+            assert merged[name].tobytes() == expected.astype(base[name].dtype).tobytes(), name
         if dtypes[1] is np.float64:  # the huge layers' norms overflow, and p is NaN
-            report = json.loads(outputs[1][0])
-            assert any(math.isnan(record["p"]) for record in report["layers"])
-            assert report["warnings"]
+            assert any(math.isnan(record.p) for record in report.layers)
+            assert report.warnings
 
 
 class TestZeroDimensionalLayers:

@@ -12,8 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from duet.diagnostics import layer_sign_conflicts, merge_distance
 from duet.errors import DTypeError, ShapeError
-from duet.merge import MergeConfig, _layer_coefficients, _layer_statistics_blocks
-from duet.task_vectors import _subtract
+from duet.merge import _layer_statistics_blocks, duet_merge
+from duet.task_vectors import TaskVector, _subtract
 from duet.tensors import inner_product, combine, l1_norm, tensor
 
 finite_floats = st.floats(
@@ -175,6 +175,7 @@ class TestBlockedKernels:
         if length > 2 * 32768:  # the data tells a fixed-chunk sum from numpy's tree
             assert abs_sum_by_fixed_chunks(x64) != expected
         assert l1_norm(x) == expected
+        assert _layer_statistics_blocks(x, x)[0] == expected  # the merge's blocked L1 leaves
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
@@ -184,7 +185,7 @@ class TestBlockedKernels:
         expected = float(np.sum(np.abs(pair_sum)))
         if length > 2 * 32768:
             assert abs_sum_by_fixed_chunks(pair_sum) != expected
-        record, _, _ = _layer_coefficients("w", x, y, MergeConfig())
+        record, _ = merge_statistics(x, y)
         assert record.norm_sum == expected
         assert record.norm_old == float(np.sum(np.abs(x.astype(np.float64))))
 
@@ -217,6 +218,15 @@ def separate_statistics(x: np.ndarray, y: np.ndarray) -> tuple:
     return l1_norm(x), l1_norm(y), norm_sum, layer_sign_conflicts(x, y)
 
 
+def merge_statistics(x: np.ndarray, y: np.ndarray) -> tuple:
+    """The record and the sign counts of a one-layer merge of ``x`` and ``y``
+    onto a zero base."""
+    base = {"w": np.zeros(x.shape, x.dtype)}
+    _, report = duet_merge(base, "fp", TaskVector({"w": x}, "fp"), TaskVector({"w": y}, "fp"))
+    (record,) = report.layers
+    return record, report.sign_conflicts.per_tensor["w"]
+
+
 def statistics_bits(statistics: tuple) -> list:
     """The norms as exact hex strings (NaN, inf and signed zeros included)."""
     assert all(type(norm) is float for norm in statistics[:3])
@@ -247,7 +257,7 @@ class TestFusedStatistics:
         assert type(counts.conflicts) is int and type(counts.comparable) is int
         assert 0 < counts.conflicts < counts.comparable < length
         # Past one block, the merge takes the walk; the records agree with it.
-        record, _, signs = _layer_coefficients("w", x, y, MergeConfig())
+        record, signs = merge_statistics(x, y)
         assert statistics_bits((record.norm_old, record.norm_curr, record.norm_sum, signs)) == (
             statistics_bits(fused)
         )
