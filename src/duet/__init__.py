@@ -47,7 +47,11 @@ from .merge import (
     assemble_incremental,
     duet_merge,
     incremental_head_concat,
+    iter_duet_merge,
+    iter_head_concat,
     iter_incremental_sequence,
+    iter_magmax_merge,
+    iter_weight_average_merge,
     magmax_merge,
     weight_average_merge,
 )
@@ -68,12 +72,16 @@ from .metrics import (
 from .task_vectors import (
     TaskVector,
     compute_task_vector,
+    lazy_task_vector,
     load_task_vector,
+    open_task_vector,
     save_task_vector,
     zero_task_vector,
 )
 from .tensors import (
+    LazyTensorMap,
     NamedTensorMap,
+    TensorLayout,
     inner_product,
     l1_norm,
     tensor,

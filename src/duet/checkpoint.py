@@ -8,7 +8,9 @@ fixtures can come from ordinary export scripts).
 
 Serialization is canonical: keys in map order, minimal JSON, offsets tightly
 packed from zero.  Identical maps therefore serialize to identical bytes and
-identical SHA-256 fingerprints.
+identical SHA-256 fingerprints.  The header depends only on the map's layout
+(its names, dtypes and shapes), so :func:`write_checkpoint` writes it first
+and then takes the layers one at a time, as a merge makes them.
 """
 
 from __future__ import annotations
@@ -30,8 +32,22 @@ from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
-from .errors import CheckpointFormatError, EmptyInputError, PartitionError
-from .tensors import NamedTensorMap, check_tensor
+from .errors import (
+    CheckpointFormatError,
+    DTypeError,
+    EmptyInputError,
+    KeyMismatchError,
+    PartitionError,
+    ShapeError,
+)
+from .tensors import (
+    LazyTensorMap,
+    NamedTensorMap,
+    TensorLayout,
+    check_layout_entry,
+    check_tensor,
+    layout_of,
+)
 
 _HEADER_LEN_FMT = "<Q"
 _HEADER_LEN_BYTES = 8
@@ -48,26 +64,30 @@ _METADATA_KEY = "__metadata__"
 # checked and written alone.
 _RUN_BYTES = 64 * 1024
 _HEADER_FIELDS = itemgetter("dtype", "shape", "data_offsets")
+# Closes the layout side of a writer's walk: a stream that runs past its
+# layout meets it, and a stream of the right length leaves it unread.
+_LAYOUT_END = ((None, None),)
 
 
-def _dtype_tag(arr: np.ndarray, name: str) -> str:
-    check_tensor(arr, name)
-    return _KIND_TO_TAG[arr.dtype.itemsize]
+def _dtype_tag(spec, name: str) -> str:
+    check_layout_entry(spec, name)
+    return _KIND_TO_TAG[spec.dtype.itemsize]
 
 
-class CheckpointReader:
+class CheckpointReader(LazyTensorMap):
     """Validating random-access reader over one checkpoint container.
 
     It reads like a map of tensor names to arrays, in header order:
-    ``keys()``, iteration, ``len`` and ``reader[name]``, so ``dict(reader)``
-    loads every tensor and ``map_layers`` or ``partition_checkpoint`` take a
-    reader as they take a dict.  Tensors are loaded one at a time from their
-    byte ranges, so callers that stream layer-by-layer never hold the whole
-    payload in memory.  Loading a small tensor reads and checks the run of
-    adjacent same-dtype tensors that opens with it (at most ``_RUN_BYTES``)
-    into one scratch buffer, from which it and the run's later tensors are
-    copied out.  Like the file it reads, a reader serves one thread at a
-    time.
+    ``keys()``, iteration, ``len``, ``in`` and ``reader[name]``, so
+    ``dict(reader)`` loads every tensor and ``map_layers`` or
+    ``partition_checkpoint`` take a reader as they take a dict.  ``layout``
+    gives each tensor's dtype and shape from the header alone.  Tensors are
+    loaded one at a time from their byte ranges, so callers that stream
+    layer-by-layer never hold the whole payload in memory.  Loading a small
+    tensor reads and checks the run of adjacent same-dtype tensors that
+    opens with it (at most ``_RUN_BYTES``) into one scratch buffer, from
+    which it and the run's later tensors are copied out.  Like the file it
+    reads, a reader serves one thread at a time.
     """
 
     def __init__(self, source: str | os.PathLike | BinaryIO):
@@ -211,6 +231,14 @@ class CheckpointReader:
     def __len__(self) -> int:
         return len(self._entries)
 
+    def __contains__(self, name) -> bool:
+        return name in self._entries
+
+    @cached_property
+    def layout(self) -> dict[str, TensorLayout]:
+        """Each tensor's dtype and shape, in header order; no payload is read."""
+        return {name: TensorLayout(*entry[:2]) for name, entry in self._entries.items()}
+
     def __getitem__(self, name: str) -> np.ndarray:
         return self.load(name)
 
@@ -312,30 +340,32 @@ def read_csv_rows(path: str | Path, what: str) -> Iterator[tuple[str, dict]]:
         raise CheckpointFormatError(f"{path}: malformed {what}: {exc}") from exc
 
 
-def canonical_header(tensor_map: NamedTensorMap) -> bytes:
+def canonical_header(tensor_map) -> bytes:
     """The length prefix and header JSON that open a map's canonical byte
-    stream.  Only the names, dtypes and shapes of ``tensor_map`` are read.
-    The JSON is ``json.dumps(header, separators=(",", ":"),
-    ensure_ascii=False)``, written an entry at a time."""
-    if not tensor_map:
+    stream.  Only the layout of ``tensor_map`` is read (:func:`layout_of`):
+    a map of arrays, a lazy map or a layout itself.  The JSON is
+    ``json.dumps(header, separators=(",", ":"), ensure_ascii=False)``,
+    written an entry at a time."""
+    layout = layout_of(tensor_map)
+    if not layout:
         raise EmptyInputError("cannot serialize an empty tensor map")
-    if _METADATA_KEY in tensor_map:
+    if _METADATA_KEY in layout:
         raise CheckpointFormatError(
             f"tensor name {_METADATA_KEY!r} is reserved for the header metadata entry"
         )
     entries = []
     offset = 0
-    for name, arr in tensor_map.items():
-        tag = _dtype_tag(arr, name)
-        end = offset + arr.size * arr.dtype.itemsize
-        shape = ",".join(map(str, arr.shape))
+    for name, spec in layout.items():
+        tag = _dtype_tag(spec, name)
+        end = offset + spec.nbytes
+        shape = ",".join(map(str, spec.shape))
         entries.append(f'{{"dtype":"{tag}","shape":[{shape}],"data_offsets":[{offset},{end}]}}')
         offset = end
     try:
-        keys = list(map(encode_basestring, tensor_map))
+        keys = list(map(encode_basestring, layout))
     except TypeError:  # a name that is not a str: json's own key conversion, or its error
         keys = [json.dumps({name: 0}, separators=(",", ":"), ensure_ascii=False)[1:-3]
-                for name in tensor_map]
+                for name in layout]
     header_bytes = ("{" + ",".join(map("{}:{}".format, keys, entries)) + "}").encode("utf-8")
     return struct.pack(_HEADER_LEN_FMT, len(header_bytes)) + header_bytes
 
@@ -345,19 +375,46 @@ def canonical_payload(arr: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(arr, dtype=_TAG_TO_DTYPE[_KIND_TO_TAG[arr.dtype.itemsize]])
 
 
-def _runs(tensor_map: NamedTensorMap) -> Iterator[list[tuple[str, np.ndarray]]]:
-    """The map's ``(name, array)`` pairs in map order, cut into runs: adjacent
+def _check_layer(where, name, arr, want_name, want) -> None:
+    """Check a streamed ``(name, arr)`` against the layout entry
+    ``(want_name, want)`` that is due; ``want_name`` is None past the end."""
+    if name != want_name:
+        due = "past the layout's end" if want_name is None else f"where {want_name!r} is due"
+        raise KeyMismatchError(f"{where}: tensor {name!r} arrives out of layout order, {due}")
+    check_tensor(arr, f"{where}: tensor {name!r}")
+    if arr.shape != want.shape:
+        raise ShapeError(
+            f"{where}: tensor {name!r} has shape {arr.shape}, but its layout says {want.shape}"
+        )
+    if arr.dtype.itemsize != want.dtype.itemsize:
+        raise DTypeError(
+            f"{where}: tensor {name!r} has dtype {arr.dtype}, but its layout says {want.dtype}"
+        )
+
+
+def _runs(tensor_map, layers: Iterable, where) -> Iterator[list[tuple[str, np.ndarray]]]:
+    """The ``(name, array)`` pairs of ``layers`` cut into runs: adjacent
     arrays of one dtype and of at most ``_RUN_BYTES`` together share a run,
-    and any other tensor is a run of its own."""
+    and any other tensor is a run of its own.  Each pair is first checked
+    against the entry of ``tensor_map``'s layout that is due (a map's own
+    arrays pass as they are), and the stream must end where the layout ends.
+    ``layers`` is read once past its last pair, so a generator's closing code
+    runs before the last run is out."""
+    expected = chain(layout_of(tensor_map).items(), _LAYOUT_END)
     run: list[tuple[str, np.ndarray]] = []
     size = 0
-    for name, arr in tensor_map.items():
-        nbytes = arr.nbytes if isinstance(arr, np.ndarray) else _RUN_BYTES + 1
+    for (name, arr), (want_name, want) in zip(layers, expected):
+        if arr is not want or name != want_name:
+            _check_layer(where, name, arr, want_name, want)
+        nbytes = arr.nbytes
         if run and (size + nbytes > _RUN_BYTES or arr.dtype != run[0][1].dtype):
             yield run
             run, size = [], 0
         run.append((name, arr))
         size += nbytes
+    missing = next(expected)[0]
+    if missing is not None:
+        raise KeyMismatchError(f"{where}: the layers end before tensor {missing!r}")
     if run:
         yield run
 
@@ -369,12 +426,12 @@ def _run_payload(run: list[tuple[str, np.ndarray]]) -> np.ndarray:
     return canonical_payload(np.concatenate([arr for _, arr in run], axis=None))
 
 
-def _iter_chunks(tensor_map: NamedTensorMap) -> Iterator[bytes | np.ndarray]:
-    """Yield the canonical byte stream of a map: the header, then the
-    payload of each run as one contiguous array, whose buffer is written as
-    it is."""
+def _iter_chunks(tensor_map) -> Iterator[bytes | np.ndarray]:
+    """Yield the canonical byte stream of a map (of arrays, or lazy): the
+    header, then the payload of each run as one contiguous array, whose
+    buffer is written as it is."""
     yield canonical_header(tensor_map)
-    for run in _runs(tensor_map):
+    for run in _runs(tensor_map, tensor_map.items(), "fingerprint_map"):
         yield _run_payload(run)
 
 
@@ -382,7 +439,7 @@ def serialize_checkpoint(tensor_map: NamedTensorMap) -> bytes:
     return b"".join(_iter_chunks(tensor_map))
 
 
-def fingerprint_map(tensor_map: NamedTensorMap) -> str:
+def fingerprint_map(tensor_map) -> str:
     """SHA-256 of the canonical serialization, without materializing it."""
     digest = hashlib.sha256()
     for chunk in _iter_chunks(tensor_map):
@@ -406,10 +463,10 @@ def write_atomically(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> 
         raise
 
 
-def _checked_payloads(tensor_map: NamedTensorMap, path: str | Path) -> Iterator[np.ndarray]:
+def _checked_payloads(runs: Iterable[list], path: str | Path) -> Iterator[np.ndarray]:
     """The payload of each run, checked just before it is yielded: a run with
     a non-finite value raises, naming its first non-finite tensor."""
-    for run in _runs(tensor_map):
+    for run in runs:
         payload = _run_payload(run)
         if not np.isfinite(payload).all():
             name = next(name for name, arr in run if not np.isfinite(arr).all())
@@ -419,14 +476,28 @@ def _checked_payloads(tensor_map: NamedTensorMap, path: str | Path) -> Iterator[
         yield payload
 
 
-def write_checkpoint(tensor_map: NamedTensorMap, path: str | Path) -> None:
-    """Stream the canonical serialization to ``path`` atomically.  Like the
-    reader, refuses tensors with non-finite values, naming the first in map
-    order; each run is checked as it is written, and a refusal leaves
-    ``path`` as it was.  Nothing is hashed: ``fingerprint_map`` gives the
-    digest of a map where one is used."""
-    header = canonical_header(tensor_map)  # checks every name and dtype first
-    write_atomically(path, chain([header], _checked_payloads(tensor_map, path)))
+def write_checkpoint(
+    tensor_map, path: str | Path, layers: Iterable[tuple[str, np.ndarray]] | None = None
+) -> None:
+    """Stream a canonical container to ``path`` atomically, header first.
+
+    The header is that of ``tensor_map``'s layout (:func:`canonical_header`,
+    which checks every name and dtype first).  The payload is that of
+    ``layers``, the ``(name, array)`` pairs of that layout in its order, by
+    default ``tensor_map.items()``: a map of arrays, or a lazy map whose
+    layers are made as they are written.  A producer's layers are written
+    as they come, in runs (:func:`_runs`), so the writer holds at most one
+    run of small layers.  Refuses a layer out of layout order, off its
+    layout's shape or dtype, a stream that ends early or runs on, and (like
+    the reader) a layer with non-finite values, naming the first.  Any
+    refusal, or an error raised by the producer, leaves ``path`` as it was.
+    Nothing is hashed: ``fingerprint_map`` gives the digest of a map where
+    one is used."""
+    header = canonical_header(tensor_map)
+    if layers is None:
+        layers = tensor_map.items()
+    payloads = _checked_payloads(_runs(tensor_map, layers, path), path)
+    write_atomically(path, chain([header], payloads))
 
 
 def read_checkpoint(path: str | Path) -> NamedTensorMap:

@@ -4,6 +4,12 @@ Exit codes: 0 success, 1 validation/protocol error, 2 I/O or parse error.
 With the default ``--format json`` failures also emit a machine-readable
 error object on stderr.  All subcommands are deterministic: reruns and any
 ``--threads`` setting produce byte-identical outputs.
+
+The file commands open their checkpoints and bundles as readers and walk
+them a layer at a time; a command that writes a checkpoint streams each
+output layer into the header-first writer as it is made.  None holds a whole
+model: each runs in the size of its largest layers (``sequence`` keeps its
+driver's bound).
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ from .checkpoint import (
     CheckpointReader,
     classify_names,
     load_partition_spec,
-    partition_checkpoint,
-    read_checkpoint,
     write_atomically,
     write_checkpoint,
 )
@@ -35,20 +39,24 @@ from .losses import (
     load_prediction_batch,
     successive_updates,
 )
+# duet_merge is not called here: the commands use the stream forms.  It stays
+# importable as duet.cli.duet_merge, which perfbench's tracer wraps by name.
 from .merge import (
     MergeConfig,
     duet_merge,
-    incremental_head_concat,
+    iter_duet_merge,
+    iter_head_concat,
     iter_incremental_sequence,
-    magmax_merge,
-    weight_average_merge,
+    iter_magmax_merge,
+    iter_weight_average_merge,
 )
 from .metrics import compute_metrics, load_protocol, load_records
-from .tensors import map_layers
+from .tensors import LazyTensorMap, layout_of, map_layers
 from .task_vectors import (
     TaskVector,
-    compute_task_vector,
-    load_task_vector,
+    _check_bases,
+    lazy_task_vector,
+    open_task_vector,
     save_task_vector,
     zero_task_vector,
 )
@@ -240,12 +248,13 @@ def _csv_text(rows: list[list]) -> str:
 
 
 def _enforce_uniform_dtype(args, *tensor_maps):
+    """``--dtype-check``, from the maps' layouts: a reader's header alone."""
     if not args.dtype_check:
         return
     dtypes = set()
     for tensor_map in tensor_maps:
-        for arr in tensor_map.values():
-            dtypes.add(str(arr.dtype))
+        for spec in layout_of(tensor_map).values():
+            dtypes.add(str(spec.dtype))
     if len(dtypes) > 1:
         raise DTypeError(f"--dtype-check: inputs mix element types {sorted(dtypes)}")
 
@@ -255,23 +264,40 @@ def _require_output(args, what: str = "--output"):
         raise DuetError(f"{what} is required for this subcommand")
 
 
-def _load_tv_maybe_zero(path: str | None, like: TaskVector, label: str) -> TaskVector:
+class _Subset(LazyTensorMap):
+    """The named tensors of a map, looked up in it on access."""
+
+    def __init__(self, source, names: list[str]):
+        self._source = source
+        source_layout = layout_of(source)
+        self.layout = {name: source_layout[name] for name in names}
+
+    def __getitem__(self, name: str):
+        return self._source[name]
+
+
+def _open_readers(stack: ExitStack, *paths) -> list[CheckpointReader]:
+    return [stack.enter_context(CheckpointReader(path)) for path in paths]
+
+
+def _open_tv_maybe_zero(
+    path: str | None, like: TaskVector, label: str, stack: ExitStack
+) -> TaskVector:
     if path is None:
         return zero_task_vector(like.deltas, like.base_fingerprint, label)
-    return load_task_vector(path)
+    return open_task_vector(path, stack)
 
 
 def _cmd_task_vector(args) -> int:
     spec = load_partition_spec(args.partition)
     _require_output(args)
-    with CheckpointReader(args.base) as reader:
-        base_map, base_fp = dict(reader), reader.fingerprint()
-    fine_map = read_checkpoint(args.fine_tuned)
-    _enforce_uniform_dtype(args, base_map, fine_map)
-    base_shared, _ = partition_checkpoint(base_map, spec)
-    fine_shared, _ = partition_checkpoint(fine_map, spec)
-    vector = compute_task_vector(fine_shared, base_shared, base_fp, args.label)
-    save_task_vector(vector, args.output)
+    with ExitStack() as stack:
+        base, fine = _open_readers(stack, args.base, args.fine_tuned)
+        _enforce_uniform_dtype(args, base, fine)
+        base_shared = _Subset(base, classify_names(base, spec)[0])
+        fine_shared = _Subset(fine, classify_names(fine, spec)[0])
+        vector = lazy_task_vector(fine_shared, base_shared, base.fingerprint(), args.label)
+        save_task_vector(vector, args.output)
     _print_json(
         {
             "output": str(args.output),
@@ -283,75 +309,79 @@ def _cmd_task_vector(args) -> int:
     return 0
 
 
-def _base_shared_for(base_map: dict, vector: TaskVector) -> dict:
-    return {name: base_map[name] for name in base_map if name in vector.deltas}
+def _base_shared_for(base: CheckpointReader, vector: TaskVector) -> _Subset:
+    return _Subset(base, [name for name in base if name in vector.deltas])
 
 
 def _cmd_merge(args) -> int:
     if not getattr(args, "algorithm", None):
         raise DuetError("merge needs an algorithm: duet, average, or magmax")
     _require_output(args)
-    with CheckpointReader(args.base) as reader:
-        base_map, base_fp = dict(reader), reader.fingerprint()
-    if args.algorithm == "duet":
-        config = MergeConfig(gamma=args.gamma, alpha_base=args.alpha_base, epsilon=args.epsilon)
-        tau_old = load_task_vector(args.old)
-        tau_curr = load_task_vector(args.curr)
-        _enforce_uniform_dtype(args, base_map, tau_old.deltas, tau_curr.deltas)
-        base_shared = _base_shared_for(base_map, tau_old)
-        merged, report = duet_merge(
-            base_shared, base_fp, tau_old, tau_curr, config, threads=args.threads
-        )
-        write_checkpoint(merged, args.output)
-        if args.report:
-            if args.format == "csv":
-                _write_text(args.report, _csv_text(report.csv_rows()))
-            else:
-                _write_text(args.report, report.to_json() + "\n")
-        alphas = [record.alpha for record in report.layers]
-        _print_json(
-            {
-                "output": str(args.output),
-                "report": str(args.report) if args.report else None,
-                "layers": len(report.layers),
-                "alpha_min": min(alphas),
-                "alpha_max": max(alphas),
-                "sign_conflict_fraction": report.sign_conflicts.total_fraction,
-                "warnings": report.warnings,
-            }
-        )
-        return 0
-    vectors = [load_task_vector(path) for path in args.tv]
-    _enforce_uniform_dtype(args, base_map, *[vector.deltas for vector in vectors])
-    base_shared = _base_shared_for(base_map, vectors[0])
-    if args.algorithm == "average":
-        merged = weight_average_merge(base_shared, base_fp, vectors, threads=args.threads)
-    else:
-        merged = magmax_merge(base_shared, base_fp, vectors, threads=args.threads)
-    write_checkpoint(merged, args.output)
-    _print_json(
-        {"output": str(args.output), "algorithm": args.algorithm, "vectors": len(vectors)}
-    )
+    with ExitStack() as stack:
+        [base] = _open_readers(stack, args.base)
+        merge = _merge_duet if args.algorithm == "duet" else _merge_baseline
+        _print_json(merge(args, base, stack))
     return 0
+
+
+def _merge_duet(args, base: CheckpointReader, stack: ExitStack) -> dict:
+    """``merge duet`` onto the open ``base``, streamed into the output; the summary."""
+    config = MergeConfig(gamma=args.gamma, alpha_base=args.alpha_base, epsilon=args.epsilon)
+    tau_old = open_task_vector(args.old, stack)
+    tau_curr = open_task_vector(args.curr, stack)
+    _enforce_uniform_dtype(args, base, tau_old.deltas, tau_curr.deltas)
+    base_shared = _base_shared_for(base, tau_old)
+    report, layers = iter_duet_merge(
+        base_shared, base.fingerprint(), tau_old, tau_curr, config, threads=args.threads
+    )
+    write_checkpoint(base_shared.layout, args.output, layers)
+    if args.report:
+        if args.format == "csv":
+            _write_text(args.report, _csv_text(report.csv_rows()))
+        else:
+            _write_text(args.report, report.to_json() + "\n")
+    alphas = [record.alpha for record in report.layers]
+    return {
+        "output": str(args.output),
+        "report": str(args.report) if args.report else None,
+        "layers": len(report.layers),
+        "alpha_min": min(alphas),
+        "alpha_max": max(alphas),
+        "sign_conflict_fraction": report.sign_conflicts.total_fraction,
+        "warnings": report.warnings,
+    }
+
+
+def _merge_baseline(args, base: CheckpointReader, stack: ExitStack) -> dict:
+    """``merge average`` or ``merge magmax`` onto the open ``base``, streamed
+    into the output; the summary."""
+    vectors = [open_task_vector(path, stack) for path in args.tv]
+    _enforce_uniform_dtype(args, base, *[vector.deltas for vector in vectors])
+    base_shared = _base_shared_for(base, vectors[0])
+    merge = iter_weight_average_merge if args.algorithm == "average" else iter_magmax_merge
+    layers = merge(base_shared, base.fingerprint(), vectors, threads=args.threads)
+    write_checkpoint(base_shared.layout, args.output, layers)
+    return {"output": str(args.output), "algorithm": args.algorithm, "vectors": len(vectors)}
 
 
 def _cmd_head_concat(args) -> int:
     spec = load_partition_spec(args.partition)
     _require_output(args)
-    prev_map = read_checkpoint(args.prev)
-    curr_map = read_checkpoint(args.curr)
-    _enforce_uniform_dtype(args, prev_map, curr_map)
-    _, prev_head = partition_checkpoint(prev_map, spec)
-    _, curr_head = partition_checkpoint(curr_map, spec)
-    replace = {name for name in curr_head if spec.is_replace(name)}
-    head = incremental_head_concat(
-        prev_head, curr_head, spec.head_concat_axis, order=args.head_order, replace_names=replace
-    )
-    write_checkpoint(head, args.output)
+    with ExitStack() as stack:
+        prev, curr = _open_readers(stack, args.prev, args.curr)
+        _enforce_uniform_dtype(args, prev, curr)
+        prev_head = _Subset(prev, classify_names(prev, spec)[1])
+        curr_head = _Subset(curr, classify_names(curr, spec)[1])
+        replace = {name for name in curr_head if spec.is_replace(name)}
+        layout, layers = iter_head_concat(
+            prev_head, curr_head, spec.head_concat_axis, order=args.head_order,
+            replace_names=replace,
+        )
+        write_checkpoint(layout, args.output, layers)
     _print_json(
         {
             "output": str(args.output),
-            "tensors": len(head),
+            "tensors": len(layout),
             "head_order": args.head_order,
             "axis": spec.head_concat_axis,
         }
@@ -387,20 +417,21 @@ def _cmd_sequence(args) -> int:
 
 def _cmd_dc_loss(args) -> int:
     config = DcLossConfig(granularity=args.granularity)
-    tau_t = load_task_vector(args.tau_t)
-    tau_prev = load_task_vector(args.prev)
-    tau_prev2 = _load_tv_maybe_zero(args.prev2, tau_prev, "zero")
-    loss = dc_loss(tau_t, tau_prev, tau_prev2, config)
-    payload = {"loss": loss, "granularity": args.granularity}
-    if args.grad_check:
-        from .selftest import central_difference_check
+    with ExitStack() as stack:
+        tau_t = open_task_vector(args.tau_t, stack)
+        tau_prev = open_task_vector(args.prev, stack)
+        tau_prev2 = _open_tv_maybe_zero(args.prev2, tau_prev, "zero", stack)
+        loss = dc_loss(tau_t, tau_prev, tau_prev2, config)
+        payload = {"loss": loss, "granularity": args.granularity}
+        if args.grad_check:
+            from .selftest import central_difference_check
 
-        check = central_difference_check(tau_t, tau_prev, tau_prev2, config)
-        payload["grad_check"] = {
-            "max_rel_error": check.max_rel_error,
-            "near_hinge_skipped": check.near_hinge_skipped,
-            "passed": check.passed,
-        }
+            check = central_difference_check(tau_t, tau_prev, tau_prev2, config)
+            payload["grad_check"] = {
+                "max_rel_error": check.max_rel_error,
+                "near_hinge_skipped": check.near_hinge_skipped,
+                "passed": check.passed,
+            }
     _print_json(payload)
     return 0
 
@@ -428,39 +459,25 @@ def _emit_report(args, payload_dict: dict, csv_rows: list[list]):
             print(text)
 
 
-class _Subset:
-    """The named tensors of a map, looked up in it on access."""
-
-    def __init__(self, source, names: list[str]):
-        self._source = source
-        self._names = dict.fromkeys(names)
-
-    def keys(self):
-        return self._names.keys()
-
-    def __iter__(self):
-        return iter(self._names)
-
-    def __getitem__(self, name: str):
-        return self._source[name]
-
-
 def _cmd_diagnose(args) -> int:
     if not getattr(args, "probe", None):
         raise DuetError("diagnose needs a probe: signs or distance")
     if args.probe == "signs":
         if args.prev2 is not None and args.preset != "updates":
             raise ConfigError(f"--prev2 applies only with --preset updates, not {args.preset!r}")
-        tau_old = load_task_vector(args.old)
-        tau_curr = load_task_vector(args.curr)
-        if args.preset == "updates":
-            tau_prev2 = _load_tv_maybe_zero(args.prev2, tau_old, "zero")
-            # One tensor at a time: the float64 update maps are never held whole.
-            count = lambda name, *layers: layer_sign_conflicts(*successive_updates(*layers))
-            maps = {"curr": tau_curr.deltas, "old": tau_old.deltas, "prev2": tau_prev2.deltas}
-            report = SignConflictReport(dict(map_layers("sign_conflicts", count, maps)))
-        else:
-            report = sign_conflicts(tau_old, tau_curr)
+        with ExitStack() as stack:
+            # One tensor at a time: no vector, and no float64 update map, is held whole.
+            tau_old = open_task_vector(args.old, stack)
+            tau_curr = open_task_vector(args.curr, stack)
+            _check_bases("diagnose signs", tau_old.base_fingerprint, tau_curr)
+            if args.preset == "updates":
+                tau_prev2 = _open_tv_maybe_zero(args.prev2, tau_old, "zero", stack)
+                _check_bases("diagnose signs", tau_old.base_fingerprint, tau_prev2)
+                count = lambda name, *layers: layer_sign_conflicts(*successive_updates(*layers))
+                maps = {"curr": tau_curr.deltas, "old": tau_old.deltas, "prev2": tau_prev2.deltas}
+                report = SignConflictReport(dict(map_layers("sign_conflicts", count, maps)))
+            else:
+                report = sign_conflicts(tau_old, tau_curr)
         payload = {"preset": args.preset, **report.to_dict()}
         rows = [["tensor", "conflicts", "comparable", "fraction"]]
         for name, entry in report.per_tensor.items():
@@ -470,8 +487,7 @@ def _cmd_diagnose(args) -> int:
         return 0
     with ExitStack() as stack:
         # Walked a layer at a time: no input is loaded whole.
-        paths = (args.merged, args.old, args.curr)
-        maps = [stack.enter_context(CheckpointReader(path)) for path in paths]
+        maps = _open_readers(stack, args.merged, args.old, args.curr)
         if args.partition:
             spec = load_partition_spec(args.partition)
             maps = [_Subset(reader, classify_names(reader, spec)[0]) for reader in maps]

@@ -11,6 +11,10 @@ with a norm-imbalance factor::
     beta  = 1 - alpha
     merged = base + alpha * tau_old + beta * tau_curr
 
+Every merge and the head concatenation have a stream form (``iter_*``)
+that yields each output layer as it is made, for a header-first writer, over
+inputs that may be lazy maps; the map forms collect that stream.
+
 The sequence driver keeps only the base shared map and the previous step's
 shared output.  Each step walks the layers once, forming both task vectors a
 layer at a time, so it holds about two shared-partition-sized maps regardless
@@ -27,7 +31,7 @@ from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -57,19 +61,21 @@ from .errors import (
 from .tensors import (
     _BLOCK,
     NamedTensorMap,
+    TensorLayout,
     _abs_sum,
     _blockwise,
     _layer_args,
     _walk,
     check_aligned,
+    check_layout_entry,
     check_same_keys,
     check_shapes,
-    check_tensor,
     combine,
     l1_norm,
+    layout_of,
     map_layers,
 )
-from .task_vectors import TaskVector, _check_bases, _check_layer_pair, _subtract
+from .task_vectors import TaskVector, _check_bases, _check_layer_pair, _Deltas, _subtract
 
 # Slack on the |p| <= 1 bound; the triangle inequality caps the exact ratio at
 # 1, so anything above this is data corruption worth flagging.
@@ -255,31 +261,7 @@ def _coefficients(
     return record, warnings
 
 
-class _Deltas:
-    """A task vector computed on lookup: ``load(name) - base[name]``.
-
-    Its names, dtypes and shapes are the base's.  A walk looks each name up
-    once, on the consuming thread, so ``load`` may read a file or pop a map.
-    """
-
-    def __init__(self, base: NamedTensorMap, load: Callable[[str], np.ndarray]):
-        self.layout = base
-        self._load = load
-
-    def keys(self):
-        return self.layout.keys()
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return _subtract(name, self._load(name), self.layout[name])
-
-    def raw(self, name: str) -> np.ndarray:
-        """The loaded layer before the subtraction, with its checks."""
-        layer = self._load(name)
-        _check_layer_pair(name, layer, self.layout[name])
-        return layer
-
-
-def _windows(layout: NamedTensorMap) -> Iterator[str | list[str]]:
+def _windows(layout: dict) -> Iterator[str | list[str]]:
     """The merge's units of work, in base order: the name of each layer of
     more than ``_BLOCK`` elements, and lists of the consecutive layers
     between them, cut into windows of at most ``_BLOCK`` elements."""
@@ -340,13 +322,16 @@ def _merge_layers(
     threads: int = 1,
     header: bytes | None = None,
 ) -> tuple[MergeReport, Iterator[tuple[str, np.ndarray]]]:
-    """The report plus a lazy ``(name, merged_layer)`` stream in base order.
+    """The report plus a lazy ``(name, merged_layer)`` stream in base order,
+    in the base's dtypes and shapes.
 
     Each layer adds its record, its sign conflicts and its bytes to both
     vectors' fingerprints as it is yielded; the fingerprints and the sign
     conflicts are set when the stream ends.  Once a layer is yielded its
-    inputs are never read again.  ``header`` is the canonical header of
-    ``tau_old``'s layout, when the caller has it.
+    inputs are never read again.  Any map may be lazy: only layouts are read
+    before the walk, and each layer is looked up on the consuming thread.
+    ``header`` is the canonical header of ``tau_old``'s layout, when the
+    caller has it.
 
     A layer of more than ``_BLOCK`` elements is merged alone in two blocked
     walks: one for its norms and sign counts, one for :func:`combine`.  The
@@ -401,13 +386,13 @@ def _merge_layers(
         return deque(entries)
 
     def calls():
-        for unit in _windows(base_shared):
+        for unit in _windows(layout_of(base_shared)):
             if isinstance(unit, str):
                 yield unit, partial(merge_alone, *fetch_alone(unit))
             else:
                 yield unit, partial(merge_window, unit, [fetch_raw(name) for name in unit])
 
-    layouts = [v.layout if isinstance(v, _Deltas) else v for v in vectors]
+    layouts = [layout_of(v) for v in vectors]
     # Each digest opens with its vector's own header (a vector may hold f64
     # deltas over an f32 base), so header errors surface before any layer.
     # Both vectors of a sequence step share the base's layout: one header.
@@ -432,15 +417,33 @@ def _merge_layers(
                     digest.update(canonical_payload(layer))
                 del old_l, curr_l, layer  # not held while the next layer is formed
                 yield name, merged_layer
-        # The digests took the layers in base order; an in-memory vector
-        # stored in another order is hashed again, whole.
+        # The digests took the layers in base order; a vector stored in
+        # another order is hashed again, a layer at a time.
         report.old_fingerprint, report.curr_fingerprint = (
-            digest.hexdigest() if list(layout) == list(counts) else fingerprint_map(layout)
-            for digest, layout in zip(digests, layouts)
+            digest.hexdigest() if list(layout) == list(counts) else fingerprint_map(vector)
+            for digest, layout, vector in zip(digests, layouts, vectors)
         )
         report.sign_conflicts = SignConflictReport({name: counts[name] for name in layouts[0]})
 
     return report, layers()
+
+
+def iter_duet_merge(
+    base_shared: NamedTensorMap,
+    base_fingerprint: str,
+    tau_old: TaskVector,
+    tau_curr: TaskVector,
+    config: MergeConfig | None = None,
+    threads: int = 1,
+) -> tuple[MergeReport, Iterator[tuple[str, np.ndarray]]]:
+    """:func:`duet_merge` as a stream: the report, complete once the lazy
+    ``(name, merged_layer)`` stream (base order, base dtypes and shapes) has
+    ended.  The bases, key sets and vector headers are checked now."""
+    config = config or MergeConfig()
+    _check_bases("duet_merge", base_fingerprint, tau_old, tau_curr)
+    return _merge_layers(
+        base_shared, base_fingerprint, tau_old.deltas, tau_curr.deltas, config, threads
+    )
 
 
 def duet_merge(
@@ -456,12 +459,78 @@ def duet_merge(
     Both task vectors must carry ``base_fingerprint``.  Returns the merged
     shared map (in base order) and a report with one record per layer.
     """
-    config = config or MergeConfig()
-    _check_bases("duet_merge", base_fingerprint, tau_old, tau_curr)
-    report, layers = _merge_layers(
-        base_shared, base_fingerprint, tau_old.deltas, tau_curr.deltas, config, threads
+    report, layers = iter_duet_merge(
+        base_shared, base_fingerprint, tau_old, tau_curr, config, threads
     )
     return dict(layers), report
+
+
+def iter_head_concat(
+    prev_head: NamedTensorMap,
+    curr_head: NamedTensorMap,
+    axis: int,
+    order: str = "curr-first",
+    replace_names: Iterable[str] = (),
+) -> tuple[dict[str, TensorLayout], Iterator[tuple[str, np.ndarray]]]:
+    """:func:`incremental_head_concat` as a stream: the joined head's layout,
+    checked now from the two heads' layouts alone, and a lazy ``(name,
+    layer)`` stream in ``curr_head`` order that reads each pair of blocks as
+    it joins them."""
+    if order not in ("curr-first", "prev-first"):
+        raise ConfigError(f"order must be 'curr-first' or 'prev-first', got {order!r}")
+    check_same_keys(prev_head, curr_head, "incremental_head_concat", "prev", "curr")
+    replace = set(replace_names)
+    unknown = sorted(replace - set(curr_head))
+    if unknown:
+        raise KeyMismatchError(f"incremental_head_concat: replace names not in head: {unknown}")
+    prev_layout = layout_of(prev_head)
+    layout: dict[str, TensorLayout] = {}
+    # Per joined name, its concat axis; a replaced name is not joined.
+    axes: dict[str, int] = {}
+    for name, curr in layout_of(curr_head).items():
+        prev = prev_layout[name]
+        check_layout_entry(curr, name)
+        check_layout_entry(prev, name)
+        if prev.dtype != curr.dtype:
+            raise DTypeError(f"tensor {name!r}: dtype mismatch {prev.dtype} vs {curr.dtype}")
+        if name in replace:
+            if prev.shape != curr.shape:
+                raise ShapeError(
+                    f"tensor {name!r} is flagged replace but shapes differ: "
+                    f"{prev.shape} vs {curr.shape}"
+                )
+            layout[name] = TensorLayout(curr.dtype, curr.shape)
+            continue
+        ndim = len(curr.shape)
+        concat_axis = axis + ndim if axis < 0 else axis
+        if not 0 <= concat_axis < ndim:
+            raise AxisError(
+                f"tensor {name!r}: concat axis {axis} out of range for {ndim}-d shape {curr.shape}"
+            )
+        prev_rest = prev.shape[:concat_axis] + prev.shape[concat_axis + 1 :]
+        curr_rest = curr.shape[:concat_axis] + curr.shape[concat_axis + 1 :]
+        if prev_rest != curr_rest:
+            raise ShapeError(
+                f"tensor {name!r}: shapes {prev.shape} and {curr.shape} differ off axis {axis}"
+            )
+        shape = list(curr.shape)
+        shape[concat_axis] += prev.shape[concat_axis]
+        layout[name] = TensorLayout(curr.dtype, tuple(shape))
+        axes[name] = concat_axis
+
+    def layers() -> Iterator[tuple[str, np.ndarray]]:
+        for name in layout:
+            curr = curr_head[name]
+            if name not in axes:
+                yield name, curr
+                continue
+            prev = prev_head[name]
+            blocks = [curr, prev] if order == "curr-first" else [prev, curr]
+            joined = np.concatenate(blocks, axis=axes[name])
+            joined.flags.writeable = False
+            yield name, joined
+
+    return layout, layers()
 
 
 def incremental_head_concat(
@@ -477,45 +546,8 @@ def incremental_head_concat(
     flips it).  Keys in ``replace_names`` are taken from the current head and
     must keep an identical shape.
     """
-    if order not in ("curr-first", "prev-first"):
-        raise ConfigError(f"order must be 'curr-first' or 'prev-first', got {order!r}")
-    check_same_keys(prev_head, curr_head, "incremental_head_concat", "prev", "curr")
-    replace = set(replace_names)
-    unknown = sorted(replace - set(curr_head))
-    if unknown:
-        raise KeyMismatchError(f"incremental_head_concat: replace names not in head: {unknown}")
-    out: NamedTensorMap = {}
-    for name, curr in curr_head.items():
-        prev = prev_head[name]
-        check_tensor(curr, name)
-        check_tensor(prev, name)
-        if prev.dtype != curr.dtype:
-            raise DTypeError(f"tensor {name!r}: dtype mismatch {prev.dtype} vs {curr.dtype}")
-        if name in replace:
-            if prev.shape != curr.shape:
-                raise ShapeError(
-                    f"tensor {name!r} is flagged replace but shapes differ: "
-                    f"{prev.shape} vs {curr.shape}"
-                )
-            out[name] = curr
-            continue
-        ndim = curr.ndim
-        concat_axis = axis + ndim if axis < 0 else axis
-        if not 0 <= concat_axis < ndim:
-            raise AxisError(
-                f"tensor {name!r}: concat axis {axis} out of range for {ndim}-d shape {curr.shape}"
-            )
-        prev_rest = prev.shape[:concat_axis] + prev.shape[concat_axis + 1 :]
-        curr_rest = curr.shape[:concat_axis] + curr.shape[concat_axis + 1 :]
-        if prev_rest != curr_rest:
-            raise ShapeError(
-                f"tensor {name!r}: shapes {prev.shape} and {curr.shape} differ off axis {axis}"
-            )
-        blocks = [curr, prev] if order == "curr-first" else [prev, curr]
-        joined = np.concatenate(blocks, axis=concat_axis)
-        joined.flags.writeable = False
-        out[name] = joined
-    return out
+    _, layers = iter_head_concat(prev_head, curr_head, axis, order, replace_names)
+    return dict(layers)
 
 
 def assemble_incremental(
@@ -646,13 +678,14 @@ def _vector_stack(
     return {"base": base_shared, **vectors}
 
 
-def weight_average_merge(
+def iter_weight_average_merge(
     base_shared: NamedTensorMap,
     base_fingerprint: str,
     task_vectors: list[TaskVector],
     threads: int = 1,
-) -> NamedTensorMap:
-    """Base plus the uniform mean of the task vectors."""
+) -> Iterator[tuple[str, np.ndarray]]:
+    """:func:`weight_average_merge` as a lazy ``(name, merged_layer)`` stream
+    in base order, in the base's dtypes and shapes."""
     maps = _vector_stack(base_shared, base_fingerprint, task_vectors, "weight_average_merge")
     scale = 1.0 / len(task_vectors)
 
@@ -662,7 +695,37 @@ def weight_average_merge(
             total += delta
         return combine(((1.0, base_l), (scale, total)), base_l.dtype)
 
-    return dict(map_layers("weight_average_merge", merge_one, maps, threads))
+    return map_layers("weight_average_merge", merge_one, maps, threads)
+
+
+def weight_average_merge(
+    base_shared: NamedTensorMap,
+    base_fingerprint: str,
+    task_vectors: list[TaskVector],
+    threads: int = 1,
+) -> NamedTensorMap:
+    """Base plus the uniform mean of the task vectors."""
+    return dict(iter_weight_average_merge(base_shared, base_fingerprint, task_vectors, threads))
+
+
+def iter_magmax_merge(
+    base_shared: NamedTensorMap,
+    base_fingerprint: str,
+    task_vectors: list[TaskVector],
+    threads: int = 1,
+) -> Iterator[tuple[str, np.ndarray]]:
+    """:func:`magmax_merge` as a lazy ``(name, merged_layer)`` stream in base
+    order, in the base's dtypes and shapes."""
+    maps = _vector_stack(base_shared, base_fingerprint, task_vectors, "magmax_merge")
+
+    def merge_one(name: str, base_l: np.ndarray, *deltas: np.ndarray) -> np.ndarray:
+        best = deltas[0].copy()
+        for delta in deltas[1:]:
+            take = np.abs(delta) > np.abs(best)
+            best[take] = delta[take]
+        return combine(((1.0, base_l), (1.0, best)), base_l.dtype)
+
+    return map_layers("magmax_merge", merge_one, maps, threads)
 
 
 def magmax_merge(
@@ -676,13 +739,4 @@ def magmax_merge(
     Ties keep the earliest vector in list order.  This is the elementwise
     magnitude-max core only, not any consensus preprocessing around it.
     """
-    maps = _vector_stack(base_shared, base_fingerprint, task_vectors, "magmax_merge")
-
-    def merge_one(name: str, base_l: np.ndarray, *deltas: np.ndarray) -> np.ndarray:
-        best = deltas[0].copy()
-        for delta in deltas[1:]:
-            take = np.abs(delta) > np.abs(best)
-            best[take] = delta[take]
-        return combine(((1.0, base_l), (1.0, best)), base_l.dtype)
-
-    return dict(map_layers("magmax_merge", merge_one, maps, threads))
+    return dict(iter_magmax_merge(base_shared, base_fingerprint, task_vectors, threads))

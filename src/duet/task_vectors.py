@@ -1,17 +1,32 @@
-"""Task vectors over the shared partition: parameter deltas against a base."""
+"""Task vectors over the shared partition: parameter deltas against a base.
+
+A task vector's deltas may be a map of arrays or a lazy map
+(:class:`~duet.tensors.LazyTensorMap`): a bundle opened as a reader, deltas
+computed on lookup, or zeros.  Every operation on task vectors walks them a
+layer at a time, so a lazy vector is never held whole.
+"""
 
 from __future__ import annotations
 
 import json
 import shutil
-from dataclasses import dataclass
+from contextlib import ExitStack
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .checkpoint import read_checkpoint, read_json, write_atomically, write_checkpoint
+from .checkpoint import CheckpointReader, read_json, write_atomically, write_checkpoint
 from .errors import BaseMismatchError, CheckpointFormatError, DTypeError, ShapeError
-from .tensors import NamedTensorMap, check_tensor, map_layers
+from .tensors import (
+    LazyTensorMap,
+    NamedTensorMap,
+    check_aligned,
+    check_layout_entry,
+    check_tensor,
+    layout_of,
+)
 
 _DELTAS_FILE = "deltas.safetensors"
 _META_FILE = "meta.json"
@@ -60,6 +75,56 @@ def _subtract(name: str, minuend: np.ndarray, subtrahend: np.ndarray) -> np.ndar
     return difference
 
 
+class _Deltas(LazyTensorMap):
+    """A task vector computed on lookup: ``load(name) - base[name]``.
+
+    Its names, dtypes and shapes are the base's.  A walk looks each name up
+    once, on the consuming thread, so ``load`` may read a file or pop a map.
+    """
+
+    def __init__(self, base, load: Callable[[str], np.ndarray]):
+        self.base = base
+        self.layout = layout_of(base)
+        self._load = load
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        return _subtract(name, self._load(name), self.base[name])
+
+    def raw(self, name: str) -> np.ndarray:
+        """The loaded layer before the subtraction, with its checks."""
+        layer = self._load(name)
+        _check_layer_pair(name, layer, self.base[name])
+        return layer
+
+
+class _Zeros(LazyTensorMap):
+    """Read-only zeros in the dtypes and shapes of a layout, each made when
+    it is looked up."""
+
+    def __init__(self, layout: dict):
+        self.layout = layout
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        spec = self.layout[name]
+        zero = np.zeros(spec.shape, dtype=spec.dtype)
+        zero.flags.writeable = False
+        return zero
+
+
+def lazy_task_vector(
+    fine_tuned_shared: NamedTensorMap,
+    base_shared: NamedTensorMap,
+    base_fingerprint: str,
+    label: str = "",
+) -> TaskVector:
+    """:func:`compute_task_vector` with each delta taken when it is looked
+    up, from the layers of the two maps (either may be lazy).  The key sets
+    are checked now."""
+    check_aligned("compute_task_vector", {"base": base_shared, "fine_tuned": fine_tuned_shared})
+    deltas = _Deltas(base_shared, fine_tuned_shared.__getitem__)
+    return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)
+
+
 def compute_task_vector(
     fine_tuned_shared: NamedTensorMap,
     base_shared: NamedTensorMap,
@@ -67,34 +132,33 @@ def compute_task_vector(
     label: str = "",
 ) -> TaskVector:
     """Per-tensor ``fine_tuned - base``, rounded once to the base dtype."""
-    maps = {"base": base_shared, "fine_tuned": fine_tuned_shared}
-    subtract = lambda name, base, fine_tuned: _subtract(name, fine_tuned, base)
-    deltas = dict(map_layers("compute_task_vector", subtract, maps))
-    return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)
+    vector = lazy_task_vector(fine_tuned_shared, base_shared, base_fingerprint, label)
+    return replace(vector, deltas=dict(vector.deltas.items()))
 
 
 def zero_task_vector(base_shared: NamedTensorMap, base_fingerprint: str, label: str = "") -> TaskVector:
-    """The all-zero task vector (a model's drift against itself)."""
-    deltas = {}
-    for name, arr in base_shared.items():
-        check_tensor(arr, name)
-        zero = np.zeros(arr.shape, dtype=arr.dtype)
-        zero.flags.writeable = False
-        deltas[name] = zero
-    return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)
+    """The all-zero task vector (a model's drift against itself), in the
+    base's dtypes and shapes; each zero layer is made when it is looked up."""
+    layout = layout_of(base_shared)
+    for name, spec in layout.items():
+        check_layout_entry(spec, name)
+    return TaskVector(deltas=_Zeros(layout), base_fingerprint=base_fingerprint, label=label)
 
 
 def save_task_vector(vector: TaskVector, directory: str | Path) -> Path:
     """Write a task vector bundle: deltas container plus a JSON sidecar.
 
-    If either write fails, the directories this call created are removed.
+    The deltas are written as their map makes them, so a lazy vector is
+    written a layer at a time.  If either write fails, the directories this
+    call created are removed.
     """
     directory = Path(directory)
     # The outermost directory that mkdir is about to create, if any.
     created = next((p for p in reversed([directory, *directory.parents]) if not p.exists()), None)
     directory.mkdir(parents=True, exist_ok=True)
     try:
-        write_checkpoint(vector.deltas, directory / _DELTAS_FILE)
+        deltas = vector.deltas
+        write_checkpoint(layout_of(deltas), directory / _DELTAS_FILE, deltas.items())
         sidecar = {"base_fingerprint": vector.base_fingerprint, "label": vector.label}
         text = json.dumps(sidecar, indent=2) + "\n"
         write_atomically(directory / _META_FILE, [text.encode("utf-8")])
@@ -105,7 +169,11 @@ def save_task_vector(vector: TaskVector, directory: str | Path) -> Path:
     return directory
 
 
-def load_task_vector(directory: str | Path) -> TaskVector:
+def open_task_vector(directory: str | Path, stack: ExitStack) -> TaskVector:
+    """A bundle as a task vector whose deltas are an open
+    :class:`CheckpointReader`, closed with ``stack``.  The deltas' header
+    and the sidecar are read and checked now; each delta is read when it is
+    looked up."""
     directory = Path(directory)
     deltas_path = directory / _DELTAS_FILE
     meta_path = directory / _META_FILE
@@ -113,7 +181,7 @@ def load_task_vector(directory: str | Path) -> TaskVector:
         raise CheckpointFormatError(
             f"{directory}: not a task vector bundle (expected {_DELTAS_FILE} and {_META_FILE})"
         )
-    deltas = read_checkpoint(deltas_path)
+    deltas = stack.enter_context(CheckpointReader(deltas_path))
     meta = read_json(meta_path, "task vector sidecar")
     fields = meta if isinstance(meta, dict) else {}
     base_fingerprint, label = fields.get("base_fingerprint"), fields.get("label", "")
@@ -123,3 +191,10 @@ def load_task_vector(directory: str | Path) -> TaskVector:
             "'base_fingerprint' and an optional string 'label'"
         )
     return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)
+
+
+def load_task_vector(directory: str | Path) -> TaskVector:
+    """A bundle with every delta loaded: :func:`open_task_vector`, read whole."""
+    with ExitStack() as stack:
+        vector = open_task_vector(directory, stack)
+        return replace(vector, deltas=dict(vector.deltas.items()))

@@ -6,6 +6,9 @@ accumulate in float64 with numpy's fixed pairwise tree, so results are
 reproducible across runs and thread counts, and every kernel is a pure
 function of its inputs.  :func:`map_layers` is the one walk over aligned
 maps: every per-tensor operation goes through its key and shape checks.
+A map may also be a :class:`LazyTensorMap`, whose layers are made when
+they are looked up; its :attr:`~LazyTensorMap.layout` gives each layer's
+dtype and shape without making it.
 :func:`_blockwise` is the one walk within a tensor: the merge kernels stream
 a large tensor through small scratch blocks instead of whole-tensor
 temporaries, with the same bits as the whole-tensor expressions.
@@ -13,9 +16,10 @@ temporaries, with the same bits as the whole-tensor expressions.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from functools import partial
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -28,6 +32,57 @@ NamedTensorMap = dict[str, np.ndarray]
 # Elements per block of a kernel's walk over a large tensor.  A float64 block
 # is 256 KiB, so the few scratch blocks of a call stay in a core's L2 cache.
 _BLOCK = 32 * 1024
+
+
+class TensorLayout(NamedTuple):
+    """A tensor's dtype and shape, as a container header states them,
+    without its values.  Like an array it has ``size`` and ``nbytes``, so a
+    map of arrays is its own layout."""
+
+    dtype: np.dtype
+    shape: tuple[int, ...]
+
+    @property
+    def size(self) -> int:
+        return math.prod(self.shape)
+
+    @property
+    def nbytes(self) -> int:
+        return self.size * self.dtype.itemsize
+
+
+class LazyTensorMap:
+    """A read-only tensor map whose layers are made one at a time, when they
+    are looked up.  ``layout`` maps each name, in map order, to an array or a
+    :class:`TensorLayout` of its layer's dtype and shape; a subclass sets it
+    and defines ``__getitem__``.  ``items()`` and ``values()`` make each layer
+    once, in order, so a walk over them never holds the whole map."""
+
+    layout: dict
+
+    def keys(self):
+        return self.layout.keys()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.layout)
+
+    def __len__(self) -> int:
+        return len(self.layout)
+
+    def __contains__(self, name) -> bool:
+        return name in self.layout
+
+    def items(self) -> Iterator[tuple[str, np.ndarray]]:
+        return ((name, self[name]) for name in self)
+
+    def values(self) -> Iterator[np.ndarray]:
+        return (self[name] for name in self)
+
+
+def layout_of(tensor_map) -> dict:
+    """The names, dtypes and shapes of a map's layers, read without making
+    them: a lazy map's ``layout``, or a map of arrays itself."""
+    return tensor_map.layout if isinstance(tensor_map, LazyTensorMap) else tensor_map
 
 
 def tensor(values, dtype="f64") -> np.ndarray:
@@ -52,6 +107,15 @@ def tensor(values, dtype="f64") -> np.ndarray:
 def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
     if not isinstance(x, np.ndarray):
         raise DTypeError(f"{name}: expected a numpy array, got {type(x).__name__}")
+    if x.dtype.type not in SUPPORTED_DTYPES:
+        raise DTypeError(f"{name}: unsupported dtype {x.dtype}; expected float32 or float64")
+    return x
+
+
+def check_layout_entry(x, name: str = "tensor"):
+    """:func:`check_tensor` for a layout entry, an array or a :class:`TensorLayout`."""
+    if not isinstance(x, TensorLayout):
+        return check_tensor(x, name)
     if x.dtype.type not in SUPPORTED_DTYPES:
         raise DTypeError(f"{name}: unsupported dtype {x.dtype}; expected float32 or float64")
     return x

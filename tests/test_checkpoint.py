@@ -33,9 +33,11 @@ from duet.errors import (
     DTypeError,
     DuetError,
     EmptyInputError,
+    KeyMismatchError,
     PartitionError,
+    ShapeError,
 )
-from duet.tensors import map_layers
+from duet.tensors import TensorLayout, map_layers
 from tests.conftest import make_map
 
 # Canonical fingerprint of the reference map below; must never change.
@@ -485,6 +487,100 @@ class TestReaderMapping:
             assert list(got) == list(want)
             assert all(got[name].tobytes() == want[name].tobytes() for name in want)
         assert sums == {name: float(np.sum(arr + arr)) for name, arr in tensor_map.items()}
+
+
+class TestStreamedWriter:
+    """``write_checkpoint(layout, path, layers)``: the header from a layout,
+    then the layers of a stream, each checked against its layout entry."""
+
+    @pytest.fixture
+    def source(self, tmp_path, rng):
+        tensor_map = {"big": rng.normal(size=40_000).astype(np.float32),
+                      "small": rng.normal(size=(2, 3)).astype(np.float32),
+                      "wide": rng.normal(size=5), "scalar": np.array(2.5)}
+        path = tmp_path / "source.safetensors"
+        write_checkpoint(tensor_map, path)
+        return path, tensor_map
+
+    def test_layout_comes_from_the_header_alone(self, source, monkeypatch):
+        path, tensor_map = source
+        monkeypatch.setattr(CheckpointReader, "load", None)  # any payload read would fail
+        with CheckpointReader(path) as reader:
+            layout = reader.layout
+            assert canonical_header(reader) == canonical_header(layout) == canonical_header(tensor_map)
+        assert layout == {name: TensorLayout(arr.dtype, arr.shape) for name, arr in tensor_map.items()}
+        assert [spec.nbytes for spec in layout.values()] == [a.nbytes for a in tensor_map.values()]
+        assert [spec.size for spec in layout.values()] == [a.size for a in tensor_map.values()]
+
+    def test_a_stream_writes_the_bytes_of_its_map(self, source, tmp_path):
+        path, tensor_map = source
+        copy = tmp_path / "copy.safetensors"
+        with CheckpointReader(path) as reader:
+            layers = ((name, reader[name]) for name in reader)  # one at a time
+            write_checkpoint(reader.layout, copy, layers)
+            streamed = tmp_path / "lazy.safetensors"
+            write_checkpoint(reader, streamed)  # a lazy map streams its own items
+        assert copy.read_bytes() == streamed.read_bytes() == serialize_checkpoint(tensor_map)
+
+    def stream_with(self, tensor_map, name, arr=None, drop=False):
+        """``tensor_map``'s pairs, with ``name``'s array swapped or dropped."""
+        for key, value in tensor_map.items():
+            if key != name:
+                yield key, value
+            elif not drop:
+                yield key, value if arr is None else arr
+
+    @pytest.mark.parametrize("fault, error, message", [
+        ("order", KeyMismatchError, "tensor 'scalar' arrives out of layout order, where 'big' is due"),
+        ("shape", ShapeError, "tensor 'small' has shape (3, 2), but its layout says (2, 3)"),
+        ("dtype", DTypeError, "tensor 'wide' has dtype float32, but its layout says float64"),
+        ("short", KeyMismatchError, "the layers end before tensor 'scalar'"),
+        ("long", KeyMismatchError, "tensor 'extra' arrives out of layout order, past the layout's end"),
+        ("non-finite", CheckpointFormatError, "tensor 'wide' contains non-finite values"),
+        ("not-an-array", DTypeError, "tensor 'wide': expected a numpy array, got list"),
+    ])
+    def test_a_stream_off_its_layout_is_refused(self, source, tmp_path, fault, error, message):
+        path, tensor_map = source
+        before = path.read_bytes()
+        layers = {
+            "order": lambda: reversed(list(tensor_map.items())),
+            "shape": lambda: self.stream_with(tensor_map, "small", tensor_map["small"].T.copy()),
+            "dtype": lambda: self.stream_with(tensor_map, "wide", np.float32(tensor_map["wide"])),
+            "short": lambda: self.stream_with(tensor_map, "scalar", drop=True),
+            "long": lambda: [*tensor_map.items(), ("extra", np.zeros(1))],
+            "non-finite": lambda: self.stream_with(tensor_map, "wide", np.full(5, np.nan)),
+            "not-an-array": lambda: self.stream_with(tensor_map, "wide", [0.0] * 5),
+        }[fault]()
+        with pytest.raises(error, match=f"^{re.escape(str(path))}: {re.escape(message)}"):
+            write_checkpoint(tensor_map, path, layers)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_a_producer_error_leaves_the_target(self, source, tmp_path):
+        path, tensor_map = source
+        before = path.read_bytes()
+
+        def failing():
+            yield "big", tensor_map["big"]
+            raise ShapeError("found mid-walk")
+
+        with pytest.raises(ShapeError, match="found mid-walk"):
+            write_checkpoint(tensor_map, path, failing())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_the_stream_is_read_past_its_last_pair(self, source, tmp_path):
+        # A producer's closing code (a merge report's fingerprints) has run
+        # once the write returns.
+        _, tensor_map = source
+        ended = []
+
+        def layers():
+            yield from tensor_map.items()
+            ended.append(True)
+
+        write_checkpoint(tensor_map, tmp_path / "out.safetensors", layers())
+        assert ended == [True]
 
 
 class TestPartition:

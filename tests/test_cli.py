@@ -423,6 +423,22 @@ class TestDiagnoseCommand:
         code, _, err = run_cli(capsys, [*signs, "--preset", "updates", "--prev2", str(tmp_path / "none")])
         assert code == 2, err
 
+    @pytest.mark.parametrize("preset", ["vectors", "updates"])
+    def test_signs_refuse_vectors_of_different_bases(self, capsys, trio, tmp_path, preset):
+        tv_old = make_task_vector(capsys, trio, trio["task1"], tmp_path / "a", "old")
+        # "curr" is taken against task 1 as its base: the fingerprints differ.
+        code, _, err = run_cli(capsys, ["task-vector", trio["task1"], trio["task2"], "--partition",
+                                        trio["partition"], "--label", "curr", "-o", tmp_path / "b"])
+        assert code == 0, err
+        argv = ["diagnose", "signs", "--old", tv_old, "--curr", tmp_path / "b", "--preset", preset,
+                "-o", tmp_path / "signs.json"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "BaseMismatchError"
+        assert error["message"].startswith("diagnose signs: task vector 'curr' was computed against")
+        assert not (tmp_path / "signs.json").exists()
+
     def test_signs_csv_format(self, capsys, trio, tmp_path):
         tv_old = make_task_vector(capsys, trio, trio["task1"], tmp_path / "a", "old")
         tv_curr = make_task_vector(capsys, trio, trio["task2"], tmp_path / "b", "curr")

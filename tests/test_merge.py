@@ -44,13 +44,14 @@ from duet.merge import (
     assemble_incremental,
     duet_merge,
     incremental_head_concat,
+    iter_head_concat,
     iter_incremental_sequence,
     magmax_merge,
     weight_average_merge,
 )
 from duet.metrics import rai
 from duet.task_vectors import TaskVector, compute_task_vector
-from duet.tensors import l1_norm
+from duet.tensors import TensorLayout, l1_norm
 from tests.conftest import make_map
 from tests.test_tensors import BLOCK_EDGE_LENGTHS, spread_values, with_warning_kinds
 
@@ -335,6 +336,22 @@ class TestHeadConcat:
         out = incremental_head_concat(prev, curr, axis=0, replace_names={"head.stem"})
         assert out["head.stem"] is curr["head.stem"]
         assert out["head.cls"].shape == (4, 2)
+
+    def test_the_stream_form_plans_its_layout_from_the_layouts(self, rng):
+        prev = {"head.stem": rng.normal(size=(2, 2)), "head.cls": rng.normal(size=(1, 2))}
+        curr = {"head.stem": rng.normal(size=(2, 2)), "head.cls": rng.normal(size=(3, 2))}
+        # Layouts alone give the joined layout and every check; blocks are read as joined.
+        layouts = [{k: TensorLayout(v.dtype, v.shape) for k, v in m.items()} for m in (prev, curr)]
+        layout, _ = iter_head_concat(*layouts, axis=0, replace_names={"head.stem"})
+        assert layout == {"head.stem": TensorLayout(np.dtype("f8"), (2, 2)),
+                          "head.cls": TensorLayout(np.dtype("f8"), (4, 2))}
+        with pytest.raises(ShapeError, match="replace"):
+            iter_head_concat(*layouts, axis=0, replace_names={"head.stem", "head.cls"})
+        same, layers = iter_head_concat(prev, curr, axis=0, replace_names={"head.stem"})
+        joined = dict(layers)
+        assert same == layout
+        assert {k: (v.dtype, v.shape) for k, v in joined.items()} == {
+            k: (spec.dtype, spec.shape) for k, spec in layout.items()}
 
     def test_replace_with_changed_shape_rejected(self, rng):
         prev = {"head.stem": rng.normal(size=(2, 2))}

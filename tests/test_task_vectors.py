@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import tracemalloc
+from contextlib import ExitStack
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from duet.checkpoint import fingerprint_map, serialize_checkpoint
+from duet.checkpoint import CheckpointReader, fingerprint_map, serialize_checkpoint, write_checkpoint
 from duet.errors import (
     BaseMismatchError,
     CheckpointFormatError,
@@ -19,7 +22,9 @@ from duet.task_vectors import (
     TaskVector,
     _subtract,
     compute_task_vector,
+    lazy_task_vector,
     load_task_vector,
+    open_task_vector,
     save_task_vector,
     zero_task_vector,
 )
@@ -204,6 +209,20 @@ class TestZeroVector:
         assert all(delta.dtype == np.float32 for delta in vector.deltas.values())
         assert vector.label == "origin"
 
+    def test_each_zero_layer_is_made_on_lookup(self):
+        base = {f"w{i}": np.ones(100_000, np.float32) for i in range(8)}
+        tracemalloc.start()
+        try:
+            vector = zero_task_vector(base, "fp")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < base["w0"].nbytes // 4  # not one layer, let alone the map
+        zero = vector.deltas["w3"]
+        assert zero.dtype == np.float32 and zero.shape == (100_000,) and not zero.any()
+        assert not zero.flags.writeable
+        assert list(vector.deltas) == list(base) and len(vector.deltas) == 8
+
 
 class TestBundleIO:
     def test_save_load_roundtrip(self, tmp_path, rng):
@@ -215,6 +234,31 @@ class TestBundleIO:
         assert loaded.label == "phase1"
         assert loaded.base_fingerprint == vector.base_fingerprint
         assert serialize_checkpoint(loaded.deltas) == serialize_checkpoint(vector.deltas)
+
+    def test_an_opened_bundle_reads_each_delta_on_lookup(self, tmp_path, rng):
+        base = make_map(rng, 3, dtype=np.float32)
+        fine = {k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()}
+        vector = compute_task_vector(fine, base, "fp", "t")
+        save_task_vector(vector, tmp_path / "tv")
+        with ExitStack() as stack:
+            opened = open_task_vector(tmp_path / "tv", stack)
+            assert isinstance(opened.deltas, CheckpointReader)
+            assert (opened.base_fingerprint, opened.label) == ("fp", "t")
+            assert all(opened.deltas[n].tobytes() == vector.deltas[n].tobytes() for n in base)
+        with pytest.raises(ValueError, match="closed file"):  # the stack closed it
+            opened.deltas.fingerprint()
+        assert type(load_task_vector(tmp_path / "tv").deltas) is dict
+
+    def test_a_lazy_vector_saves_the_bundle_of_the_computed_one(self, tmp_path, rng):
+        base = make_map(rng, 4, dtype=np.float32)
+        fine = {k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()}
+        write_checkpoint(base, tmp_path / "base.st")
+        write_checkpoint(fine, tmp_path / "fine.st")
+        save_task_vector(compute_task_vector(fine, base, "fp", "t"), tmp_path / "eager")
+        with CheckpointReader(tmp_path / "base.st") as b, CheckpointReader(tmp_path / "fine.st") as f:
+            save_task_vector(lazy_task_vector(f, b, "fp", "t"), tmp_path / "lazy")
+        for part in ("deltas.safetensors", "meta.json"):
+            assert (tmp_path / "lazy" / part).read_bytes() == (tmp_path / "eager" / part).read_bytes()
 
     def test_missing_bundle_parts(self, tmp_path):
         (tmp_path / "tv").mkdir()
