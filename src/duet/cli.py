@@ -30,14 +30,14 @@ from .checkpoint import (
     write_atomically,
     write_checkpoint,
 )
-from .diagnostics import SignConflictReport, layer_sign_conflicts, merge_distance, sign_conflicts
+from .diagnostics import SignConflictReport, merge_distance, sign_conflicts
 from .errors import CheckpointFormatError, ConfigError, DTypeError, DuetError
 from .losses import (
     DcLossConfig,
     dc_loss,
     distill_loss,
     load_prediction_batch,
-    successive_updates,
+    update_sign_conflicts,
 )
 # duet_merge is not called here: the commands use the stream forms.  It stays
 # importable as duet.cli.duet_merge, which perfbench's tracer wraps by name.
@@ -473,7 +473,7 @@ def _cmd_diagnose(args) -> int:
             if args.preset == "updates":
                 tau_prev2 = _open_tv_maybe_zero(args.prev2, tau_old, "zero", stack)
                 _check_bases("diagnose signs", tau_old.base_fingerprint, tau_prev2)
-                count = lambda name, *layers: layer_sign_conflicts(*successive_updates(*layers))
+                count = lambda name, *layers: update_sign_conflicts(*layers)
                 maps = {"curr": tau_curr.deltas, "old": tau_old.deltas, "prev2": tau_prev2.deltas}
                 report = SignConflictReport(dict(map_layers("sign_conflicts", count, maps)))
             else:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensors import _BLOCK, NamedTensorMap, _blocked, _blockwise, map_layers
+from .tensors import NamedTensorMap, _blockwise, check_same_shape, map_layers
 from .task_vectors import TaskVector
 
 
@@ -64,49 +64,37 @@ def layer_sign_conflicts(left: np.ndarray, right: np.ndarray) -> TensorSignConfl
     """Count one tensor pair's elements with strictly opposite nonzero signs.
 
     Pairs where either element is zero are excluded from ``comparable``.
+    The pair must share one shape (ShapeError); its dtypes may differ.
     """
-    # The size test inline: small calls skip a call.
-    if left.size > _BLOCK and _blocked(left, right):
-        return _layer_sign_conflicts_blocks(left, right)
-    comparable, conflicts = _sign_count_rows(left, right)
-    return TensorSignConflicts(conflicts=int(conflicts), comparable=int(comparable))
+    check_same_shape("layer_sign_conflicts", left=left, right=right)
+    counts = _blockwise((left, right), _sign_counts, *_sign_scratch(left.dtype, right.dtype))
+    return TensorSignConflicts(*counts.tolist())
 
 
-def _sign_count_rows(left: np.ndarray, right: np.ndarray, axis=None) -> tuple:
-    """``(comparable, conflicts)`` of a pair, whole or, with numpy's
-    reduction ``axis``, per row of stacked layers."""
+def _sign_count_rows(left: np.ndarray, right: np.ndarray) -> tuple:
+    """``(conflicts, comparable)`` of each row of two stacked matrices of layers."""
     nonzero = (left != 0) & (right != 0)
-    comparable = np.count_nonzero(nonzero, axis=axis)
+    comparable = np.count_nonzero(nonzero, axis=1)
     nonzero &= np.sign(left) != np.sign(right)
-    return comparable, np.count_nonzero(nonzero, axis=axis)
+    return np.count_nonzero(nonzero, axis=1), comparable
 
 
-def _sign_scratch(left: np.ndarray, right: np.ndarray) -> tuple:
+def _sign_scratch(left_dtype, right_dtype) -> tuple:
     """The scratch dtypes :func:`_sign_counts` takes its blocks in."""
-    return bool, bool, left.dtype, right.dtype
+    return bool, bool, left_dtype, right_dtype
 
 
-def _sign_counts(left, right, nonzero, differ, left_sign, right_sign) -> tuple[int, int]:
-    """The sign-count leaf of a blocked walk: ``(comparable, conflicts)`` of
-    one pair of blocks, from the comparisons of ``np.sign`` values that
-    :func:`layer_sign_conflicts` makes, through :func:`_sign_scratch` blocks."""
+def _sign_counts(left, right, nonzero, differ, left_sign, right_sign) -> np.ndarray:
+    """The sign-count leaf of a blocked walk: ``(conflicts, comparable)``, in
+    :class:`TensorSignConflicts`' field order, of one pair of blocks, from
+    comparisons of ``np.sign`` values, through :func:`_sign_scratch` blocks."""
     np.not_equal(left, 0, out=nonzero)
     nonzero &= np.not_equal(right, 0, out=differ)
     np.sign(left, out=left_sign)
     np.sign(right, out=right_sign)
     np.not_equal(left_sign, right_sign, out=differ)
     differ &= nonzero
-    return np.count_nonzero(nonzero), np.count_nonzero(differ)
-
-
-def _layer_sign_conflicts_blocks(left: np.ndarray, right: np.ndarray) -> TensorSignConflicts:
-    """:func:`layer_sign_conflicts` a block at a time."""
-    flat_left, flat_right = left.reshape(-1), right.reshape(-1)
-    counts = lambda lo, hi, *scratch: np.array(
-        _sign_counts(flat_left[lo:hi], flat_right[lo:hi], *scratch)
-    )
-    comparable, conflicts = _blockwise(left.size, counts, *_sign_scratch(left, right)).tolist()
-    return TensorSignConflicts(conflicts=conflicts, comparable=comparable)
+    return np.array((np.count_nonzero(differ), np.count_nonzero(nonzero)))
 
 
 def sign_conflicts(a: TaskVector | NamedTensorMap, b: TaskVector | NamedTensorMap) -> SignConflictReport:
@@ -139,20 +127,22 @@ class MergeDistanceReport:
 COSINE_EPS = 1e-12
 
 
-def _distance_sums(name: str, merged: np.ndarray, old: np.ndarray, curr: np.ndarray) -> tuple:
+def _distance_sums(name: str, merged: np.ndarray, old: np.ndarray, curr: np.ndarray) -> list:
     """One layer's float64 sums: squared distances of ``merged`` to ``old``
     and ``curr``, its inner products with them, and the three squared norms."""
-    m, o, c = (x.astype(np.float64, copy=False) for x in (merged, old, curr))
-    # One temporary at a time: each is summed and dropped before the next.
-    return (
-        float(np.sum(np.square(m - o))),
-        float(np.sum(np.square(m - c))),
-        float(np.sum(m * o)),
-        float(np.sum(m * c)),
-        float(np.sum(np.square(m))),
-        float(np.sum(np.square(o))),
-        float(np.sum(np.square(c))),
-    )
+    return _blockwise((merged, old, curr), _distance_leaf, np.float64, np.float64).tolist()
+
+
+def _distance_leaf(merged, old, curr, m: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The seven sums of :func:`_distance_sums` over one block: ``m`` is the
+    float64 ``merged`` block, and each sum is taken of the float64 block ``x``."""
+    m[...] = merged
+    square_sum = lambda y: np.sum(np.square(y, out=x, dtype=np.float64))
+    return np.array((
+        square_sum(np.subtract(m, old, out=x)), square_sum(np.subtract(m, curr, out=x)),
+        np.sum(np.multiply(m, old, out=x)), np.sum(np.multiply(m, curr, out=x)),
+        square_sum(m), square_sum(old), square_sum(curr),
+    ))
 
 
 def _cosine(inner: float, sq_norm_x: float, sq_norm_y: float) -> float:

@@ -5,12 +5,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .checkpoint import read_checkpoint, read_json
+from .diagnostics import TensorSignConflicts, _sign_counts, _sign_scratch
 from .errors import CheckpointFormatError, ConfigError, EmptyInputError, ShapeError
-from .tensors import NamedTensorMap, inner_product, map_layers
+from .tensors import NamedTensorMap, _blockwise, check_same_shape, map_layers
 from .task_vectors import TaskVector, _check_bases
 
 GRANULARITIES = ("tensor", "element")
@@ -31,42 +33,63 @@ class DcLossConfig:
             )
 
 
-def successive_updates(
-    tau_t: np.ndarray, tau_prev: np.ndarray, tau_prev2: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One tensor's float64 updates ``d_curr = tau_t - tau_prev`` and
-    ``d_prev = tau_prev - tau_prev2``."""
-    prev = tau_prev.astype(np.float64)
-    d_curr = tau_t.astype(np.float64) - prev
-    return d_curr, prev - tau_prev2.astype(np.float64)
+def successive_updates(tau_t, tau_prev, tau_prev2, d_curr, d_prev) -> tuple:
+    """The float64 updates ``d_curr = tau_t - tau_prev`` and ``d_prev =
+    tau_prev - tau_prev2``, written into float64 arrays of their shape: the
+    update leaf of a blocked walk, or one whole tensor's updates."""
+    np.subtract(tau_t, tau_prev, out=d_curr, dtype=np.float64)
+    np.subtract(tau_prev, tau_prev2, out=d_prev, dtype=np.float64)
+    return d_curr, d_prev
+
+
+def _walk_updates(op: str, tau_t, tau_prev, tau_prev2, leaf: Callable, *scratch):
+    """``leaf(d_curr, d_prev, *scratch_blocks)`` over blocks of one tensor's
+    :func:`successive_updates`, added up a :func:`~duet.tensors._blockwise`
+    walk.  The tensors must share one shape (ShapeError), not one dtype."""
+    check_same_shape(op, tau_t=tau_t, tau_prev=tau_prev, tau_prev2=tau_prev2)
+
+    def block(t, prev, prev2, d_curr, d_prev, *blocks):
+        return leaf(*successive_updates(t, prev, prev2, d_curr, d_prev), *blocks)
+
+    return _blockwise((tau_t, tau_prev, tau_prev2), block, np.float64, np.float64, *scratch)
+
+
+def _alignment_sums(d_curr: np.ndarray, d_prev: np.ndarray) -> np.ndarray:
+    """The DC leaf: a block's ``sum(d_curr * d_prev)`` and the sum of its
+    negative products, ``sum(min(d_curr * d_prev, 0))``."""
+    products = np.multiply(d_curr, d_prev, out=d_curr)
+    return np.array((np.sum(products), np.sum(np.fmin(products, 0.0, out=products))))
+
+
+def update_sign_conflicts(tau_t, tau_prev, tau_prev2) -> TensorSignConflicts:
+    """:func:`~duet.diagnostics.layer_sign_conflicts` of one tensor's
+    :func:`successive_updates`, a block at a time."""
+    counts = _walk_updates("update_sign_conflicts", tau_t, tau_prev, tau_prev2, _sign_counts,
+                           *_sign_scratch(np.float64, np.float64))
+    return TensorSignConflicts(*counts.tolist())
 
 
 def dc_term(
     tau_t: np.ndarray, tau_prev: np.ndarray, tau_prev2: np.ndarray, granularity: str
-) -> tuple[float, np.ndarray, np.ndarray | bool]:
-    """One tensor's term of :func:`dc_loss` as ``(penalty, d_prev, active)``.
+) -> float:
+    """One tensor's term of :func:`dc_loss`, a block at a time.
 
-    ``active`` marks the terms with negative alignment (one flag per tensor or
-    per element); the term's gradient with respect to ``tau_t`` is
-    ``where(active, -d_prev, 0)``, the zero subgradient at the hinge.
+    At tensor granularity the term is ``relu(-(d_curr . d_prev))``, with the
+    bits of :func:`~duet.tensors.inner_product` of the whole updates, and it
+    is positive exactly when the tensor's gradient is active.  At element
+    granularity it is minus the sum of the negative products.
     """
-    d_curr, d_prev = successive_updates(tau_t, tau_prev, tau_prev2)
+    sums = _walk_updates("dc_term", tau_t, tau_prev, tau_prev2, _alignment_sums)
+    alignment, negative = sums.tolist()
     if granularity == "tensor":
-        alignment = inner_product(d_curr, d_prev)
-        active = alignment < 0.0
-        return (-alignment if active else 0.0), d_prev, active
-    products = d_curr * d_prev
-    active = products < 0.0
-    return float(-np.sum(products[active], dtype=np.float64)), d_prev, active
+        return -alignment if alignment < 0.0 else 0.0
+    return -negative
 
 
-def _dc_terms(
-    tau_t: TaskVector, tau_prev: TaskVector, tau_prev2: TaskVector, config: DcLossConfig, op: str
-):
+def _dc_terms(tau_t: TaskVector, tau_prev: TaskVector, tau_prev2: TaskVector, fn, op: str):
     _check_bases(op, tau_t.base_fingerprint, tau_prev, tau_prev2)
-    term = lambda name, t, prev, prev2: dc_term(t, prev, prev2, config.granularity)
     maps = {"tau_t": tau_t.deltas, "tau_prev": tau_prev.deltas, "tau_prev2": tau_prev2.deltas}
-    return map_layers(op, term, maps)
+    return map_layers(op, fn, maps)
 
 
 def dc_loss(
@@ -82,12 +105,26 @@ def dc_loss(
     or single elements depending on the configured granularity.
     """
     config = config or DcLossConfig()
-    terms = _dc_terms(tau_t, tau_prev, tau_prev2, config, "dc_loss")
+    term = lambda name, *layers: dc_term(*layers, config.granularity)
+    terms = _dc_terms(tau_t, tau_prev, tau_prev2, term, "dc_loss")
     total = 0.0
     # Sorted order makes the sum independent of dict insertion order.
-    for _, penalty in sorted((name, term[0]) for name, term in terms):
+    for _, penalty in sorted(terms):
         total += penalty
     return total
+
+
+def _layer_grad(tau_t, tau_prev, tau_prev2, granularity: str) -> np.ndarray:
+    """One tensor's gradient of :func:`dc_loss`, ``where(active, -d_prev, 0)``,
+    whole, as the gradient map is."""
+    d_curr, d_prev = successive_updates(tau_t, tau_prev, tau_prev2, *np.empty((2, *tau_t.shape)))
+    if granularity == "tensor":
+        active = dc_term(tau_t, tau_prev, tau_prev2, "tensor") > 0.0
+    else:
+        active = d_curr * d_prev < 0.0
+    layer_grad = np.where(active, -d_prev, 0.0)
+    layer_grad.flags.writeable = False
+    return layer_grad
 
 
 def dc_loss_grad(
@@ -102,12 +139,8 @@ def dc_loss_grad(
     at the hinge (alignment exactly zero) the zero subgradient is returned.
     """
     config = config or DcLossConfig()
-    grad: NamedTensorMap = {}
-    for name, (_, d_prev, active) in _dc_terms(tau_t, tau_prev, tau_prev2, config, "dc_loss_grad"):
-        layer_grad = np.where(active, -d_prev, 0.0)
-        layer_grad.flags.writeable = False
-        grad[name] = layer_grad
-    return grad
+    grad = lambda name, *layers: _layer_grad(*layers, config.granularity)
+    return dict(_dc_terms(tau_t, tau_prev, tau_prev2, grad, "dc_loss_grad"))
 
 
 def percentile_75(values) -> float:

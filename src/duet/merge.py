@@ -214,25 +214,22 @@ class MergeReport:
 
 
 def _layer_statistics_blocks(old: np.ndarray, curr: np.ndarray) -> tuple:
-    """A large layer's statistics: the L1 norms of its row-major deltas and
-    of their float64 sum, and its sign counts, in one blocked walk.  A
-    block's L1 leaves over ``old``, ``curr`` and their float64 sum share one
-    float64 scratch block, beside the sign-count leaf.
+    """A large layer's statistics: the L1 norms of its deltas and of their
+    float64 sum, and its sign counts, in one blocked walk.  A block's L1
+    leaves over ``old``, ``curr`` and their float64 sum share one float64
+    scratch block, beside the sign-count leaf.
     The walk adds the five block results up numpy's pairwise tree, so each
-    norm has the bits of :func:`l1_norm`; the counts, added as float64, are
-    exact below 2**53 elements."""
-    flat_old, flat_curr = old.reshape(-1), curr.reshape(-1)
+    norm has the bits of :func:`l1_norm` of the row-major layer; the counts,
+    added as float64, are exact below 2**53 elements."""
 
-    def leaf(lo: int, hi: int, wide: np.ndarray, *signs: np.ndarray) -> np.ndarray:
-        block_old, block_curr = flat_old[lo:hi], flat_curr[lo:hi]
-        norm_old, norm_curr = _abs_sum(block_old, wide), _abs_sum(block_curr, wide)
-        pair = np.add(block_old, block_curr, out=wide, dtype=np.float64)
-        counts = _sign_counts(block_old, block_curr, *signs)
-        return np.array((norm_old, norm_curr, _abs_sum(pair, wide), *counts))
+    def leaf(block_old, block_curr, wide: np.ndarray, *signs: np.ndarray) -> np.ndarray:
+        norms = [_abs_sum(block_old, wide), _abs_sum(block_curr, wide)]
+        norms.append(_abs_sum(np.add(block_old, block_curr, out=wide, dtype=np.float64), wide))
+        return np.array((*norms, *_sign_counts(block_old, block_curr, *signs)))
 
-    scratch = (np.float64, *_sign_scratch(old, curr))
-    *norms, comparable, conflicts = _blockwise(old.size, leaf, *scratch).tolist()
-    return (*norms, TensorSignConflicts(conflicts=int(conflicts), comparable=int(comparable)))
+    scratch = (np.float64, *_sign_scratch(old.dtype, curr.dtype))
+    *norms, conflicts, comparable = _blockwise((old, curr), leaf, *scratch).tolist()
+    return (*norms, TensorSignConflicts(int(conflicts), int(comparable)))
 
 
 def _coefficients(
@@ -298,14 +295,17 @@ def _merge_group(
     if subtract:
         old, curr = (_subtract(names[0], x, base) for x in (old, curr))
     norms = [l1_norm(x, axis=1) for x in (old, curr, np.add(old, curr, dtype=np.float64))]
-    comparable, conflicts = (counts.tolist() for counts in _sign_count_rows(old, curr, axis=1))
+    conflicts, comparable = (counts.tolist() for counts in _sign_count_rows(old, curr))
     coefficients = [
         _coefficients(name, *row, config)
         for name, row in zip(names, zip(*(n.tolist() for n in norms)))
     ]
     alpha = np.array([[record.alpha] for record, _ in coefficients])
     beta = np.array([[record.beta] for record, _ in coefficients])
-    merged = combine(((1.0, base), (alpha, old), (beta, curr)), base.dtype)
+    # combine's float64 arithmetic, inline: a flat walk cannot broadcast per-row coefficients.
+    merged = base.astype(np.float64) + np.multiply(alpha, old, dtype=np.float64)
+    merged = (merged + np.multiply(beta, curr, dtype=np.float64)).astype(base.dtype, copy=False)
+    merged.flags.writeable = False
     return [
         (name, record, merged[i].reshape(shape), warnings, old[i], curr[i],
          TensorSignConflicts(conflicts=conflicts[i], comparable=comparable[i]))
@@ -365,9 +365,6 @@ def _merge_layers(
         return args
 
     def merge_alone(name, base_l, old_l, curr_l) -> deque:
-        # The blocked walk takes flat slices: a library caller's column-major
-        # or strided pair is summed row-major, as a small layer's rows are.
-        old_l, curr_l = np.ascontiguousarray(old_l), np.ascontiguousarray(curr_l)
         *norms, signs = _layer_statistics_blocks(old_l, curr_l)
         record, warnings = _coefficients(name, *norms, config)
         terms = ((1.0, base_l), (record.alpha, old_l), (record.beta, curr_l))

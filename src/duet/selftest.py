@@ -222,18 +222,18 @@ def central_difference_check(
         def term(flat_index: int, bump: float) -> float:
             if config.granularity == "element":
                 own = slice(flat_index, flat_index + 1)
-                return dc_term(flat[own] + bump, flat_prev[own], flat_prev2[own], "element")[0]
+                return dc_term(flat[own] + bump, flat_prev[own], flat_prev2[own], "element")
             value = flat[flat_index]
             flat[flat_index] = value + bump
             try:
-                return dc_term(layer, prev, prev2, "tensor")[0]
+                return dc_term(layer, prev, prev2, "tensor")
             finally:
                 flat[flat_index] = value
 
-        d_curr, d_prev = successive_updates(layer, prev, prev2)
+        wide = np.empty((2, flat.size))
+        d_curr, flat_d_prev = successive_updates(flat, flat_prev, flat_prev2, *wide)
         flat_grad = layer_grad.reshape(-1)
-        flat_d_prev = d_prev.reshape(-1)
-        products = (d_curr * d_prev).reshape(-1)
+        products = d_curr * flat_d_prev
         if config.granularity == "tensor":
             alignment = np.full(products.size, float(np.sum(products)))
             noise = float(np.sum(np.abs(products)) * np.finfo(np.float64).eps / h)
@@ -401,9 +401,11 @@ def _determinism_argvs(tmp: Path) -> list[list]:
         ["head-concat", task1, task2, *part, "-o", tmp / "head.st"],
         ["sequence", base, task1, task2, *part, "-o", tmp / "seq"],
         ["dc-loss", "--t", tv_curr, "--prev", tv_old, "--grad-check"],
+        ["dc-loss", "--t", tv_curr, "--prev", tv_old, "--granularity", "element"],
         ["distill", "--curr", preds, "--old", preds],
         ["diagnose", "signs", "--old", tv_old, "--curr", tv_curr],
         ["diagnose", "signs", "--old", tv_old, "--curr", tv_curr, "--format", "csv"],
+        ["diagnose", "signs", "--old", tv_old, "--curr", tv_curr, "--preset", "updates"],
         ["diagnose", "distance", "--merged", merged, "--old", task1, "--curr", task2, *part],
         ["metrics", "--protocol", protocol_path(), "--records", records_path("duet"),
          "-o", tmp / "metrics.json"],

@@ -9,9 +9,10 @@ maps: every per-tensor operation goes through its key and shape checks.
 A map may also be a :class:`LazyTensorMap`, whose layers are made when
 they are looked up; its :attr:`~LazyTensorMap.layout` gives each layer's
 dtype and shape without making it.
-:func:`_blockwise` is the one walk within a tensor: the merge kernels stream
-a large tensor through small scratch blocks instead of whole-tensor
-temporaries, with the same bits as the whole-tensor expressions.
+:func:`_blockwise` is the one walk within a tensor: every per-layer kernel
+(:func:`combine`, the merge statistics, the sign counts, the DC-loss terms and
+the distance sums) streams a tensor through small scratch blocks instead of
+whole-tensor temporaries, with the same bits as the whole-tensor expressions.
 """
 
 from __future__ import annotations
@@ -121,88 +122,62 @@ def check_layout_entry(x, name: str = "tensor"):
     return x
 
 
-def _check_pair(x: np.ndarray, y: np.ndarray, op: str, x_name: str = "x", y_name: str = "y"):
-    check_tensor(x, x_name)
-    check_tensor(y, y_name)
-    if x.shape != y.shape:
-        raise ShapeError(
-            f"{op}: shape mismatch between {x_name} {x.shape} and {y_name} {y.shape}"
-        )
-    if x.dtype != y.dtype:
-        raise DTypeError(f"{op}: dtype mismatch between {x_name} ({x.dtype}) and {y_name} ({y.dtype})")
+def check_same_shape(op: str, **arrays: np.ndarray):
+    """ShapeError unless the arrays, named by their keywords, share one shape."""
+    (a, x), *others = arrays.items()
+    for b, y in others:
+        if y.shape != x.shape:
+            raise ShapeError(f"{op}: shape mismatch between {a} {x.shape} and {b} {y.shape}")
 
 
-def _blocked(*arrays: np.ndarray) -> bool:
-    """Whether a kernel walks these aligned arrays with :func:`_blockwise`:
-    they hold more than one block, share one shape and are row-major
-    contiguous, so a flat slice is a block and memory order is the order in
-    which numpy sums.  Other arrays keep the kernels' whole-array code."""
-    first = arrays[0]
-    return first.size > _BLOCK and all(
-        a.shape == first.shape and a.flags.c_contiguous for a in arrays
-    )
+def _blockwise(arrays: Iterable[np.ndarray], leaf: Callable, *scratch) -> object:
+    """``leaf(*blocks, *scratch_blocks)`` over consecutive blocks of aligned
+    arrays of one size, the results added up the tree of numpy's pairwise
+    summation.
 
-
-def _blockwise(size: int, leaf: Callable, *scratch) -> object:
-    """``leaf(lo, hi, *blocks)`` over consecutive blocks of a ``size``-element
-    walk, the results added up the tree of numpy's pairwise summation.
-
-    ``blocks`` are views ``hi - lo`` long of one fresh array per ``scratch``
-    dtype, allocated once per walk, so concurrent walks share nothing.  A span
-    longer than ``_BLOCK`` splits where numpy's pairwise sum splits it, at
-    half its length rounded down to a multiple of 8, so each block is a node
-    of that tree: float64 block sums added this way equal ``np.sum`` over the
-    whole span bit for bit.  Elementwise leaves return 0.
+    Each array is walked flat, row-major (a non-row-major one is copied
+    first); its blocks are views, so a leaf may write into them.  The scratch
+    blocks are views of one fresh array per ``scratch`` dtype, at most one
+    block long and made once per walk, so concurrent walks share nothing.  A
+    span longer than ``_BLOCK`` splits where numpy's pairwise sum splits it,
+    at half its length rounded down to a multiple of 8, so each block is a
+    node of that tree: float64 block sums added this way equal ``np.sum``
+    over the whole span bit for bit.  Elementwise leaves return 0.
     """
-    return _node(0, size, leaf, [np.empty(_BLOCK, dtype) for dtype in scratch])
+    flats = [x.reshape(-1) for x in arrays]
+    size = flats[0].size
+    buffers = [np.empty(min(size, _BLOCK), dtype) for dtype in scratch]
+    return _node(0, size, leaf, flats, buffers)
 
 
-def _node(lo: int, hi: int, leaf: Callable, buffers: list) -> object:
+def _node(lo: int, hi: int, leaf: Callable, flats: list, buffers: list) -> object:
     # Module level, not a closure: a self-referencing closure is a cycle that
     # would keep the walk's scratch and tensors alive until the next GC pass.
     if hi - lo <= _BLOCK:
-        return leaf(lo, hi, *[buffer[: hi - lo] for buffer in buffers])
+        return leaf(*[x[lo:hi] for x in flats], *[buffer[: hi - lo] for buffer in buffers])
     half = (hi - lo) // 2
     mid = lo + half - half % 8
-    return _node(lo, mid, leaf, buffers) + _node(mid, hi, leaf, buffers)
+    return _node(lo, mid, leaf, flats, buffers) + _node(mid, hi, leaf, flats, buffers)
 
 
 def combine(terms, dtype) -> np.ndarray:
-    """Read-only ``sum(c * x for c, x in terms)``, rounded once to ``dtype``.
-
-    Products and the left-to-right sum are float64 (under numpy 2 a Python
-    float times a float32 array stays float32).  Callers check shapes.
+    """Read-only ``sum(c * x for c, x in terms)``, rounded once to ``dtype``,
+    a block at a time.  Each ``c`` is a number; callers check that the ``x``
+    share one shape.  Products and the left-to-right sum are float64 (under
+    numpy 2 a Python float times a float32 array stays float32).
     """
-    terms = tuple(terms)
-    # The size test inline: small calls skip a call.
-    if terms[0][1].size > _BLOCK and _blocked(*[x for _, x in terms]):
-        return _combine_blocks(terms, dtype)
-    terms = iter(terms)
-    c, x = next(terms)
-    total = np.multiply(c, x, dtype=np.float64)
-    for c, x in terms:
-        # Not ``+=``: that left the heap more fragmented on many small tensors.
-        # Large sums reuse the product's buffer (numpy elides the temporary).
-        total = total + np.multiply(c, x, dtype=np.float64)
-    out = np.asarray(total.astype(dtype, copy=False))  # a 0-d total is a numpy scalar
-    out.flags.writeable = False
-    return out
+    (c0, *rest), arrays = zip(*terms)
+    out = np.empty(np.shape(arrays[0]), dtype)
 
-
-def _combine_blocks(terms: tuple, dtype) -> np.ndarray:
-    """:func:`combine` a block at a time through two float64 scratch blocks."""
-    (c0, x0), *rest = [(c, x.reshape(-1)) for c, x in terms]
-    out = np.empty(terms[0][1].shape, dtype)
-    flat_out = out.reshape(-1)
-
-    def leaf(lo: int, hi: int, total: np.ndarray, product: np.ndarray) -> int:
-        np.multiply(c0, x0[lo:hi], out=total, dtype=np.float64)
-        for c, x in rest:
-            np.add(total, np.multiply(c, x[lo:hi], out=product, dtype=np.float64), out=total)
-        flat_out[lo:hi] = total
+    def leaf(out_block, x0, *blocks_and_scratch) -> int:
+        *blocks, total, product = blocks_and_scratch
+        np.multiply(c0, x0, out=total, dtype=np.float64)
+        for c, x in zip(rest, blocks):
+            np.add(total, np.multiply(c, x, out=product, dtype=np.float64), out=total)
+        out_block[...] = total
         return 0
 
-    _blockwise(out.size, leaf, np.float64, np.float64)
+    _blockwise((out, *arrays), leaf, np.float64, np.float64)
     out.flags.writeable = False
     return out
 
@@ -228,7 +203,9 @@ def inner_product(x: np.ndarray, y: np.ndarray) -> float:
     The elementwise products are commutative and the reduction tree is fixed,
     so ``inner_product(x, y) == inner_product(y, x)`` bit-exactly.
     """
-    _check_pair(x, y, "inner_product")
+    check_same_shape("inner_product", x=check_tensor(x, "x"), y=check_tensor(y, "y"))
+    if x.dtype != y.dtype:
+        raise DTypeError(f"inner_product: dtype mismatch between x ({x.dtype}) and y ({y.dtype})")
     return float(
         np.sum(x.astype(np.float64, copy=False) * y.astype(np.float64, copy=False), dtype=np.float64)
     )

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from duet.diagnostics import merge_distance, sign_conflicts
+from duet.diagnostics import layer_sign_conflicts, merge_distance, sign_conflicts
 from duet.errors import KeyMismatchError, ShapeError
 from duet.task_vectors import TaskVector
 
@@ -95,6 +95,17 @@ class TestSignConflicts:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             sign_conflicts(tv({"w": [1.0]}), tv({"w": [1.0, 2.0]}))
+
+    def test_layer_pair_of_another_shape_is_refused_not_broadcast(self):
+        # (3, 1) against (1, 3) would broadcast to nine pairs.
+        with pytest.raises(ShapeError, match=r"shape mismatch between left \(3, 1\) and right"):
+            layer_sign_conflicts(np.ones((3, 1)), -np.ones((1, 3)))
+        with pytest.raises(ShapeError):  # same size, other shape
+            layer_sign_conflicts(np.ones((2, 3)), -np.ones((3, 2)))
+
+    def test_layer_pair_may_mix_dtypes(self):
+        counts = layer_sign_conflicts(np.float32([1, -2, 0]), np.float64([-1, -3, 4]))
+        assert (counts.conflicts, counts.comparable) == (1, 2)
 
 
 class TestMergeDistance:

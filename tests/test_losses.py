@@ -9,15 +9,18 @@ import pytest
 from duet.checkpoint import write_checkpoint
 from duet.errors import BaseMismatchError, EmptyInputError, KeyMismatchError, ShapeError
 from duet.losses import (
+    GRANULARITIES,
     DcLossConfig,
     PredictionBatch,
     dc_loss,
     dc_loss_grad,
+    dc_term,
     distill_bbox_loss,
     distill_cls_loss,
     distill_loss,
     load_prediction_batch,
     percentile_75,
+    update_sign_conflicts,
 )
 from duet.task_vectors import TaskVector, zero_task_vector
 
@@ -114,6 +117,25 @@ class TestDcLoss:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             dc_loss(tv({"w": [1.0, 2.0]}), tv({"w": [1.0]}), tv({"w": [1.0]}))
+
+    @pytest.mark.parametrize("granularity", GRANULARITIES)
+    def test_term_of_tensors_of_other_shapes_is_refused_not_broadcast(self, granularity):
+        # (3, 1) against (1, 3) would broadcast to nine products.
+        ones = np.ones((3, 1))
+        with pytest.raises(ShapeError, match=r"dc_term: shape mismatch between tau_t \(3, 1\)"):
+            dc_term(ones, -np.ones((1, 3)), ones, granularity)
+        with pytest.raises(ShapeError):  # same size, other shape
+            dc_term(ones, ones, np.ones(3), granularity)
+        with pytest.raises(ShapeError):
+            update_sign_conflicts(ones, -np.ones((1, 3)), ones)
+
+    def test_term_may_mix_dtypes(self):
+        t, prev, prev2 = np.float32([3.0, 0.0]), np.float64([1.0, 1.0]), np.float32([2.0, 0.0])
+        # d_curr = (2, -1), d_prev = (-1, 1): alignment -3, both products negative
+        assert dc_term(t, prev, prev2, "tensor") == 3.0
+        assert dc_term(t, prev, prev2, "element") == 3.0
+        counts = update_sign_conflicts(t, prev, prev2)
+        assert (counts.conflicts, counts.comparable) == (2, 2)
 
 
 class TestCentralDifferenceCheck:

@@ -24,7 +24,6 @@ from duet.checkpoint import (
 from duet.diagnostics import (
     SignConflictReport,
     TensorSignConflicts,
-    layer_sign_conflicts,
     sign_conflicts,
 )
 from duet.errors import (
@@ -732,11 +731,15 @@ def _per_layer(layout):
 
 
 def _alone_statistics(old: np.ndarray, curr: np.ndarray) -> list:
-    """What ``l1_norm`` and ``layer_sign_conflicts`` give of a row-major layer alone."""
+    """What ``l1_norm`` gives of a row-major layer alone, and its sign counts
+    from whole-array numpy."""
     old, curr = np.ascontiguousarray(old), np.ascontiguousarray(curr)
     with np.errstate(over="ignore"):  # huge f64 layers: infinite norms, as in the merge
         norms = (l1_norm(old), l1_norm(curr), l1_norm(np.add(old, curr, dtype=np.float64)))
-    return [norm.hex() for norm in norms] + [layer_sign_conflicts(old, curr)]
+    nonzero = (old != 0) & (curr != 0)
+    conflicts = np.count_nonzero(nonzero & (np.sign(old) != np.sign(curr)))
+    counts = TensorSignConflicts(int(conflicts), int(np.count_nonzero(nonzero)))
+    return [norm.hex() for norm in norms] + [counts]
 
 
 def _check_against_the_kernels(report: MergeReport, old: dict, curr: dict):

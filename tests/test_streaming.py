@@ -84,6 +84,9 @@ STREAMED = {
     "signs-updates": lambda f, out: ["diagnose", "signs", "--old", f.tv1, "--curr", f.tv2,
                                      "--preset", "updates", "-o", out / "signs.json"],
     "dc-loss": lambda f, out: ["dc-loss", "--t", f.tv2, "--prev", f.tv1],
+    "distance": lambda f, out: ["diagnose", "distance", "--merged", f.base, "--old", f.ft1,
+                                "--curr", f.ft2, "--partition", f.partition,
+                                "-o", out / "distance.json"],
 }
 
 
@@ -114,6 +117,65 @@ def test_each_command_holds_about_its_largest_layers(models, tmp_path, command, 
     assert peak < bound, f"{command}: peak {peak} B, bound {bound:.0f} B"
 
 
+# One large shared layer beside a few small ones, so a command's peak is
+# measured in that layer's bytes.
+LARGE_SIDE = 1024
+
+
+@pytest.fixture(scope="module")
+def one_large_layer(tmp_path_factory):
+    """A base, two fine-tuned models, the partition and two task vector
+    bundles, whose shared partition is one 1024 x 1024 f32 layer and three
+    small ones."""
+    root = tmp_path_factory.mktemp("one_large_layer")
+    rng = np.random.default_rng(12)
+    shapes = {"backbone.large": (LARGE_SIDE, LARGE_SIDE), "backbone.a": (64,),
+              "backbone.b": (16, 16), "backbone.c": (3, 3, 8), "head.cls.weight": (4, 64),
+              "head.stem.weight": (64, 8)}
+    base = {name: rng.standard_normal(shape, dtype=np.float32) for name, shape in shapes.items()}
+    files = SimpleNamespace(partition=root / "partition.json", base=root / "base.safetensors",
+                            largest=LARGE_SIDE * LARGE_SIDE * 4)
+    files.partition.write_text(json.dumps(PARTITION))
+    write_checkpoint(base, files.base)
+    with CheckpointReader(files.base) as reader:
+        base_fp = reader.fingerprint()
+    base_shared = {name: arr for name, arr in base.items() if name.startswith("backbone.")}
+    for k in (1, 2):
+        model = {name: arr + np.float32(0.01) * rng.standard_normal(arr.shape, dtype=np.float32)
+                 for name, arr in base.items()}
+        setattr(files, f"ft{k}", root / f"ft{k}.safetensors")
+        write_checkpoint(model, getattr(files, f"ft{k}"))
+        shared = {name: model[name] for name in base_shared}
+        vector = compute_task_vector(shared, base_shared, base_fp, f"t{k}")
+        setattr(files, f"tv{k}", save_task_vector(vector, root / f"tv{k}"))
+    return files
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("argv", [
+    STREAMED["distance"],
+    STREAMED["signs-updates"],
+    STREAMED["dc-loss"],
+    lambda f, out: [*STREAMED["dc-loss"](f, out), "--granularity", "element"],
+], ids=["distance", "signs-updates", "dc-loss-tensor", "dc-loss-element"])
+def test_the_losses_and_diagnostics_hold_a_few_blocks_beside_their_layers(
+    one_large_layer, tmp_path, argv, threads
+):
+    """These commands walk each layer in 32 Ki-element blocks: beside the
+    input layers they read, they hold a few scratch blocks, not whole-layer
+    float64 copies (each of which is twice the f32 layer)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        code, err = run_main([*argv(one_large_layer, tmp_path), "--threads", threads])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    bound = 5 * one_large_layer.largest
+    assert peak < bound, f"peak {peak} B is {peak / one_large_layer.largest:.2f} x the layer"
+
+
 def poison(path: Path, name: str):
     """Set the first element of tensor ``name`` in the container at ``path``
     to NaN, in place; the header stays valid."""
@@ -142,7 +204,7 @@ def poisoned(models, tmp_path_factory):
 # The target each command writes, if any, relative to its output directory.
 TARGETS = {"task-vector": "tv", "merge-duet": "merged.st", "merge-average": "merged.st",
            "merge-magmax": "merged.st", "head-concat": "head.st", "signs-vectors": "signs.json",
-           "signs-updates": "signs.json"}
+           "signs-updates": "signs.json", "distance": "distance.json"}
 
 
 @pytest.mark.parametrize("threads", [1, 2])

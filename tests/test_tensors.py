@@ -10,11 +10,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from duet.diagnostics import layer_sign_conflicts, merge_distance
+from duet.diagnostics import (
+    TensorSignConflicts,
+    _distance_sums,
+    layer_sign_conflicts,
+    merge_distance,
+)
 from duet.errors import DTypeError, ShapeError
+from duet.losses import dc_term, update_sign_conflicts
 from duet.merge import _layer_statistics_blocks, duet_merge
 from duet.task_vectors import TaskVector, _subtract
-from duet.tensors import inner_product, combine, l1_norm, tensor
+from duet.tensors import _BLOCK, inner_product, combine, l1_norm, tensor
 
 finite_floats = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False, width=64
@@ -212,10 +218,17 @@ class TestBlockedKernels:
             assert counts.conflicts == counts.comparable == int(np.count_nonzero(view))
 
 
+def numpy_sign_counts(x: np.ndarray, y: np.ndarray) -> TensorSignConflicts:
+    """The sign counts of a pair, from whole-array numpy."""
+    nonzero = (x != 0) & (y != 0)
+    conflicts = np.count_nonzero(nonzero & (np.sign(x) != np.sign(y)))
+    return TensorSignConflicts(int(conflicts), int(np.count_nonzero(nonzero)))
+
+
 def separate_statistics(x: np.ndarray, y: np.ndarray) -> tuple:
-    """The three norms and the sign counts, each from its own kernel."""
+    """The three norms, each from ``l1_norm``, and the sign counts from numpy."""
     norm_sum = l1_norm(np.add(x, y, dtype=np.float64))
-    return l1_norm(x), l1_norm(y), norm_sum, layer_sign_conflicts(x, y)
+    return l1_norm(x), l1_norm(y), norm_sum, numpy_sign_counts(x, y)
 
 
 def merge_statistics(x: np.ndarray, y: np.ndarray) -> tuple:
@@ -245,7 +258,7 @@ def with_warning_kinds(fn: Callable) -> tuple:
 class TestFusedStatistics:
     """A large layer's three norms and its sign counts come from one blocked
     walk (``merge._layer_statistics_blocks``); each keeps the bits that
-    ``l1_norm`` and ``layer_sign_conflicts`` give on their own."""
+    ``l1_norm`` gives on its own, and whole-array numpy's sign counts."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
@@ -274,7 +287,7 @@ class TestFusedStatistics:
             fused = _layer_statistics_blocks(x, y)
             assert statistics_bits(fused) == statistics_bits(separate_statistics(x, y))
         assert statistics_bits(_layer_statistics_blocks(negative, mixed)) == (
-            [(0.0).hex()] * 3 + [layer_sign_conflicts(zeros, zeros)]
+            [(0.0).hex()] * 3 + [TensorSignConflicts(0, 0)]
         )
 
     # f64 deltas over an f32 base reach the walk as a pair of f64 deltas.
@@ -291,6 +304,90 @@ class TestFusedStatistics:
         assert statistics_bits(fused) == statistics_bits(separate)
         assert fused_warnings == separate_warnings
         assert math.isinf(fused[0])
+
+
+# Lengths at and around one block, and a tensor split two levels deep.
+WALK_LENGTHS = (_BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+
+
+def walk_inputs(length: int, dtype, count: int) -> list:
+    """``count`` seeded ``spread_values`` tensors, and ``count`` strided
+    views (every other element of a tensor twice as long)."""
+    rng = np.random.default_rng([length, count])
+    contiguous = [spread_values(rng, length, dtype) for _ in range(count)]
+    strided = [spread_values(rng, 2 * length, dtype)[::2] for _ in range(count)]
+    assert not any(x.flags.c_contiguous for x in strided)
+    return [contiguous, strided]
+
+
+def whole_updates(t: np.ndarray, prev: np.ndarray, prev2: np.ndarray) -> tuple:
+    """``d_curr`` and ``d_prev`` of a tensor, whole, in float64."""
+    t, prev, prev2 = (x.astype(np.float64) for x in (t, prev, prev2))
+    return t - prev, prev - prev2
+
+
+class TestWalksAgainstWholeArrayNumpy:
+    """The DC-loss terms, the update sign counts and the distance sums walk a
+    tensor in blocks; each has the bits of the whole-array numpy expression
+    written here, on row-major and strided tensors."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", WALK_LENGTHS)
+    def test_distance_sums_are_the_seven_numpy_sums(self, dtype, length):
+        for merged, old, curr in walk_inputs(length, dtype, 3):
+            m, o, c = (x.astype(np.float64) for x in (merged, old, curr))
+            expected = [
+                float(np.sum(np.square(m - o))),
+                float(np.sum(np.square(m - c))),
+                float(np.sum(m * o)),
+                float(np.sum(m * c)),
+                float(np.sum(np.square(m))),
+                float(np.sum(np.square(o))),
+                float(np.sum(np.square(c))),
+            ]
+            got = _distance_sums("w", merged, old, curr)
+            assert [v.hex() for v in got] == [v.hex() for v in expected]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", WALK_LENGTHS)
+    def test_tensor_dc_term_has_the_bits_of_the_inner_product(self, dtype, length):
+        for t, prev, prev2 in walk_inputs(length, dtype, 3):
+            alignment = inner_product(*whole_updates(t, prev, prev2))
+            assert alignment != 0.0
+            for a, b in ((t, prev), (prev, t)):  # one sign of alignment each
+                expected = inner_product(*whole_updates(a, b, prev2))
+                got = dc_term(a, b, prev2, "tensor")
+                assert got.hex() == (-expected if expected < 0.0 else 0.0).hex()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", WALK_LENGTHS)
+    def test_element_dc_term_sums_the_negative_products(self, dtype, length):
+        # Bit for bit: the sum of min(product, 0) along numpy's tree.  Within
+        # a few ulps: the sum of the compressed negative products.
+        for t, prev, prev2 in walk_inputs(length, dtype, 3):
+            d_curr, d_prev = whole_updates(t, prev, prev2)
+            products = d_curr * d_prev
+            got = dc_term(t, prev, prev2, "element")
+            assert got.hex() == (-np.sum(np.fmin(products, 0.0))).hex()
+            compressed = -float(np.sum(products[products < 0.0]))
+            assert abs(got - compressed) <= 1e-13 * compressed
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", WALK_LENGTHS)
+    def test_update_sign_counts_match_numpy(self, dtype, length):
+        for t, prev, prev2 in walk_inputs(length, dtype, 3):
+            counts = update_sign_conflicts(t, prev, prev2)
+            assert counts == numpy_sign_counts(*whole_updates(t, prev, prev2))
+            assert 0 < counts.conflicts < counts.comparable
+
+    def test_a_column_major_tensor_is_walked_row_major(self):
+        rng = np.random.default_rng(9)
+        merged, old, curr = (spread_values(rng, 300 * 200, np.float32).reshape(300, 200)
+                             for _ in range(3))
+        row_major = _distance_sums("w", merged, old, curr)
+        columns = [np.asfortranarray(x) for x in (merged, old, curr)]
+        assert _distance_sums("w", *columns) == row_major
+        assert dc_term(*columns, "tensor") == dc_term(merged, old, curr, "tensor")
 
 
 # Row lengths around numpy's 8-wide unrolled sum and its 128-element pairwise block.
