@@ -44,7 +44,6 @@ from .merge import (
     MergeConfig,
     MergeReport,
     SequenceStep,
-    assemble_incremental,
     duet_merge,
     incremental_head_concat,
     iter_duet_merge,
@@ -52,8 +51,6 @@ from .merge import (
     iter_incremental_sequence,
     iter_magmax_merge,
     iter_weight_average_merge,
-    magmax_merge,
-    weight_average_merge,
 )
 from .metrics import (
     EvalProtocol,
@@ -72,8 +69,6 @@ from .metrics import (
 from .task_vectors import (
     TaskVector,
     compute_task_vector,
-    lazy_task_vector,
-    load_task_vector,
     open_task_vector,
     save_task_vector,
     zero_task_vector,

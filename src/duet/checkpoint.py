@@ -44,6 +44,7 @@ from .tensors import (
     LazyTensorMap,
     NamedTensorMap,
     TensorLayout,
+    _Subset,
     check_layout_entry,
     check_tensor,
     layout_of,
@@ -635,11 +636,9 @@ def classify_names(names: Iterable[str], spec: PartitionSpec) -> tuple[list[str]
     return shared, task
 
 
-def partition_checkpoint(
-    tensor_map: NamedTensorMap, spec: PartitionSpec
-) -> tuple[NamedTensorMap, NamedTensorMap]:
-    """Split a map into (shared, task_specific), preserving order, no copies."""
-    shared_names, task_names = classify_names(tensor_map, spec)
-    shared = {name: tensor_map[name] for name in shared_names}
-    task = {name: tensor_map[name] for name in task_names}
-    return shared, task
+def partition_checkpoint(tensor_map, spec: PartitionSpec) -> tuple[_Subset, _Subset]:
+    """Split a map into (shared, task_specific) lazy views, each in the map's
+    order.  The names are classified now, from the keys alone; a view looks
+    each tensor up in the map when it is indexed, so a reader's payload is
+    read only then."""
+    return tuple(_Subset(tensor_map, names) for names in classify_names(tensor_map, spec))

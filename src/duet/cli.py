@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import warnings
 from contextlib import ExitStack
@@ -25,8 +24,8 @@ from pathlib import Path
 
 from .checkpoint import (
     CheckpointReader,
-    classify_names,
     load_partition_spec,
+    partition_checkpoint,
     write_atomically,
     write_checkpoint,
 )
@@ -51,11 +50,11 @@ from .merge import (
     iter_weight_average_merge,
 )
 from .metrics import compute_metrics, load_protocol, load_records
-from .tensors import LazyTensorMap, layout_of, map_layers
+from .tensors import _Subset, layout_of, map_layers
 from .task_vectors import (
     TaskVector,
     _check_bases,
-    lazy_task_vector,
+    compute_task_vector,
     open_task_vector,
     save_task_vector,
     zero_task_vector,
@@ -72,35 +71,12 @@ class _Parser(argparse.ArgumentParser):
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
-    def parse_args(self, args=None, namespace=None):
-        # DUET_THREADS is read only where --threads applies and is not given.
-        namespace = super().parse_args(args, namespace)
-        if getattr(namespace, "threads", 1) is None:
-            try:
-                namespace.threads = _env_threads()
-            except ConfigError as exc:
-                _emit_error(namespace, exc)
-                raise SystemExit(1) from None
-        return namespace
-
 
 def positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {raw!r}")
     return value
-
-
-def _env_threads() -> int:
-    """``DUET_THREADS``, or 1 when it is unset; a value that is not an
-    integer >= 1 is a ConfigError."""
-    raw = os.environ.get("DUET_THREADS")
-    if raw is None:
-        return 1
-    try:
-        return positive_int(raw)
-    except (ValueError, argparse.ArgumentTypeError):
-        raise ConfigError(f"DUET_THREADS must be an integer >= 1, got {raw!r}") from None
 
 
 def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
@@ -110,7 +86,9 @@ def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
     common.add_argument(
         "--threads",
         type=positive_int,
-        help="worker threads for per-layer tensor work (default: DUET_THREADS or 1)",
+        default=1,
+        help="worker threads for merge and sequence (default 1); the other commands "
+        "run on one thread",
     )
     common.add_argument(
         "--format",
@@ -264,18 +242,6 @@ def _require_output(args, what: str = "--output"):
         raise DuetError(f"{what} is required for this subcommand")
 
 
-class _Subset(LazyTensorMap):
-    """The named tensors of a map, looked up in it on access."""
-
-    def __init__(self, source, names: list[str]):
-        self._source = source
-        source_layout = layout_of(source)
-        self.layout = {name: source_layout[name] for name in names}
-
-    def __getitem__(self, name: str):
-        return self._source[name]
-
-
 def _open_readers(stack: ExitStack, *paths) -> list[CheckpointReader]:
     return [stack.enter_context(CheckpointReader(path)) for path in paths]
 
@@ -294,9 +260,9 @@ def _cmd_task_vector(args) -> int:
     with ExitStack() as stack:
         base, fine = _open_readers(stack, args.base, args.fine_tuned)
         _enforce_uniform_dtype(args, base, fine)
-        base_shared = _Subset(base, classify_names(base, spec)[0])
-        fine_shared = _Subset(fine, classify_names(fine, spec)[0])
-        vector = lazy_task_vector(fine_shared, base_shared, base.fingerprint(), args.label)
+        base_shared, _ = partition_checkpoint(base, spec)
+        fine_shared, _ = partition_checkpoint(fine, spec)
+        vector = compute_task_vector(fine_shared, base_shared, base.fingerprint(), args.label)
         save_task_vector(vector, args.output)
     _print_json(
         {
@@ -370,8 +336,8 @@ def _cmd_head_concat(args) -> int:
     with ExitStack() as stack:
         prev, curr = _open_readers(stack, args.prev, args.curr)
         _enforce_uniform_dtype(args, prev, curr)
-        prev_head = _Subset(prev, classify_names(prev, spec)[1])
-        curr_head = _Subset(curr, classify_names(curr, spec)[1])
+        _, prev_head = partition_checkpoint(prev, spec)
+        _, curr_head = partition_checkpoint(curr, spec)
         replace = {name for name in curr_head if spec.is_replace(name)}
         layout, layers = iter_head_concat(
             prev_head, curr_head, spec.head_concat_axis, order=args.head_order,
@@ -490,7 +456,7 @@ def _cmd_diagnose(args) -> int:
         maps = _open_readers(stack, args.merged, args.old, args.curr)
         if args.partition:
             spec = load_partition_spec(args.partition)
-            maps = [_Subset(reader, classify_names(reader, spec)[0]) for reader in maps]
+            maps = [partition_checkpoint(reader, spec)[0] for reader in maps]
         report = merge_distance(*maps)
     payload = report.to_dict()
     rows = [

@@ -11,9 +11,11 @@ with a norm-imbalance factor::
     beta  = 1 - alpha
     merged = base + alpha * tau_old + beta * tau_curr
 
-Every merge and the head concatenation have a stream form (``iter_*``)
-that yields each output layer as it is made, for a header-first writer, over
-inputs that may be lazy maps; the map forms collect that stream.
+Every merge and the head concatenation is a stream (``iter_*``) that yields
+each output layer as it is made, for a header-first writer, over inputs that
+may be lazy maps, and task vectors of any form, mixed.  Two map forms collect
+a stream, each for a caller that wants the whole map: :func:`duet_merge` and
+:func:`incremental_head_concat`.
 
 The sequence driver keeps only the base shared map and the previous step's
 shared output.  Each step walks the layers once, forming both task vectors a
@@ -40,8 +42,8 @@ from .checkpoint import (
     PartitionSpec,
     canonical_header,
     canonical_payload,
-    classify_names,
     fingerprint_map,
+    partition_checkpoint,
 )
 from .diagnostics import (
     SignConflictReport,
@@ -328,24 +330,27 @@ def _merge_layers(
     Each layer adds its record, its sign conflicts and its bytes to both
     vectors' fingerprints as it is yielded; the fingerprints and the sign
     conflicts are set when the stream ends.  Once a layer is yielded its
-    inputs are never read again.  Any map may be lazy: only layouts are read
-    before the walk, and each layer is looked up on the consuming thread.
-    ``header`` is the canonical header of ``tau_old``'s layout, when the
-    caller has it.
+    inputs are never read again.  Any map may be lazy, and the vectors may
+    be of different forms: only layouts are read before the walk, and each
+    layer is looked up on the consuming thread.  ``header`` is the canonical
+    header of ``tau_old``'s layout, when the caller has it.
 
     A layer of more than ``_BLOCK`` elements is merged alone in two blocked
     walks: one for its norms and sign counts, one for :func:`combine`.  The
     consuming thread only fetches its deltas (a :class:`_Deltas` vector
     subtracts there) and hashes them.  The others are walked in windows
     (:func:`_windows`): a window's layers of one shape and dtypes, one or
-    many, are merged as one stacked group (:func:`_merge_group`).
+    many, are merged as one stacked group (:func:`_merge_group`).  When both
+    vectors are :class:`_Deltas` over ``base_shared`` itself, as in a
+    sequence step, a group takes their loaded layers and subtracts the base
+    from them at once.
     """
     maps = {"base": base_shared, "tau_old": tau_old, "tau_curr": tau_curr}
     check_aligned("duet_merge", maps)
     vectors = (tau_old, tau_curr)
-    # Both vectors are _Deltas (a sequence step) or both are maps (duet_merge).
-    subtract = isinstance(tau_old, _Deltas)
-    # A window fetches a _Deltas vector's loaded layers, to subtract them as a group.
+    # Grouped subtraction needs _Deltas over this very base (a sequence step);
+    # any other pair of vectors is looked up delta by delta.
+    subtract = all(isinstance(v, _Deltas) and v.base is base_shared for v in vectors)
     lookups = [base_shared.__getitem__, *(v.raw if subtract else v.__getitem__ for v in vectors)]
 
     def fetch_raw(name: str) -> list:
@@ -454,12 +459,20 @@ def duet_merge(
     """Merge two task vectors onto the base shared weights, layer by layer.
 
     Both task vectors must carry ``base_fingerprint``.  Returns the merged
-    shared map (in base order) and a report with one record per layer.
+    shared map (in base order) and a report with one record per layer: the
+    whole map :func:`iter_duet_merge` streams.  This map form stays for the
+    merge's oracle check in the self-test and for the benchmark's tracer,
+    which times it by this name.
     """
     report, layers = iter_duet_merge(
         base_shared, base_fingerprint, tau_old, tau_curr, config, threads
     )
     return dict(layers), report
+
+
+def _check_order(order: str):
+    if order not in ("curr-first", "prev-first"):
+        raise ConfigError(f"order must be 'curr-first' or 'prev-first', got {order!r}")
 
 
 def iter_head_concat(
@@ -473,8 +486,7 @@ def iter_head_concat(
     checked now from the two heads' layouts alone, and a lazy ``(name,
     layer)`` stream in ``curr_head`` order that reads each pair of blocks as
     it joins them."""
-    if order not in ("curr-first", "prev-first"):
-        raise ConfigError(f"order must be 'curr-first' or 'prev-first', got {order!r}")
+    _check_order(order)
     check_same_keys(prev_head, curr_head, "incremental_head_concat", "prev", "curr")
     replace = set(replace_names)
     unknown = sorted(replace - set(curr_head))
@@ -541,22 +553,13 @@ def incremental_head_concat(
 
     The current task's block comes first by default (``order="prev-first"``
     flips it).  Keys in ``replace_names`` are taken from the current head and
-    must keep an identical shape.
+    must keep an identical shape.  This is the whole map
+    :func:`iter_head_concat` streams; it stays for the sequence driver, which
+    keeps each step's head, and for the benchmark's tracer, which times the
+    driver's head concat by this name.
     """
     _, layers = iter_head_concat(prev_head, curr_head, axis, order, replace_names)
     return dict(layers)
-
-
-def assemble_incremental(
-    merged_shared: NamedTensorMap, concat_head: NamedTensorMap
-) -> NamedTensorMap:
-    """Union of shared and head maps, shared first; key sets must be disjoint."""
-    overlap = sorted(merged_shared.keys() & concat_head.keys())
-    if overlap:
-        raise KeyMismatchError(f"assemble_incremental: overlapping keys: {overlap}")
-    out: NamedTensorMap = dict(merged_shared)
-    out.update(concat_head)
-    return out
 
 
 @dataclass
@@ -591,28 +594,35 @@ def iter_incremental_sequence(
     :class:`CheckpointReader` (read as a map and left open) or an in-memory
     map.  Task 1 is yielded verbatim; every later task merges the
     previous incremental model's task vector with the current one and
-    concatenates the heads.  Between steps only the base shared map, the
-    previous step's shared layers (the arrays it yielded) and the previous
-    concatenated head are retained; ``threads > 1`` adds up to
-    ``2 * threads`` layers in flight.  A step walks its layers once, dropping
-    each previous layer as it goes, so a consumer that drops each step before
-    advancing keeps the driver near two shared-partition-sized maps.
+    concatenates the heads.  ``head_order`` is checked now, and what every
+    later task relies on in task 1 (its shared layers' dtypes and shapes, and
+    the concat axis of its grown head tensors) before task 1 is yielded.
+    Between steps only the base shared map, the previous step's shared layers
+    (the arrays it yielded) and the previous concatenated head are retained;
+    ``threads > 1`` adds up to ``2 * threads`` layers in flight.  A step
+    walks its layers once, dropping each previous layer as it goes, so a
+    consumer that drops each step before advancing keeps the driver near two
+    shared-partition-sized maps.
     """
-    config = config or MergeConfig()
+    _check_order(head_order)
+    return _sequence(base, fine_tuned, spec, config or MergeConfig(), head_order, threads)
 
+
+def _sequence(
+    base, fine_tuned: Iterable, spec: PartitionSpec, config: MergeConfig, head_order: str,
+    threads: int,
+) -> Iterator[SequenceStep]:
     with ExitStack() as stack:
         base = _as_map(base, stack)
         if isinstance(base, CheckpointReader):
             base_fingerprint = base.fingerprint()
         else:
             base_fingerprint = fingerprint_map(base)
-        base_shared_names, _ = classify_names(base, spec)
-        base_shared = {name: base[name] for name in base_shared_names}
+        base_shared = dict(partition_checkpoint(base, spec)[0])
     del base  # a reader opened here is closed; its entry table is not kept
     # The header both task vectors of every merge open with, built once.  A
     # map it refuses (an empty one) is refused before task 1 is out.
     shared_header = canonical_header(base_shared)
-    shared_set = set(base_shared)
 
     prev_shared: NamedTensorMap | None = None
     prev_head: NamedTensorMap | None = None
@@ -621,22 +631,26 @@ def iter_incremental_sequence(
     for task_index, item in enumerate(fine_tuned, start=1):
         with ExitStack() as stack:
             source = _as_map(item, stack)
-            shared_names, head_names = classify_names(source, spec)
-            if set(shared_names) != shared_set:
-                only_ft = sorted(set(shared_names) - shared_set)
-                only_base = sorted(shared_set - set(shared_names))
+            shared, curr_head = partition_checkpoint(source, spec)
+            if shared.keys() != base_shared.keys():
+                only_ft = sorted(shared.keys() - base_shared.keys())
+                only_base = sorted(base_shared.keys() - shared.keys())
                 raise KeyMismatchError(
                     f"task {task_index}: shared keys differ from base; "
                     f"only in task: {only_ft}; only in base: {only_base}"
                 )
-            replace_names = {name for name in head_names if spec.is_replace(name)}
+            replace_names = {name for name in curr_head if spec.is_replace(name)}
 
             if task_index == 1:
                 full = dict(source)
                 for name in base_shared:  # the checks task 2 relies on, made before task 1 is out
                     _check_layer_pair(name, full[name], base_shared[name])
                 prev_shared = {name: full[name] for name in base_shared}
-                prev_head = {name: full[name] for name in head_names}
+                prev_head = {name: full[name] for name in curr_head}
+                # Task 2's head concat, checked from task 1's head layout alone.
+                iter_head_concat(
+                    prev_head, prev_head, spec.head_concat_axis, head_order, replace_names
+                )
                 yield SequenceStep(task_index, full, None)
                 del full
             else:
@@ -644,22 +658,20 @@ def iter_incremental_sequence(
                 # Both task vectors are formed a layer at a time; each previous
                 # output layer is dropped once its delta is taken.
                 tau_old = _Deltas(base_shared, prev_shared.pop)
-                tau_curr = _Deltas(base_shared, source.__getitem__)
+                tau_curr = _Deltas(base_shared, shared.__getitem__)
                 report, layers = _merge_layers(
                     base_shared, base_fingerprint, tau_old, tau_curr, config, threads, shared_header
                 )
-                merged = dict(layers)
-                curr_head = {name: source[name] for name in head_names}
-                head = incremental_head_concat(
+                prev_shared = dict(layers)
+                prev_head = incremental_head_concat(
                     prev_head,
                     curr_head,
                     spec.head_concat_axis,
                     order=head_order,
                     replace_names=replace_names,
                 )
-                prev_shared, prev_head = merged, head
-                del curr_head, merged
-                yield SequenceStep(task_index, assemble_incremental(prev_shared, head), report)
+                # The partition makes the shared and head names disjoint.
+                yield SequenceStep(task_index, {**prev_shared, **prev_head}, report)
             produced += 1
     if produced == 0:
         raise EmptyInputError("incremental sequence needs at least the first fine-tuned checkpoint")
@@ -681,8 +693,8 @@ def iter_weight_average_merge(
     task_vectors: list[TaskVector],
     threads: int = 1,
 ) -> Iterator[tuple[str, np.ndarray]]:
-    """:func:`weight_average_merge` as a lazy ``(name, merged_layer)`` stream
-    in base order, in the base's dtypes and shapes."""
+    """Base plus the uniform mean of the task vectors, as a lazy ``(name,
+    merged_layer)`` stream in base order, in the base's dtypes and shapes."""
     maps = _vector_stack(base_shared, base_fingerprint, task_vectors, "weight_average_merge")
     scale = 1.0 / len(task_vectors)
 
@@ -695,24 +707,19 @@ def iter_weight_average_merge(
     return map_layers("weight_average_merge", merge_one, maps, threads)
 
 
-def weight_average_merge(
-    base_shared: NamedTensorMap,
-    base_fingerprint: str,
-    task_vectors: list[TaskVector],
-    threads: int = 1,
-) -> NamedTensorMap:
-    """Base plus the uniform mean of the task vectors."""
-    return dict(iter_weight_average_merge(base_shared, base_fingerprint, task_vectors, threads))
-
-
 def iter_magmax_merge(
     base_shared: NamedTensorMap,
     base_fingerprint: str,
     task_vectors: list[TaskVector],
     threads: int = 1,
 ) -> Iterator[tuple[str, np.ndarray]]:
-    """:func:`magmax_merge` as a lazy ``(name, merged_layer)`` stream in base
-    order, in the base's dtypes and shapes."""
+    """Base plus, per element, the largest-magnitude delta across vectors, as
+    a lazy ``(name, merged_layer)`` stream in base order, in the base's
+    dtypes and shapes.
+
+    Ties keep the earliest vector in list order.  This is the elementwise
+    magnitude-max core only, not any consensus preprocessing around it.
+    """
     maps = _vector_stack(base_shared, base_fingerprint, task_vectors, "magmax_merge")
 
     def merge_one(name: str, base_l: np.ndarray, *deltas: np.ndarray) -> np.ndarray:
@@ -723,17 +730,3 @@ def iter_magmax_merge(
         return combine(((1.0, base_l), (1.0, best)), base_l.dtype)
 
     return map_layers("magmax_merge", merge_one, maps, threads)
-
-
-def magmax_merge(
-    base_shared: NamedTensorMap,
-    base_fingerprint: str,
-    task_vectors: list[TaskVector],
-    threads: int = 1,
-) -> NamedTensorMap:
-    """Base plus, per element, the largest-magnitude delta across vectors.
-
-    Ties keep the earliest vector in list order.  This is the elementwise
-    magnitude-max core only, not any consensus preprocessing around it.
-    """
-    return dict(iter_magmax_merge(base_shared, base_fingerprint, task_vectors, threads))

@@ -1,9 +1,12 @@
 """Task vectors over the shared partition: parameter deltas against a base.
 
-A task vector's deltas may be a map of arrays or a lazy map
-(:class:`~duet.tensors.LazyTensorMap`): a bundle opened as a reader, deltas
-computed on lookup, or zeros.  Every operation on task vectors walks them a
-layer at a time, so a lazy vector is never held whole.
+Each way to make a task vector has one form, and each gives lazy deltas
+(a :class:`~duet.tensors.LazyTensorMap`) that make a layer when it is looked
+up: :func:`compute_task_vector` subtracts it, :func:`open_task_vector` reads
+it from a bundle, :func:`zero_task_vector` makes zeros.  A map of arrays is a
+task vector's deltas too.  Every operation on task vectors takes any of these
+forms, mixed, and walks them a layer at a time, so a lazy vector is never
+held whole; ``dict(vector.deltas)`` holds one whole where that is wanted.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import json
 import shutil
 from contextlib import ExitStack
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
@@ -111,29 +114,19 @@ class _Zeros(LazyTensorMap):
         return zero
 
 
-def lazy_task_vector(
-    fine_tuned_shared: NamedTensorMap,
-    base_shared: NamedTensorMap,
-    base_fingerprint: str,
-    label: str = "",
-) -> TaskVector:
-    """:func:`compute_task_vector` with each delta taken when it is looked
-    up, from the layers of the two maps (either may be lazy).  The key sets
-    are checked now."""
-    check_aligned("compute_task_vector", {"base": base_shared, "fine_tuned": fine_tuned_shared})
-    deltas = _Deltas(base_shared, fine_tuned_shared.__getitem__)
-    return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)
-
-
 def compute_task_vector(
     fine_tuned_shared: NamedTensorMap,
     base_shared: NamedTensorMap,
     base_fingerprint: str,
     label: str = "",
 ) -> TaskVector:
-    """Per-tensor ``fine_tuned - base``, rounded once to the base dtype."""
-    vector = lazy_task_vector(fine_tuned_shared, base_shared, base_fingerprint, label)
-    return replace(vector, deltas=dict(vector.deltas.items()))
+    """Per-tensor ``fine_tuned - base``, rounded once to the base dtype, each
+    delta taken when it is looked up from the layers of the two maps (either
+    may be lazy).  The key sets are checked now; each layer pair's dtype and
+    shape on lookup."""
+    check_aligned("compute_task_vector", {"base": base_shared, "fine_tuned": fine_tuned_shared})
+    deltas = _Deltas(base_shared, fine_tuned_shared.__getitem__)
+    return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)
 
 
 def zero_task_vector(base_shared: NamedTensorMap, base_fingerprint: str, label: str = "") -> TaskVector:
@@ -192,9 +185,3 @@ def open_task_vector(directory: str | Path, stack: ExitStack) -> TaskVector:
         )
     return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)
 
-
-def load_task_vector(directory: str | Path) -> TaskVector:
-    """A bundle with every delta loaded: :func:`open_task_vector`, read whole."""
-    with ExitStack() as stack:
-        vector = open_task_vector(directory, stack)
-        return replace(vector, deltas=dict(vector.deltas.items()))

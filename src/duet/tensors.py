@@ -80,6 +80,21 @@ class LazyTensorMap:
         return (self[name] for name in self)
 
 
+class _Subset(LazyTensorMap):
+    """The named tensors of a map, in the order given, looked up in it on
+    access: a view that reads nothing until it is indexed."""
+
+    def __init__(self, source, names: Iterable[str]):
+        self._source = source
+        source_layout = layout_of(source)
+        self.layout = {name: source_layout[name] for name in names}
+
+    def __getitem__(self, name: str):
+        if name not in self.layout:
+            raise KeyError(name)
+        return self._source[name]
+
+
 def layout_of(tensor_map) -> dict:
     """The names, dtypes and shapes of a map's layers, read without making
     them: a lazy map's ``layout``, or a map of arrays itself."""

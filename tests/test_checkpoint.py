@@ -483,10 +483,36 @@ class TestReaderMapping:
             shared, head = partition_checkpoint(reader, spec)
             sums = dict(map_layers("sum", lambda name, x, y: float(np.sum(x + y)),
                                    {"file": reader, "map": tensor_map}))
-        for got, want in ((shared, want_shared), (head, want_head)):
-            assert list(got) == list(want)
-            assert all(got[name].tobytes() == want[name].tobytes() for name in want)
+            for got, want in ((shared, want_shared), (head, want_head)):
+                assert list(got) == list(want)
+                assert all(got[name].tobytes() == want[name].tobytes() for name in want)
         assert sums == {name: float(np.sum(arr + arr)) for name, arr in tensor_map.items()}
+
+    def test_partition_reads_no_payload_until_a_view_is_indexed(self, written):
+        path, tensor_map = written
+        spec = PartitionSpec(("z", "a", "m"), ("head.*",), head_concat_axis=0)
+        reads = []
+
+        class CountingFile(io.FileIO):
+            def read(self, size=-1):
+                reads.append(self.tell())
+                return super().read(size)
+
+            def readinto(self, buffer):
+                reads.append(self.tell())
+                return super().readinto(buffer)
+
+        with CountingFile(path) as fh:
+            reader = CheckpointReader(fh)
+            header_reads = len(reads)
+            shared, head = partition_checkpoint(reader, spec)
+            assert list(shared) == ["z", "a", "m"] and list(head) == ["head.cls"]
+            assert shared.layout["a"].shape == (3,)
+            assert len(reads) == header_reads
+            assert head["head.cls"].tobytes() == tensor_map["head.cls"].tobytes()
+            assert len(reads) > header_reads
+            with pytest.raises(KeyError):
+                shared["head.cls"]  # in the reader, not in the view
 
 
 class TestStreamedWriter:

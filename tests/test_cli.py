@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import warnings
+from contextlib import ExitStack
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import duet.errors
 from duet.checkpoint import CheckpointReader, read_checkpoint, write_checkpoint
 from duet.cli import main
 from duet.fixtures import materialize_trio, protocol_path, records_path
-from duet.task_vectors import load_task_vector
+from duet.task_vectors import open_task_vector
 
 
 @pytest.fixture
@@ -119,7 +120,8 @@ def input_argv(capsys, trio, tmp_path, kind: str, content: bytes) -> list:
 class TestTaskVectorCommand:
     def test_creates_bundle(self, capsys, trio, tmp_path):
         out = make_task_vector(capsys, trio, trio["task1"], tmp_path / "tv", "phase1")
-        vector = load_task_vector(out)
+        with ExitStack() as stack:
+            vector = open_task_vector(out, stack)
         assert vector.label == "phase1"
         assert vector.base_fingerprint == base_fingerprint(trio["base"])
 
@@ -175,10 +177,12 @@ class TestMergeCommand:
         assert all(layer["alpha"] == 0.5 for layer in report["layers"])
         merged = read_checkpoint(out_path)
         base = read_checkpoint(trio["base"])
-        vector = load_task_vector(tv_dir)
-        for name, delta in vector.deltas.items():
-            expected = (base[name].astype(np.float64) + delta.astype(np.float64)).astype(np.float32)
-            np.testing.assert_array_equal(merged[name], expected)
+        with ExitStack() as stack:
+            for name, delta in open_task_vector(tv_dir, stack).deltas.items():
+                expected = (base[name].astype(np.float64) + delta.astype(np.float64)).astype(
+                    np.float32
+                )
+                np.testing.assert_array_equal(merged[name], expected)
 
     def test_merge_summary_fields(self, capsys, trio, tmp_path):
         tv_old = make_task_vector(capsys, trio, trio["task1"], tmp_path / "a", "old")
@@ -334,6 +338,22 @@ class TestSequenceCommand:
         # first task passes through verbatim
         task1_bytes = (out_dir / "task01.safetensors").read_bytes()
         assert task1_bytes == trio["task1"].read_bytes()
+
+    def test_bad_concat_axis_is_refused_before_task_1_is_written(self, capsys, trio, tmp_path):
+        partition = json.loads(Path(trio["partition"]).read_text())
+        partition["head_concat_axis"] = 5
+        bad = tmp_path / "partition.json"
+        bad.write_text(json.dumps(partition))
+        out_dir = tmp_path / "seq"
+        code, stdout, err = run_cli(
+            capsys,
+            ["sequence", trio["base"], trio["task1"], trio["task2"], "--partition", bad,
+             "-o", out_dir],
+        )
+        assert code == 1 and stdout == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "AxisError" and "head.cls.weight" in error["message"]
+        assert list(out_dir.iterdir()) == []
 
 
 class TestDcLossCommand:
@@ -787,33 +807,13 @@ class TestCliContract:
         assert err.count("\n") == 1
         assert json.loads(err)["error"]["type"] in DUET_ERRORS
 
-    def test_threads_env_fallback(self, monkeypatch, capsys):
+    def test_threads_default_to_one_whatever_the_environment(self, monkeypatch, capsys):
         from duet.cli import build_parser
 
-        monkeypatch.setenv("DUET_THREADS", "7")
-        args = build_parser().parse_args(["distill", "--curr", "a", "--old", "b"])
-        assert args.threads == 7
         monkeypatch.setenv("DUET_THREADS", "junk")
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["distill", "--curr", "a", "--old", "b"])
-        assert exc.value.code == 1
-        error = json.loads(capsys.readouterr().err)["error"]
-        assert error["type"] == "ConfigError" and "DUET_THREADS" in error["message"]
-        monkeypatch.delenv("DUET_THREADS")
         args = build_parser().parse_args(["distill", "--curr", "a", "--old", "b"])
         assert args.threads == 1
-
-    @pytest.mark.parametrize("value", ["junk", "0", "-3", ""])
-    def test_invalid_threads_env_exits_1_unless_threads_is_given(self, capsys, monkeypatch, value):
-        monkeypatch.setenv("DUET_THREADS", value)
-        argv = ["distill", "--curr", "missing_a", "--old", "missing_b"]
-        code, _, err = run_cli(capsys, argv)
-        assert code == 1
-        assert json.loads(err)["error"]["type"] == "ConfigError" and "DUET_THREADS" in err
-        code, _, err = run_cli(capsys, argv + ["--format", "csv"])
-        assert code == 1 and err.startswith("error: DUET_THREADS")
-        # --threads wins: the run gets past its options to the missing inputs (I/O, exit 2).
-        code, _, err = run_cli(capsys, argv + ["--threads", "2"])
+        code, _, err = run_cli(capsys, ["distill", "--curr", "missing_a", "--old", "missing_b"])
         assert code == 2 and "DUET_THREADS" not in err
 
     @pytest.mark.parametrize("argv", [

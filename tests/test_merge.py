@@ -5,6 +5,7 @@ import json
 import math
 import os
 import weakref
+from contextlib import ExitStack
 from unittest.mock import patch
 
 import numpy as np
@@ -40,16 +41,22 @@ from duet.losses import DcLossConfig
 from duet.merge import (
     MergeConfig,
     MergeReport,
-    assemble_incremental,
     duet_merge,
     incremental_head_concat,
+    iter_duet_merge,
     iter_head_concat,
     iter_incremental_sequence,
-    magmax_merge,
-    weight_average_merge,
+    iter_magmax_merge,
+    iter_weight_average_merge,
 )
 from duet.metrics import rai
-from duet.task_vectors import TaskVector, compute_task_vector
+from duet.task_vectors import (
+    TaskVector,
+    compute_task_vector,
+    open_task_vector,
+    save_task_vector,
+    zero_task_vector,
+)
 from duet.tensors import TensorLayout, l1_norm
 from tests.conftest import make_map
 from tests.test_tensors import BLOCK_EDGE_LENGTHS, spread_values, with_warning_kinds
@@ -57,6 +64,20 @@ from tests.test_tensors import BLOCK_EDGE_LENGTHS, spread_values, with_warning_k
 
 def tv(deltas: dict, fp: str = "fp", label: str = "") -> TaskVector:
     return TaskVector(deltas=deltas, base_fingerprint=fp, label=label)
+
+
+def vector_form(form: str, fine: dict, base: dict, fp: str, directory, stack) -> TaskVector:
+    """``fine - base`` as a task vector of one form: a map of arrays, deltas
+    computed on lookup, or a bundle opened as a reader; or the zero vector."""
+    if form == "zero":
+        return zero_task_vector(base, fp)
+    computed = compute_task_vector(fine, base, fp)
+    if form == "computed":
+        return computed
+    if form == "map":
+        return tv(dict(computed.deltas), fp)
+    save_task_vector(computed, directory)
+    return open_task_vector(directory, stack)
 
 
 def direct_coefficients(old: np.ndarray, curr: np.ndarray, cfg: MergeConfig):
@@ -281,6 +302,28 @@ class TestDuetMerge:
             assert report.curr_fingerprint == fingerprint_map(tau_curr)
             assert report.sign_conflicts.to_dict() == sign_conflicts(tau_old, tau_curr).to_dict()
 
+    @pytest.mark.parametrize("old_form", ["map", "computed", "bundle", "zero"])
+    @pytest.mark.parametrize("curr_form", ["map", "computed", "bundle", "zero"])
+    def test_any_mix_of_vector_forms_merges_like_maps(self, old_form, curr_form, rng, tmp_path):
+        base = {
+            "backbone.big": rng.normal(size=40_000).astype(np.float32),  # merged alone
+            "backbone.w": rng.normal(size=(6, 4)).astype(np.float32),
+            "neck.w": rng.normal(size=(6, 4)).astype(np.float32),
+            "neck.b": rng.normal(size=6),
+        }
+        fp = fingerprint_map(base)
+        fine = [{name: arr + rng.normal(size=arr.shape).astype(arr.dtype) for name, arr in base.items()}
+                for _ in "oc"]
+        with ExitStack() as stack:
+            old = vector_form(old_form, fine[0], base, fp, tmp_path / "old", stack)
+            curr = vector_form(curr_form, fine[1], base, fp, tmp_path / "curr", stack)
+            maps = [tv(dict(vector.deltas), fp) for vector in (old, curr)]
+            want_report, want = iter_duet_merge(base, fp, *maps)
+            want = [(name, arr.dtype, arr.tobytes()) for name, arr in want]
+            report, layers = iter_duet_merge(base, fp, old, curr)
+            assert [(name, arr.dtype, arr.tobytes()) for name, arr in layers] == want
+        assert report.to_json() == want_report.to_json()
+
 
 class TestHeadConcat:
     def test_block_layout_current_first(self, rng):
@@ -360,22 +403,10 @@ class TestHeadConcat:
 
 
 class TestAssemble:
-    def test_union_sizes(self, rng):
-        shared = {f"s{i}": rng.normal(size=2) for i in range(10)}
-        head = {f"h{i}": rng.normal(size=2) for i in range(4)}
-        out = assemble_incremental(shared, head)
-        assert len(out) == 14
-        assert list(out)[:10] == list(shared)
-
-    def test_overlap_names_the_key(self, rng):
-        shared = {"x": rng.normal(size=2)}
-        with pytest.raises(KeyMismatchError, match="'x'"):
-            assemble_incremental(shared, {"x": rng.normal(size=2)})
-
     def test_repartition_roundtrip(self, simple_spec, rng):
         shared = {"backbone.w": rng.normal(size=2), "neck.w": rng.normal(size=3)}
         head = {"head.w": rng.normal(size=(2, 2))}
-        assembled = assemble_incremental(shared, head)
+        assembled = {**shared, **head}
         shared_again, head_again = partition_checkpoint(assembled, simple_spec)
         assert list(shared_again) == list(shared)
         assert list(head_again) == list(head)
@@ -530,6 +561,17 @@ class TestIncrementalSequence:
         with pytest.raises(DTypeError, match="backbone.w"):
             next(iter_incremental_sequence(base, fine, simple_spec))
 
+    def test_head_order_checked_when_the_driver_is_called(self, simple_spec, rng):
+        base, fine = build_sequence_inputs(rng, 2, simple_spec)
+        with pytest.raises(ConfigError, match="sideways"):
+            iter_incremental_sequence(base, fine, simple_spec, head_order="sideways")
+
+    def test_concat_axis_checked_before_task_1_is_yielded(self, rng):
+        spec = PartitionSpec(("backbone.*", "neck.*"), ("head.*",), head_concat_axis=5)
+        base, fine = build_sequence_inputs(rng, 2, spec)
+        with pytest.raises(AxisError, match="head.cls"):
+            next(iter_incremental_sequence(base, fine, spec))
+
     def test_empty_sequence_rejected(self, simple_spec, rng):
         base, _ = build_sequence_inputs(rng, 1, simple_spec)
         with pytest.raises(EmptyInputError):
@@ -636,7 +678,7 @@ class TestBaselineMergers:
     def test_average_single_vector_adds_it(self, fingerprinted_base, rng):
         base, fp = fingerprinted_base
         deltas = {k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()}
-        merged = weight_average_merge(base, fp, [tv(deltas, fp)])
+        merged = dict(iter_weight_average_merge(base, fp, [tv(deltas, fp)]))
         for name in base:
             expected = (base[name].astype(np.float64) + deltas[name].astype(np.float64)).astype(
                 np.float32
@@ -647,7 +689,7 @@ class TestBaselineMergers:
         base, fp = fingerprinted_base
         deltas = {k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()}
         negated = {k: (-v).astype(np.float32) for k, v in deltas.items()}
-        merged = weight_average_merge(base, fp, [tv(deltas, fp), tv(negated, fp)])
+        merged = dict(iter_weight_average_merge(base, fp, [tv(deltas, fp), tv(negated, fp)]))
         for name in base:
             np.testing.assert_array_equal(merged[name], base[name])
 
@@ -657,7 +699,7 @@ class TestBaselineMergers:
             tv({k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()}, fp)
             for _ in range(3)
         ]
-        merged = weight_average_merge(base, fp, vectors)
+        merged = dict(iter_weight_average_merge(base, fp, vectors))
         for name in base:
             mean = np.mean([vec.deltas[name].astype(np.float64) for vec in vectors], axis=0)
             expected = base[name].astype(np.float64) + mean
@@ -670,8 +712,8 @@ class TestBaselineMergers:
             tv({k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()}, fp)
             for _ in range(4)
         ]
-        forward = weight_average_merge(base, fp, vectors)
-        backward = weight_average_merge(base, fp, vectors[::-1])
+        forward = dict(iter_weight_average_merge(base, fp, vectors))
+        backward = dict(iter_weight_average_merge(base, fp, vectors[::-1]))
         for name in base:
             np.testing.assert_allclose(
                 forward[name].astype(np.float64),
@@ -683,38 +725,36 @@ class TestBaselineMergers:
     def test_magmax_hand_pick(self):
         base = {"w": np.float64([0.0, 0.0])}
         fp = fingerprint_map(base)
-        merged = magmax_merge(
-            base, fp, [tv({"w": np.float64([3.0, -1.0])}, fp), tv({"w": np.float64([-2.0, 4.0])}, fp)]
-        )
+        vectors = [tv({"w": np.float64([3.0, -1.0])}, fp), tv({"w": np.float64([-2.0, 4.0])}, fp)]
+        merged = dict(iter_magmax_merge(base, fp, vectors))
         assert merged["w"].tolist() == [3.0, 4.0]
 
     def test_magmax_all_zero_returns_base(self, fingerprinted_base):
         base, fp = fingerprinted_base
         zeros = {k: np.zeros_like(v) for k, v in base.items()}
-        merged = magmax_merge(base, fp, [tv(zeros, fp), tv(dict(zeros), fp)])
+        merged = dict(iter_magmax_merge(base, fp, [tv(zeros, fp), tv(dict(zeros), fp)]))
         for name in base:
             np.testing.assert_array_equal(merged[name], base[name])
 
     def test_magmax_tie_keeps_first_vector(self):
         base = {"w": np.float64([10.0])}
         fp = fingerprint_map(base)
-        merged = magmax_merge(
-            base, fp, [tv({"w": np.float64([-2.0])}, fp), tv({"w": np.float64([2.0])}, fp)]
-        )
+        vectors = [tv({"w": np.float64([-2.0])}, fp), tv({"w": np.float64([2.0])}, fp)]
+        merged = dict(iter_magmax_merge(base, fp, vectors))
         assert merged["w"].tolist() == [8.0]
 
     def test_empty_vector_list_rejected(self, fingerprinted_base):
         base, fp = fingerprinted_base
         with pytest.raises(EmptyInputError):
-            weight_average_merge(base, fp, [])
+            dict(iter_weight_average_merge(base, fp, []))
         with pytest.raises(EmptyInputError):
-            magmax_merge(base, fp, [])
+            dict(iter_magmax_merge(base, fp, []))
 
     def test_foreign_base_rejected(self, fingerprinted_base):
         base, fp = fingerprinted_base
         zeros = {k: np.zeros_like(v) for k, v in base.items()}
         with pytest.raises(BaseMismatchError):
-            weight_average_merge(base, fp, [tv(zeros, "other")])
+            dict(iter_weight_average_merge(base, fp, [tv(zeros, "other")]))
 
 
 # -- the windowed merge against the per-layer path --------------------------

@@ -22,8 +22,6 @@ from duet.task_vectors import (
     TaskVector,
     _subtract,
     compute_task_vector,
-    lazy_task_vector,
-    load_task_vector,
     open_task_vector,
     save_task_vector,
     zero_task_vector,
@@ -73,14 +71,30 @@ class TestComputeTaskVector:
             compute_task_vector(fine, base, "fp", "t")
 
     def test_shape_mismatch(self):
+        vector = compute_task_vector({"w": np.zeros(3)}, {"w": np.zeros(2)}, "fp", "t")
         with pytest.raises(ShapeError):
-            compute_task_vector({"w": np.zeros(3)}, {"w": np.zeros(2)}, "fp", "t")
+            vector.deltas["w"]
 
     def test_mixed_dtype_rejected(self):
+        vector = compute_task_vector(
+            {"w": np.zeros(2, dtype=np.float32)}, {"w": np.zeros(2)}, "fp", "t"
+        )
         with pytest.raises(DTypeError, match="dtype mismatch"):
-            compute_task_vector(
-                {"w": np.zeros(2, dtype=np.float32)}, {"w": np.zeros(2)}, "fp", "t"
-            )
+            vector.deltas["w"]
+
+    def test_each_delta_is_made_on_lookup(self, rng):
+        base = {f"w{i}": np.ones(100_000, np.float32) for i in range(8)}
+        fine = {name: arr + np.float32(0.5) for name, arr in base.items()}
+        tracemalloc.start()
+        try:
+            vector = compute_task_vector(fine, base, "fp")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < base["w0"].nbytes // 4  # not one layer, let alone the map
+        delta = vector.deltas["w3"]
+        assert delta.dtype == np.float32 and (delta == 0.5).all() and not delta.flags.writeable
+        assert list(vector.deltas) == list(base) and len(vector.deltas) == 8
 
     def test_deltas_stored_in_base_dtype(self, rng):
         base = make_map(rng, 2, dtype=np.float32)
@@ -230,10 +244,13 @@ class TestBundleIO:
         fine = {k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()}
         vector = compute_task_vector(fine, base, fingerprint_map(base), "phase1")
         save_task_vector(vector, tmp_path / "tv")
-        loaded = load_task_vector(tmp_path / "tv")
-        assert loaded.label == "phase1"
-        assert loaded.base_fingerprint == vector.base_fingerprint
-        assert serialize_checkpoint(loaded.deltas) == serialize_checkpoint(vector.deltas)
+        with ExitStack() as stack:
+            loaded = open_task_vector(tmp_path / "tv", stack)
+            assert loaded.label == "phase1"
+            assert loaded.base_fingerprint == vector.base_fingerprint
+            assert serialize_checkpoint(dict(loaded.deltas)) == serialize_checkpoint(
+                dict(vector.deltas)
+            )
 
     def test_an_opened_bundle_reads_each_delta_on_lookup(self, tmp_path, rng):
         base = make_map(rng, 3, dtype=np.float32)
@@ -247,28 +264,27 @@ class TestBundleIO:
             assert all(opened.deltas[n].tobytes() == vector.deltas[n].tobytes() for n in base)
         with pytest.raises(ValueError, match="closed file"):  # the stack closed it
             opened.deltas.fingerprint()
-        assert type(load_task_vector(tmp_path / "tv").deltas) is dict
 
-    def test_a_lazy_vector_saves_the_bundle_of_the_computed_one(self, tmp_path, rng):
+    def test_a_vector_over_readers_saves_the_bundle_of_one_over_maps(self, tmp_path, rng):
         base = make_map(rng, 4, dtype=np.float32)
         fine = {k: rng.normal(size=v.shape).astype(np.float32) for k, v in base.items()}
         write_checkpoint(base, tmp_path / "base.st")
         write_checkpoint(fine, tmp_path / "fine.st")
-        save_task_vector(compute_task_vector(fine, base, "fp", "t"), tmp_path / "eager")
+        save_task_vector(compute_task_vector(fine, base, "fp", "t"), tmp_path / "maps")
         with CheckpointReader(tmp_path / "base.st") as b, CheckpointReader(tmp_path / "fine.st") as f:
-            save_task_vector(lazy_task_vector(f, b, "fp", "t"), tmp_path / "lazy")
+            save_task_vector(compute_task_vector(f, b, "fp", "t"), tmp_path / "readers")
         for part in ("deltas.safetensors", "meta.json"):
-            assert (tmp_path / "lazy" / part).read_bytes() == (tmp_path / "eager" / part).read_bytes()
+            assert (tmp_path / "readers" / part).read_bytes() == (tmp_path / "maps" / part).read_bytes()
 
     def test_missing_bundle_parts(self, tmp_path):
         (tmp_path / "tv").mkdir()
-        with pytest.raises(CheckpointFormatError, match="bundle"):
-            load_task_vector(tmp_path / "tv")
+        with ExitStack() as stack, pytest.raises(CheckpointFormatError, match="bundle"):
+            open_task_vector(tmp_path / "tv", stack)
 
     def test_malformed_sidecar(self, tmp_path, rng):
         base = make_map(rng, 1)
         vector = compute_task_vector(dict(base), base, "fp")
         save_task_vector(vector, tmp_path / "tv")
         (tmp_path / "tv" / "meta.json").write_text("{}")
-        with pytest.raises(CheckpointFormatError, match="sidecar"):
-            load_task_vector(tmp_path / "tv")
+        with ExitStack() as stack, pytest.raises(CheckpointFormatError, match="sidecar"):
+            open_task_vector(tmp_path / "tv", stack)
