@@ -240,6 +240,12 @@ class CheckpointReader(LazyTensorMap):
         """Each tensor's dtype and shape, in header order; no payload is read."""
         return {name: TensorLayout(*entry[:2]) for name, entry in self._entries.items()}
 
+    def layout_for(self, names: Iterable[str]) -> dict[str, TensorLayout]:
+        """The entries of ``layout`` for ``names``, in their order, built
+        from the header's entries for those names alone."""
+        entries = self._entries
+        return {name: TensorLayout(*entries[name][:2]) for name in names}
+
     def __getitem__(self, name: str) -> np.ndarray:
         return self.load(name)
 

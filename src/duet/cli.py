@@ -9,18 +9,22 @@ The file commands open their checkpoints and bundles as readers and walk
 them a layer at a time; a command that writes a checkpoint streams each
 output layer into the header-first writer as it is made.  None holds a whole
 model: each runs in the size of its largest layers (``sequence`` keeps its
-driver's bound).
+driver's bound).  The merge and diagnose reports are written as their
+encoders yield text pieces, about 1 MiB per write, so none is held whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 import warnings
 from contextlib import ExitStack
+from itertools import chain, islice
 from pathlib import Path
+from typing import Iterable, Iterator
 
 from .checkpoint import (
     CheckpointReader,
@@ -29,7 +33,13 @@ from .checkpoint import (
     write_atomically,
     write_checkpoint,
 )
-from .diagnostics import SignConflictReport, merge_distance, sign_conflicts
+from .diagnostics import (
+    _PIECE_RECORDS,
+    SignConflictReport,
+    _json_fields,
+    merge_distance,
+    sign_conflicts,
+)
 from .errors import CheckpointFormatError, ConfigError, DTypeError, DuetError
 from .losses import (
     DcLossConfig,
@@ -94,7 +104,8 @@ def _parent_parsers() -> tuple[argparse.ArgumentParser, ...]:
         "--format",
         choices=("json", "csv"),
         default="json",
-        help="report and error format (default json)",
+        help="format of the reports of merge duet --report, diagnose and metrics -o, and "
+        "of errors (default json); sequence reports are always JSON",
     )
     output = _Parser(add_help=False)
     output.add_argument("-o", "--output", help="output file or directory")
@@ -216,13 +227,39 @@ def _write_text(path: str | Path, text: str):
     write_atomically(path, [text.encode("utf-8")])
 
 
-def _csv_text(rows: list[list]) -> str:
-    import io as _io
+# Bytes of report text gathered into each write of :func:`_write_pieces`.
+_WRITE_BYTES = 1 << 20
 
-    buffer = _io.StringIO()
+
+def _write_pieces(path: str | Path, pieces: Iterable[str]):
+    """Write the text ``pieces`` to ``path`` atomically as they come, joined
+    into writes of about ``_WRITE_BYTES``: a report is never held whole."""
+    write_atomically(path, _joined(pieces))
+
+
+def _joined(pieces: Iterable[str]) -> Iterator[bytearray]:
+    buffer = bytearray()
+    for piece in pieces:
+        buffer += piece.encode("utf-8")
+        if len(buffer) >= _WRITE_BYTES:
+            yield buffer  # written before the generator resumes
+            buffer.clear()
+    yield buffer
+
+
+def _csv_pieces(rows: Iterable) -> Iterator[str]:
+    """The CSV text of ``rows``, ``_PIECE_RECORDS`` rows per piece.  A
+    character UTF-8 cannot carry (a lone surrogate, which a ``\\ud800`` escape
+    in a header's JSON makes) is written as its backslash escape, as the JSON
+    report writes it, so a layer name never stops the report midway."""
+    rows = iter(rows)
+    buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
-    return buffer.getvalue()
+    for part in iter(lambda: list(islice(rows, _PIECE_RECORDS)), []):
+        writer.writerows(part)
+        yield buffer.getvalue().encode("utf-8", "backslashreplace").decode("utf-8")
+        buffer.seek(0)
+        buffer.truncate()
 
 
 def _enforce_uniform_dtype(args, *tensor_maps):
@@ -303,9 +340,9 @@ def _merge_duet(args, base: CheckpointReader, stack: ExitStack) -> dict:
     write_checkpoint(base_shared.layout, args.output, layers)
     if args.report:
         if args.format == "csv":
-            _write_text(args.report, _csv_text(report.csv_rows()))
+            _write_pieces(args.report, _csv_pieces(report.csv_rows()))
         else:
-            _write_text(args.report, report.to_json() + "\n")
+            _write_pieces(args.report, chain(report.json_pieces(), ["\n"]))
     alphas = [record.alpha for record in report.layers]
     return {
         "output": str(args.output),
@@ -370,7 +407,7 @@ def _cmd_sequence(args) -> int:
         entry = {"task": step.task_index, "checkpoint": str(ckpt_path)}
         if step.report is not None:
             report_path = out_dir / f"task{step.task_index:02d}.report.json"
-            _write_text(report_path, step.report.to_json() + "\n")
+            _write_pieces(report_path, chain(step.report.json_pieces(), ["\n"]))
             entry["report"] = str(report_path)
             entry["warnings"] = step.report.warnings
         summaries.append(entry)
@@ -410,19 +447,17 @@ def _cmd_distill(args) -> int:
     return 0
 
 
-def _emit_report(args, payload_dict: dict, csv_rows: list[list]):
+def _emit_report(args, json_pieces: Iterable[str], csv_rows: Iterable):
+    """A diagnose report, its JSON text pieces or its CSV rows as ``--format``
+    says, written to ``-o`` or to stdout as they come."""
     if args.format == "csv":
-        text = _csv_text(csv_rows)
-        if args.output:
-            _write_text(args.output, text)
-        else:
-            print(text, end="")
+        pieces = _csv_pieces(csv_rows)
     else:
-        text = json.dumps(payload_dict, indent=2)
-        if args.output:
-            _write_text(args.output, text + "\n")
-        else:
-            print(text)
+        pieces = chain(json_pieces, ["\n"])
+    if args.output:
+        _write_pieces(args.output, pieces)
+    else:
+        sys.stdout.writelines(pieces)
 
 
 def _cmd_diagnose(args) -> int:
@@ -444,12 +479,15 @@ def _cmd_diagnose(args) -> int:
                 report = SignConflictReport(dict(map_layers("sign_conflicts", count, maps)))
             else:
                 report = sign_conflicts(tau_old, tau_curr)
-        payload = {"preset": args.preset, **report.to_dict()}
-        rows = [["tensor", "conflicts", "comparable", "fraction"]]
-        for name, entry in report.per_tensor.items():
-            rows.append([name, entry.conflicts, entry.comparable, entry.fraction])
-        rows.append(["TOTAL", report.total_conflicts, report.total_comparable, report.total_fraction])
-        _emit_report(args, payload, rows)
+        # The merge report's sign section, one level up, with the preset first.
+        pieces = _json_fields([("preset", args.preset), *report.json_fields(0)], 0)
+        rows = chain(
+            [["tensor", "conflicts", "comparable", "fraction"]],
+            ([name, entry.conflicts, entry.comparable, entry.fraction]
+             for name, entry in report.per_tensor.items()),
+            [["TOTAL", report.total_conflicts, report.total_comparable, report.total_fraction]],
+        )
+        _emit_report(args, pieces, rows)
         return 0
     with ExitStack() as stack:
         # Walked a layer at a time: no input is loaded whole.
@@ -458,7 +496,7 @@ def _cmd_diagnose(args) -> int:
             spec = load_partition_spec(args.partition)
             maps = [partition_checkpoint(reader, spec)[0] for reader in maps]
         report = merge_distance(*maps)
-    payload = report.to_dict()
+    pieces = [json.dumps(report.to_dict(), indent=2)]
     rows = [
         ["metric", "value"],
         ["l2_to_old", report.l2_to_old],
@@ -466,7 +504,7 @@ def _cmd_diagnose(args) -> int:
         ["cos_to_old", report.cos_to_old],
         ["cos_to_curr", report.cos_to_curr],
     ]
-    _emit_report(args, payload, rows)
+    _emit_report(args, pieces, rows)
     return 0
 
 
@@ -477,7 +515,7 @@ def _cmd_metrics(args) -> int:
     print(report.table())
     if args.output:
         if args.format == "csv":
-            _write_text(args.output, _csv_text(report.csv_rows()))
+            _write_pieces(args.output, _csv_pieces(report.csv_rows()))
         else:
             _write_text(args.output, report.to_json() + "\n")
     return 0

@@ -1,14 +1,95 @@
-"""Sign-conflict counts between task vectors and merged-model distance checks."""
+"""Sign-conflict counts between task vectors and merged-model distance checks,
+and the streamed JSON text of the reports built on the counts.
+
+A report's JSON is written as a stream of text pieces with the bytes of
+``json.dumps(report, indent=2)``: each flat record (a merge report's layer,
+a tensor's sign counts) fills a ``%`` template, and at most
+``_PIECE_RECORDS`` records go into one piece, so no dict of the report and
+no whole text of it is built.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import islice
+from json.encoder import encode_basestring_ascii
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .tensors import NamedTensorMap, _blockwise, check_same_shape, map_layers
 from .task_vectors import TaskVector
+
+
+# Records per piece of a streamed report; 512 layer records are about 130 KB.
+_PIECE_RECORDS = 512
+
+
+def _json_scalar(value) -> str:
+    """``json.dumps(value)`` of a string, None, an int or a float, NaN and
+    the infinities included."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value in (math.inf, -math.inf):
+            return "Infinity" if value > 0 else "-Infinity"
+        return float.__repr__(value)
+    if value is None:
+        return "null"
+    return int.__repr__(value)
+
+
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))  # float.__repr__ of the non-finite floats
+
+
+def _json_floats(values: tuple) -> tuple:
+    """:func:`_json_scalar` of each value, at the cost of ``float.__repr__``
+    alone while the values are finite floats."""
+    try:
+        texts = tuple(map(float.__repr__, values))
+    except TypeError:  # not a float among them
+        return tuple(map(_json_scalar, values))
+    return texts if _NON_FINITE.isdisjoint(texts) else tuple(map(_json_scalar, values))
+
+
+def _object_template(keys: Iterable[str], depth: int) -> str:
+    """A ``%`` template of a flat JSON object with ``keys``, one ``%s`` per
+    value, as ``json.dumps(..., indent=2)`` writes it ``depth`` levels deep."""
+    pad = "\n" + "  " * (depth + 1)
+    return "{" + ",".join(f"{pad}{encode_basestring_ascii(key)}: %s" for key in keys) + pad[:-2] + "}"
+
+
+def _json_items(items: Iterable[str], depth: int, brackets: str) -> Iterator[str]:
+    """The pieces of a JSON list (``brackets`` ``"[]"``) or object (``"{}"``)
+    of encoded ``items`` written ``depth`` levels deep, ``_PIECE_RECORDS``
+    items per piece."""
+    items = iter(items)
+    pad = "\n" + "  " * (depth + 1)
+    separator = brackets[0] + pad
+    for part in iter(lambda: list(islice(items, _PIECE_RECORDS)), []):
+        yield separator + ("," + pad).join(part)
+        separator = "," + pad
+    yield pad[:-2] + brackets[1] if separator[0] == "," else brackets  # empty: "[]" or "{}"
+
+
+def _json_fields(fields: Iterable[tuple[str, object]], depth: int) -> Iterator[str]:
+    """The pieces of a JSON object of ``(key, value)`` fields written
+    ``depth`` levels deep; a value is a scalar, or an iterator of the pieces
+    of its own text."""
+    pad = "\n" + "  " * (depth + 1)
+    separator = "{"
+    for key, value in fields:
+        head = f"{separator}{pad}{encode_basestring_ascii(key)}: "
+        if isinstance(value, Iterator):
+            yield head
+            yield from value
+        else:
+            yield head + _json_scalar(value)
+        separator = ","
+    yield pad[:-2] + "}"
 
 
 @dataclass(slots=True)
@@ -54,6 +135,24 @@ class SignConflictReport:
             "total_comparable": self.total_comparable,
             "total_fraction": self.total_fraction,
         }
+
+    def json_fields(self, depth: int) -> list[tuple[str, object]]:
+        """The fields of :meth:`to_dict` for :func:`_json_fields` ``depth``
+        levels deep, the per-tensor counts as a lazy stream of pieces."""
+        template = _object_template(("conflicts", "comparable", "fraction"), depth + 2)
+        counts = (
+            f"{encode_basestring_ascii(name)}: " + template % (
+                int.__repr__(entry.conflicts), int.__repr__(entry.comparable),
+                _json_scalar(entry.fraction),
+            )
+            for name, entry in self.per_tensor.items()
+        )
+        return [
+            ("per_tensor", _json_items(counts, depth + 1, "{}")),
+            ("total_conflicts", self.total_conflicts),
+            ("total_comparable", self.total_comparable),
+            ("total_fraction", self.total_fraction),
+        ]
 
 
 def _as_map(vector: TaskVector | NamedTensorMap) -> NamedTensorMap:

@@ -21,18 +21,21 @@ The sequence driver keeps only the base shared map and the previous step's
 shared output.  Each step walks the layers once, forming both task vectors a
 layer at a time, so it holds about two shared-partition-sized maps regardless
 of sequence length.
+
+A :class:`MergeReport` is written as a stream of JSON text pieces
+(:meth:`MergeReport.json_pieces`), a few hundred records per piece.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from collections import deque
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -48,6 +51,11 @@ from .checkpoint import (
 from .diagnostics import (
     SignConflictReport,
     TensorSignConflicts,
+    _json_fields,
+    _json_floats,
+    _json_items,
+    _json_scalar,
+    _object_template,
     _sign_count_rows,
     _sign_counts,
     _sign_scratch,
@@ -128,48 +136,10 @@ class LayerMergeRecord:
         return {name: getattr(self, name) for name in self.__slots__}
 
 
-class _Encoded(str):
-    """JSON text that :func:`_indented` writes as it is."""
-
-
-def _flat_records_json(records: list | dict, depth: int) -> _Encoded:
-    """``json.dumps(records, indent=2)`` as written ``depth`` levels deep, for
-    a list or a dict of non-empty dicts whose values are scalars.
-
-    The C encoder writes it in one call, with the fields' newline and indent
-    as its item separator.  JSON escapes control characters within strings,
-    so a brace beside a newline is a record's own, and so is a brace after a
-    key separator that holds a carriage return: the records' indent goes in
-    by replacing those.
-    """
-    if not records:
-        return _Encoded(json.dumps(records))
-    field, record, close = ("\n" + "  " * level for level in (depth + 2, depth + 1, depth))
-    if isinstance(records, dict):
-        text = json.JSONEncoder(separators=("," + field, ":\r")).encode(records)
-        text = text.replace("}," + field, record + "}," + record)
-        text = text.replace(":\r{", ": {" + field).replace(":\r", ": ")
-        return _Encoded("{" + record + text[1:-2] + record + "}" + close + "}")
-    text = json.JSONEncoder(separators=("," + field, ": ")).encode(records)
-    text = text.replace("}," + field + "{", record + "}," + record + "{" + field)
-    return _Encoded("[" + record + "{" + field + text[2:-2] + record + "}" + close + "]")
-
-
-def _indented(value, depth: int) -> str:
-    """``json.dumps(value, indent=2)`` as written ``depth`` levels deep, with
-    :class:`_Encoded` text taken as it is."""
-    if isinstance(value, _Encoded):
-        return value
-    if isinstance(value, dict) and value:
-        items = [f"{encode_basestring_ascii(k)}: {_indented(v, depth + 1)}" for k, v in value.items()]
-        brackets = "{}"
-    elif isinstance(value, (list, tuple)) and value:
-        items = [_indented(v, depth + 1) for v in value]
-        brackets = "[]"
-    else:
-        return json.dumps(value)
-    pad = "\n" + "  " * (depth + 1)
-    return brackets[0] + pad + ("," + pad).join(items) + pad[:-2] + brackets[1]
+_record_values = attrgetter(*LayerMergeRecord.__slots__)
+_record_numbers = attrgetter(*LayerMergeRecord.__slots__[1:])
+# A layer record as an item of the report's "layers" list, two levels deep.
+_LAYER_TEMPLATE = _object_template(LayerMergeRecord.__slots__, 2)
 
 
 @dataclass
@@ -195,24 +165,36 @@ class MergeReport:
             "warnings": list(self.warnings),
         }
 
-    def to_json(self) -> str:
-        """``json.dumps(self.to_dict(), indent=2)``, byte for byte.  That
-        encoder is pure Python; here the flat records, one per layer and one
-        sign count per tensor, go through the C encoder."""
-        report = self.to_dict()
-        report["layers"] = _flat_records_json(report["layers"], 1)
-        if report["sign_conflicts"] is not None:
-            counts = report["sign_conflicts"]
-            counts["per_tensor"] = _flat_records_json(counts["per_tensor"], 2)
-        return _indented(report, 0)
+    def json_pieces(self) -> Iterator[str]:
+        """The text of ``json.dumps(self.to_dict(), indent=2)``, byte for
+        byte, as a stream of pieces of at most ``_PIECE_RECORDS`` layer
+        records or sign counts; neither the dict nor the whole text is built."""
+        config = self.config.to_dict()
+        records = (
+            _LAYER_TEMPLATE % (
+                encode_basestring_ascii(record.layer_name), *_json_floats(_record_numbers(record))
+            )
+            for record in self.layers
+        )
+        signs = self.sign_conflicts
+        return _json_fields([
+            ("config", _json_fields(config.items(), 1)),
+            ("base_fingerprint", self.base_fingerprint),
+            ("old_fingerprint", self.old_fingerprint),
+            ("curr_fingerprint", self.curr_fingerprint),
+            ("layers", _json_items(records, 1, "[]")),
+            ("sign_conflicts", None if signs is None else _json_fields(signs.json_fields(1), 1)),
+            ("warnings", _json_items(map(_json_scalar, self.warnings), 1, "[]")),
+        ], 0)
 
-    def csv_rows(self) -> list[list]:
-        header = ["layer_name", "p", "delta", "alpha", "beta", "norm_old", "norm_curr", "norm_sum"]
-        rows = [header]
-        for record in self.layers:
-            entry = record.to_dict()
-            rows.append([entry[column] for column in header])
-        return rows
+    def to_json(self) -> str:
+        """The joined :meth:`json_pieces`: the whole text, for a caller that wants it."""
+        return "".join(self.json_pieces())
+
+    def csv_rows(self) -> Iterator[tuple]:
+        """The CSV header, then one row per layer record, each made as it is read."""
+        yield LayerMergeRecord.__slots__
+        yield from map(_record_values, self.layers)
 
 
 def _layer_statistics_blocks(old: np.ndarray, curr: np.ndarray) -> tuple:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
@@ -61,6 +61,11 @@ class LazyTensorMap:
 
     layout: dict
 
+    def layout_for(self, names: Iterable[str]) -> dict:
+        """The entries of ``layout`` for ``names``, in their order."""
+        layout = self.layout
+        return {name: layout[name] for name in names}
+
     def keys(self):
         return self.layout.keys()
 
@@ -82,15 +87,35 @@ class LazyTensorMap:
 
 class _Subset(LazyTensorMap):
     """The named tensors of a map, in the order given, looked up in it on
-    access: a view that reads nothing until it is indexed."""
+    access: a view that reads nothing until it is indexed.  Its names are
+    given when it is made; its layout, of those names alone, is built when
+    it is first read."""
 
     def __init__(self, source, names: Iterable[str]):
         self._source = source
-        source_layout = layout_of(source)
-        self.layout = {name: source_layout[name] for name in names}
+        self._names = dict.fromkeys(names)
+
+    @cached_property
+    def layout(self) -> dict:
+        source = self._source
+        if isinstance(source, LazyTensorMap):
+            return source.layout_for(self._names)
+        return {name: source[name] for name in self._names}
+
+    def keys(self):
+        return self._names.keys()
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def __contains__(self, name) -> bool:
+        return name in self._names
 
     def __getitem__(self, name: str):
-        if name not in self.layout:
+        if name not in self._names:
             raise KeyError(name)
         return self._source[name]
 

@@ -514,6 +514,28 @@ class TestReaderMapping:
             with pytest.raises(KeyError):
                 shared["head.cls"]  # in the reader, not in the view
 
+    def test_partition_views_build_no_layout_until_one_is_read(self, written):
+        path, tensor_map = written
+        spec = PartitionSpec(("z", "a", "m"), ("head.*",), head_concat_axis=0)
+        made = []
+
+        def counting_layout(*fields):
+            made.append(fields)
+            return TensorLayout(*fields)
+
+        with CheckpointReader(path) as reader, \
+                mock.patch.object(checkpoint, "TensorLayout", counting_layout):
+            shared, head = partition_checkpoint(reader, spec)
+            assert list(shared.keys()) == ["z", "a", "m"] and list(head.keys()) == ["head.cls"]
+            assert len(shared) == 3 and "a" in shared and "head.cls" not in shared
+            assert made == []
+            # Read, a view's layout holds its own names alone.
+            assert list(head.layout) == ["head.cls"] and head.layout["head.cls"].shape == (2, 3)
+            assert len(made) == 1
+            assert shared.layout == {name: TensorLayout(tensor_map[name].dtype, (3,))
+                                     for name in ("z", "a", "m")}
+            assert len(made) == 4
+
 
 class TestStreamedWriter:
     """``write_checkpoint(layout, path, layers)``: the header from a layout,

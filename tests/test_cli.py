@@ -18,8 +18,10 @@ import duet
 import duet.errors
 from duet.checkpoint import CheckpointReader, read_checkpoint, write_checkpoint
 from duet.cli import main
+from duet.diagnostics import SignConflictReport, sign_conflicts
 from duet.fixtures import materialize_trio, protocol_path, records_path
-from duet.task_vectors import open_task_vector
+from duet.losses import update_sign_conflicts
+from duet.task_vectors import TaskVector, open_task_vector, save_task_vector
 
 
 @pytest.fixture
@@ -482,6 +484,33 @@ class TestDiagnoseCommand:
         assert code == 0, err
         assert out == ""
         assert (tmp_path / "signs.out").read_text() == printed
+
+    @pytest.mark.parametrize("preset", ["vectors", "updates"])
+    def test_signs_json_is_the_indent_encoder_output(self, capsys, tmp_path, rng, preset):
+        names = ['a"b', "back\\slash", "tab\tnl\n", "ctl\x00\x1f\x7f", "é", "\U0001d11e", "{}[],: "]
+        vectors = []
+        for label in ("old", "curr"):
+            deltas = {name: rng.normal(size=(3, 4)) for name in names}
+            deltas[names[0]][0] = 0.0  # some pairs are not comparable
+            vector = TaskVector(deltas, "f" * 64, label)
+            vectors.append(vector)
+            save_task_vector(vector, tmp_path / label)
+        report = sign_conflicts(*vectors)
+        if preset == "updates":  # against the zero vector two steps back
+            report = SignConflictReport({
+                name: update_sign_conflicts(vectors[1].deltas[name], vectors[0].deltas[name],
+                                            np.zeros((3, 4)))
+                for name in names
+            })
+        want = json.dumps({"preset": preset, **report.to_dict()}, indent=2) + "\n"
+        signs = ["diagnose", "signs", "--old", tmp_path / "old", "--curr", tmp_path / "curr",
+                 "--preset", preset]
+        code, out, err = run_cli(capsys, signs)
+        assert code == 0, err
+        assert out == want
+        code, out, err = run_cli(capsys, [*signs, "-o", tmp_path / "signs.json"])
+        assert (code, out) == (0, ""), err
+        assert (tmp_path / "signs.json").read_bytes() == want.encode()
 
     def test_distance(self, capsys, trio, tmp_path):
         code, out, err = run_cli(

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import csv
 import gc
+import io
 import json
 import math
 import os
+import tempfile
 import weakref
 from contextlib import ExitStack
+from itertools import chain
+from pathlib import Path
 from unittest.mock import patch
 
 import numpy as np
@@ -14,6 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import duet.cli
+import duet.diagnostics
 import duet.merge
 from duet.checkpoint import (
     CheckpointReader,
@@ -22,6 +29,7 @@ from duet.checkpoint import (
     partition_checkpoint,
     write_checkpoint,
 )
+from duet.cli import _csv_pieces, _write_pieces
 from duet.diagnostics import (
     SignConflictReport,
     TensorSignConflicts,
@@ -1071,3 +1079,60 @@ class TestReportJson:
         assert report.to_json() == json.dumps(report.to_dict(), indent=2)
         report.sign_conflicts = SignConflictReport()
         assert report.to_json() == json.dumps(report.to_dict(), indent=2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_reports())
+    def test_the_streamed_report_is_the_indent_encoder_output(self, report):
+        want = (json.dumps(report.to_dict(), indent=2) + "\n").encode()
+        with small_pieces(), tempfile.TemporaryDirectory() as tmp:
+            if len(report.layers) > 2:  # the records cross piece boundaries
+                assert sum('"layer_name"' in piece for piece in report.json_pieces()) > 1
+            path = Path(tmp, "r.report.json")
+            _write_pieces(path, chain(report.json_pieces(), ["\n"]))
+            assert path.read_bytes() == want
+            assert os.listdir(tmp) == ["r.report.json"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(merge_reports())
+    def test_the_streamed_csv_is_the_csv_writer_output(self, report):
+        header = ["layer_name", "p", "delta", "alpha", "beta", "norm_old", "norm_curr", "norm_sum"]
+        rows = [header, *([record.to_dict()[column] for column in header] for record in report.layers)]
+        text = io.StringIO()
+        csv.writer(text, lineterminator="\n").writerows(rows)
+        with small_pieces(), tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp, "r.csv")
+            _write_pieces(path, _csv_pieces(report.csv_rows()))
+            assert path.read_bytes() == text.getvalue().encode("utf-8", "backslashreplace")
+
+    def test_a_name_utf8_cannot_carry_is_written_as_its_escape(self, tmp_path):
+        layers = [duet.merge.LayerMergeRecord(name, *[0.5] * 7) for name in ("a\ud800", "é")]
+        report = MergeReport(MergeConfig(), "a", "b", "c", layers=layers)
+        path = tmp_path / "r.csv"
+        _write_pieces(path, _csv_pieces(report.csv_rows()))
+        rows = path.read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["a\\ud800", "é"]
+
+    def test_a_producer_that_raises_midway_leaves_no_file(self, tmp_path):
+        def pieces():
+            yield from MergeReport(MergeConfig(), "a" * 64, "b" * 64, "c" * 64).json_pieces()
+            raise RuntimeError("producer failed")
+
+        path = tmp_path / "r.report.json"
+        with small_pieces(), pytest.raises(RuntimeError, match="producer failed"):
+            _write_pieces(path, pieces())  # several writes are made first
+        assert list(tmp_path.iterdir()) == []
+        path.write_text("earlier")
+        with pytest.raises(RuntimeError, match="producer failed"):
+            _write_pieces(path, pieces())
+        assert [p.name for p in tmp_path.iterdir()] == ["r.report.json"]
+        assert path.read_text() == "earlier"
+
+
+def small_pieces() -> ExitStack:
+    """Two records per piece and about 16 bytes per write, so the records of a
+    report, and the pieces of one record, span several pieces and writes."""
+    stack = ExitStack()
+    for module in (duet.diagnostics, duet.cli):
+        stack.enter_context(patch.object(module, "_PIECE_RECORDS", 2))
+    stack.enter_context(patch.object(duet.cli, "_WRITE_BYTES", 16))
+    return stack

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,8 +23,10 @@ import pytest
 
 import duet
 from duet.checkpoint import CheckpointReader, read_checkpoint, write_checkpoint
-from duet.cli import main
+from duet.cli import _write_pieces, main
+from duet.diagnostics import SignConflictReport, TensorSignConflicts
 from duet.fixtures import materialize_trio
+from duet.merge import LayerMergeRecord, MergeConfig, MergeReport
 from duet.task_vectors import TaskVector, compute_task_vector, save_task_vector
 
 # Many equal shared layers, so S (the shared partition's bytes) is 64 times
@@ -174,6 +177,38 @@ def test_the_losses_and_diagnostics_hold_a_few_blocks_beside_their_layers(
     assert code == 0, err
     bound = 5 * one_large_layer.largest
     assert peak < bound, f"peak {peak} B is {peak / one_large_layer.largest:.2f} x the layer"
+
+
+def merge_report(layers: int) -> MergeReport:
+    """A report of ``layers`` records and sign counts, of typical names and values."""
+    rng = np.random.default_rng(layers)
+    names = [f"backbone.stage{i // 100}.block{i % 100}.conv.weight" for i in range(layers)]
+    values = rng.normal(size=(layers, 7)).tolist()
+    counts = rng.integers(0, 300, size=layers).tolist()
+    return MergeReport(
+        MergeConfig(), "a" * 64, "b" * 64, "c" * 64,
+        [LayerMergeRecord(name, *row) for name, row in zip(names, values)],
+        SignConflictReport({name: TensorSignConflicts(k, 300) for name, k in zip(names, counts)}),
+    )
+
+
+def test_a_report_is_written_in_pieces_whatever_its_length(tmp_path):
+    """A report is written as it is encoded, about 1 MiB at a time: writing
+    one of 20,000 layers (about 7 MB of text) holds no more than writing one
+    of 2,000 (about 0.7 MB), give or take a write."""
+    peaks = []
+    for layers in (2_000, 20_000):
+        report = merge_report(layers)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            _write_pieces(tmp_path / "r.report.json", chain(report.json_pieces(), ["\n"]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (tmp_path / "r.report.json").read_text() == report.to_json() + "\n"
+        peaks.append(peak)
+    assert peaks[1] - peaks[0] < 2**20, f"peaks {peaks} B"
 
 
 def poison(path: Path, name: str):
