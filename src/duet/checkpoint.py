@@ -11,17 +11,25 @@ packed from zero.  Identical maps therefore serialize to identical bytes and
 identical SHA-256 fingerprints.  The header depends only on the map's layout
 (its names, dtypes and shapes), so :func:`write_checkpoint` writes it first
 and then takes the layers one at a time, as a merge makes them.
+
+One ordered I/O thread, started on first use, runs file writes and digest
+updates beside the arithmetic that makes their bytes (hashlib and file
+writes release the interpreter lock).  A producer hands it work through a
+:class:`_Lane`: the lane's jobs run in the order they were handed over, a
+job the thread has not started when its producer waits for it runs on the
+producer, and the first error one raises is raised again on the producer.
 """
 
 from __future__ import annotations
 
+import _thread
 import csv
 import hashlib
 import io
 import json
 import os
 import struct
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
@@ -41,6 +49,7 @@ from .errors import (
     ShapeError,
 )
 from .tensors import (
+    SUPPORTED_DTYPES,
     LazyTensorMap,
     NamedTensorMap,
     TensorLayout,
@@ -68,6 +77,13 @@ _HEADER_FIELDS = itemgetter("dtype", "shape", "data_offsets")
 # Closes the layout side of a writer's walk: a stream that runs past its
 # layout meets it, and a stream of the right length leaves it unread.
 _LAYOUT_END = ((None, None),)
+# Bytes a writer hands to the I/O thread at once (see write_atomically): a
+# stream of small layers costs no hand-off, and a large layer goes alone.
+_HANDOFF_BYTES = 1 << 20
+# Jobs a lane may have waiting or running before its producer waits: enough
+# to overlap one job with the making of the next, and to keep what a lagging
+# thread holds small.
+_LANE_DEPTH = 2
 
 
 def _dtype_tag(spec, name: str) -> str:
@@ -165,6 +181,15 @@ class CheckpointReader(LazyTensorMap):
         entries: dict[str, tuple[np.dtype, tuple[int, ...], int, int, int]] = {}
         prev_name, prev_end = None, 0
         for name, meta in header.items():
+            # A "\ud800" escape decodes to a lone surrogate, which no UTF-8
+            # header (and so no written checkpoint) can carry.
+            if not name.isascii():
+                try:
+                    name.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise self._fail(
+                        f"tensor name {name!r} holds a lone surrogate, which UTF-8 cannot encode"
+                    ) from None
             try:
                 tag, shape, offsets = _HEADER_FIELDS(meta)
             except TypeError:  # a JSON array, string, number or null
@@ -388,7 +413,8 @@ def _check_layer(where, name, arr, want_name, want) -> None:
     if name != want_name:
         due = "past the layout's end" if want_name is None else f"where {want_name!r} is due"
         raise KeyMismatchError(f"{where}: tensor {name!r} arrives out of layout order, {due}")
-    check_tensor(arr, f"{where}: tensor {name!r}")
+    if not (isinstance(arr, np.ndarray) and arr.dtype.type in SUPPORTED_DTYPES):
+        check_tensor(arr, f"{where}: tensor {name!r}")  # raises, naming the fault
     if arr.shape != want.shape:
         raise ShapeError(
             f"{where}: tensor {name!r} has shape {arr.shape}, but its layout says {want.shape}"
@@ -454,16 +480,215 @@ def fingerprint_map(tensor_map) -> str:
     return digest.hexdigest()
 
 
+_io_jobs = None  # the I/O thread's job queue, once the thread is started
+_io_start = _thread.allocate_lock()
+
+
+def _io_queue():
+    """The I/O thread's job queue; the first call starts the thread."""
+    global _io_jobs
+    with _io_start:
+        if _io_jobs is None:
+            import queue
+            import threading
+
+            jobs = queue.SimpleQueue()
+            threading.Thread(
+                target=_io_loop, args=(jobs, _current_cpu()), name="duet-io", daemon=True
+            ).start()
+            _io_jobs = jobs
+        return _io_jobs
+
+
+def _current_cpu() -> int | None:
+    """The CPU the calling thread runs on, where Linux tells it."""
+    try:
+        with open("/proc/thread-self/stat", "rb") as fh:
+            return int(fh.read().rsplit(b")", 1)[1].split()[36])  # field 39
+    except (OSError, ValueError, IndexError):
+        return None
+
+
+def _io_loop(jobs, starter_cpu: int | None) -> None:
+    # Woken once per job, the thread is often placed on the CPU of the
+    # thread that woke it, and the two then take turns there instead of
+    # running side by side; so it stays off the CPU of the thread that
+    # started it, where the process may use another.
+    try:
+        cpus = os.sched_getaffinity(0) - {starter_cpu}
+        if cpus:
+            os.sched_setaffinity(0, cpus)
+    except (AttributeError, OSError):  # not Linux, or not allowed
+        pass
+    while True:
+        lane, job = jobs.get()
+        if lane._claim(job):
+            lane._run(job)
+        del lane, job  # not held while the thread waits for the next job
+
+
+def _forget_io_thread() -> None:
+    # A forked child has no I/O thread (its first use starts one), and no
+    # other thread that could release the lock.
+    global _io_jobs, _io_start
+    _io_jobs, _io_start = None, _thread.allocate_lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_io_thread)
+
+
+class _Lane:
+    """One producer's ordered share of the I/O thread.
+
+    The jobs handed over with :meth:`put` run one after another, in that
+    order, at most ``_LANE_DEPTH`` at a time waiting or running.  Each runs
+    on the thread, unless its producer comes to wait for it before the
+    thread has started it: the producer then runs it itself, so a thread
+    that is slow to get a CPU holds its producer up by at most the job it
+    is running.  The first error a job raises is raised again on the
+    producer by its next ``put`` or ``wait``, and the lane's later jobs are
+    skipped.  Used as a context manager, the lane waits for its jobs on
+    exit without raising, so a producer unwinding from its own error never
+    leaves a job running on what it is about to close."""
+
+    # Whether a producer runs a job it waits for that the thread has not started.
+    _take_over = True
+
+    def __init__(self):
+        import threading
+
+        self._cond = threading.Condition(threading.Lock())
+        self._put = 0  # jobs handed over; job k has ticket k
+        self._done = 0  # jobs run or skipped, in ticket order
+        self._waiting: deque = deque()  # jobs handed over that none has started, in order
+        self._running = False  # whether one of the lane's jobs runs, here or on the thread
+        self._error: BaseException | None = None
+
+    def put(self, call, *args) -> int:
+        """Hand ``call(*args)`` over; returns its ticket for :meth:`wait`."""
+        self.wait(self._put + 1 - _LANE_DEPTH)
+        job = [call, args]
+        with self._cond:
+            self._waiting.append(job)
+        self._put += 1
+        _io_queue().put((self, job))
+        return self._put
+
+    def idle(self) -> bool:
+        """Whether every job handed over has run; raises the first error
+        one raised, so a producer does not go on past it."""
+        with self._cond:
+            idle = self._done == self._put
+        if self._error is not None:
+            raise self._error
+        return idle
+
+    def wait(self, ticket: int | None = None) -> None:
+        """Wait until the job of ``ticket`` (by default the last) has run,
+        then raise the first error the lane's jobs raised, if any."""
+        self._settle(self._put if ticket is None else ticket)
+        if self._error is not None:
+            raise self._error
+
+    def _settle(self, ticket: int) -> None:
+        while True:
+            with self._cond:
+                while self._done < ticket and (self._running or not self._take_over):
+                    self._cond.wait()
+                if self._done >= ticket:
+                    return
+                # None of the lane's jobs runs, so the next one waits unstarted.
+                job = self._waiting.popleft()
+                self._running = True
+            self._run(job)
+
+    def _claim(self, job) -> bool:  # on the I/O thread
+        """Start ``job`` on the thread, unless its producer has taken it over."""
+        with self._cond:
+            # The producer may still run the job before this one.
+            while self._running and self._waiting and self._waiting[0] is job:
+                self._cond.wait()
+            if not (self._waiting and self._waiting[0] is job):
+                return False
+            self._waiting.popleft()
+            self._running = True
+            return True
+
+    def _run(self, job) -> None:
+        call, args = job
+        job[:] = None, None
+        try:
+            if self._error is None:
+                call(*args)
+        except BaseException as exc:  # raised again on the producer
+            self._error = exc
+        finally:  # also when an interrupt reaches a producer running the job
+            # Dropped before the producer learns that the job has run, so that
+            # the producer's own drop frees what the job held, then and there.
+            del call, args
+            with self._cond:
+                self._running = False
+                self._done += 1
+                self._cond.notify_all()
+
+    def __enter__(self) -> "_Lane":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._settle(self._put)
+
+
+def wait_for_io() -> None:
+    """Return once the I/O thread has come to every job handed to it so far
+    (at once if it never started).  A job a producer took over has run when
+    that producer goes on."""
+    if _io_jobs is not None:
+        lane = _Lane()
+        lane._take_over = False
+        lane.wait(lane.put(int))  # a job that does nothing, behind every earlier one
+
+
+def _write_all(fh: BinaryIO, chunks: list) -> None:
+    for chunk in chunks:
+        fh.write(chunk)
+
+
 def write_atomically(path: str | Path, chunks: Iterable[bytes | np.ndarray]) -> None:
     """Write ``chunks`` to a temporary file beside ``path``, then move it onto
-    ``path``.  On any error the temporary file is removed and ``path`` keeps
-    its earlier contents."""
+    ``path``.  On any error, from the producer or from a write, the
+    temporary file is removed and ``path`` keeps its earlier contents.
+
+    A chunk may be written after the producer has resumed, so a producer
+    yields a fresh buffer each time and does not change one it has yielded.
+    Chunks are gathered until an array (a checkpoint's payload) brings them
+    to ``_HANDOFF_BYTES`` (a large layer does it alone); they are then
+    written on the I/O thread while the producer makes the next ones.
+    While the thread is idle, the others are written here: a stream of small
+    layers costs no hand-off, and a text buffer, which its producer would
+    fill again while the last one waits, is never held twice.  Every chunk
+    is written when this returns."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     try:
-        with open(tmp, "xb") as fh:
+        with open(tmp, "xb") as fh, _Lane() as lane:
+            batch: list = []
+            size = 0
             for chunk in chunks:
-                fh.write(chunk)
+                batch.append(chunk)
+                size += memoryview(chunk).nbytes
+                handoff = size >= _HANDOFF_BYTES and isinstance(chunk, np.ndarray)
+                del chunk  # the batch holds it; not kept here while the next is made
+                if handoff:
+                    lane.put(_write_all, fh, batch)
+                elif lane.idle():
+                    _write_all(fh, batch)
+                else:
+                    continue
+                batch, size = [], 0
+            if batch:
+                lane.put(_write_all, fh, batch)
+            lane.wait()
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -497,9 +722,12 @@ def write_checkpoint(
     run of small layers.  Refuses a layer out of layout order, off its
     layout's shape or dtype, a stream that ends early or runs on, and (like
     the reader) a layer with non-finite values, naming the first.  Any
-    refusal, or an error raised by the producer, leaves ``path`` as it was.
-    Nothing is hashed: ``fingerprint_map`` gives the digest of a map where
-    one is used."""
+    refusal, or an error raised by the producer or by a write, leaves
+    ``path`` as it was.  A large layer may still be waiting to be written
+    (:func:`write_atomically`) after the producer has resumed, so a
+    producer does not change a layer it has yielded; every layer is
+    written when this returns.  Nothing is hashed: ``fingerprint_map``
+    gives the digest of a map where one is used."""
     header = canonical_header(tensor_map)
     if layers is None:
         layers = tensor_map.items()

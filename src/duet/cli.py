@@ -30,6 +30,7 @@ from .checkpoint import (
     CheckpointReader,
     load_partition_spec,
     partition_checkpoint,
+    wait_for_io,
     write_atomically,
     write_checkpoint,
 )
@@ -242,8 +243,8 @@ def _joined(pieces: Iterable[str]) -> Iterator[bytearray]:
     for piece in pieces:
         buffer += piece.encode("utf-8")
         if len(buffer) >= _WRITE_BYTES:
-            yield buffer  # written before the generator resumes
-            buffer.clear()
+            yield buffer
+            buffer = bytearray()  # the one yielded may still be waiting to be written
     yield buffer
 
 
@@ -403,7 +404,7 @@ def _cmd_sequence(args) -> int:
         args.base, args.fine_tuned, spec, config, head_order=args.head_order, threads=args.threads
     ):
         ckpt_path = out_dir / f"task{step.task_index:02d}.safetensors"
-        write_checkpoint(step.checkpoint, ckpt_path)
+        write_checkpoint(step.layout, ckpt_path, step.layers)
         entry = {"task": step.task_index, "checkpoint": str(ckpt_path)}
         if step.report is not None:
             report_path = out_dir / f"task{step.task_index:02d}.report.json"
@@ -411,8 +412,8 @@ def _cmd_sequence(args) -> int:
             entry["report"] = str(report_path)
             entry["warnings"] = step.report.warnings
         summaries.append(entry)
-        # Held across the next step, the written checkpoint would double the
-        # driver's footprint: it keeps each layer the driver drops.
+        # Held across the next step, the step would keep what the driver
+        # drops: its report, and task 1's layout is that whole checkpoint.
         del step
     _print_json({"output": str(out_dir), "tasks": summaries})
     return 0
@@ -570,6 +571,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DuetError, ValueError) as exc:
         _emit_error(args, exc)
         return 1
+    finally:
+        # A stream left unread by an error may still have digests on the I/O thread.
+        wait_for_io()
 
 
 if __name__ == "__main__":

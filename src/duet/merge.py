@@ -20,7 +20,14 @@ a stream, each for a caller that wants the whole map: :func:`duet_merge` and
 The sequence driver keeps only the base shared map and the previous step's
 shared output.  Each step walks the layers once, forming both task vectors a
 layer at a time, so it holds about two shared-partition-sized maps regardless
-of sequence length.
+of sequence length.  A step is yielded as its layout and a one-shot stream of
+its layers, so a header-first writer writes each merged layer as it is made.
+
+Both task vectors' digests take their layers in base order.  A large layer's
+deltas are handed to :mod:`~duet.checkpoint`'s one I/O thread when the
+layer is fetched, hashed there while its statistics and combine run, and
+released only once hashed; small layers are hashed as their window is
+consumed.
 
 A :class:`MergeReport` is written as a stream of JSON text pieces
 (:meth:`MergeReport.json_pieces`), a few hundred records per piece.
@@ -43,6 +50,7 @@ import numpy as np
 from .checkpoint import (
     CheckpointReader,
     PartitionSpec,
+    _Lane,
     canonical_header,
     canonical_payload,
     fingerprint_map,
@@ -216,6 +224,12 @@ def _layer_statistics_blocks(old: np.ndarray, curr: np.ndarray) -> tuple:
     return (*norms, TensorSignConflicts(int(conflicts), int(comparable)))
 
 
+def _hash_deltas(digests: list, deltas: tuple[np.ndarray, np.ndarray]) -> None:
+    """Add a layer's two deltas to their vectors' digests."""
+    for digest, layer in zip(digests, deltas):
+        digest.update(canonical_payload(layer))
+
+
 def _coefficients(
     name: str, norm_old: float, norm_curr: float, norm_sum: float, config: MergeConfig
 ) -> tuple[LayerMergeRecord, list[str]]:
@@ -320,7 +334,9 @@ def _merge_layers(
     A layer of more than ``_BLOCK`` elements is merged alone in two blocked
     walks: one for its norms and sign counts, one for :func:`combine`.  The
     consuming thread only fetches its deltas (a :class:`_Deltas` vector
-    subtracts there) and hashes them.  The others are walked in windows
+    subtracts there) and, when every earlier layer is hashed, hands them to
+    the I/O thread to be hashed while the layer merges; otherwise it hashes
+    them when the layer is consumed.  The others are walked in windows
     (:func:`_windows`): a window's layers of one shape and dtypes, one or
     many, are merged as one stacked group (:func:`_merge_group`).  When both
     vectors are :class:`_Deltas` over ``base_shared`` itself, as in a
@@ -369,12 +385,27 @@ def _merge_layers(
                 entries[i] = entry
         return deque(entries)
 
+    # Units whose deltas are hashed or handed to the I/O thread, a prefix of
+    # the walk; and the ticket of each large unit handed over when fetched.
+    hashed = 0
+    tickets: dict[int, int] = {}
+
+    def hash_early(index: int, call: partial) -> partial:
+        # Hands a large layer's deltas to the I/O thread, to be hashed while
+        # the layer merges, when every earlier layer is hashed: base order holds.
+        nonlocal hashed
+        if hashed == index:
+            tickets[index] = lane.put(_hash_deltas, digests, call.args[2:])
+            hashed += 1
+        return call
+
     def calls():
-        for unit in _windows(layout_of(base_shared)):
+        # No local holds a unit's layers while the next unit is fetched.
+        for index, unit in enumerate(_windows(layout_of(base_shared))):
             if isinstance(unit, str):
-                yield unit, partial(merge_alone, *fetch_alone(unit))
+                yield index, hash_early(index, partial(merge_alone, *fetch_alone(unit)))
             else:
-                yield unit, partial(merge_window, unit, [fetch_raw(name) for name in unit])
+                yield index, partial(merge_window, unit, [fetch_raw(name) for name in unit])
 
     layouts = [layout_of(v) for v in vectors]
     # Each digest opens with its vector's own header (a vector may hold f64
@@ -388,19 +419,26 @@ def _merge_layers(
     report = MergeReport(
         config=config, base_fingerprint=base_fingerprint, old_fingerprint="", curr_fingerprint=""
     )
+    lane = _Lane()
 
     def layers() -> Iterator[tuple[str, np.ndarray]]:
+        nonlocal hashed
         counts = {}
-        for _, entries in _walk(calls(), threads):
-            while entries:
-                name, record, merged_layer, warnings, old_l, curr_l, signs = entries.popleft()
-                report.layers.append(record)
-                report.warnings.extend(warnings)
-                counts[name] = signs
-                for digest, layer in zip(digests, (old_l, curr_l)):
-                    digest.update(canonical_payload(layer))
-                del old_l, curr_l, layer  # not held while the next layer is formed
-                yield name, merged_layer
+        with lane:
+            for index, entries in _walk(calls(), threads):
+                ticket = tickets.pop(index, None)
+                while entries:
+                    name, record, merged_layer, warnings, old_l, curr_l, signs = entries.popleft()
+                    report.layers.append(record)
+                    report.warnings.extend(warnings)
+                    counts[name] = signs
+                    if ticket is None:
+                        _hash_deltas(digests, (old_l, curr_l))
+                    else:  # hashed on the I/O thread while the layer merged
+                        lane.wait(ticket)
+                    del old_l, curr_l  # not held while the next layer is formed
+                    yield name, merged_layer
+                hashed = max(hashed, index + 1)
         # The digests took the layers in base order; a vector stored in
         # another order is hashed again, a layer at a time.
         report.old_fingerprint, report.curr_fingerprint = (
@@ -546,12 +584,51 @@ def incremental_head_concat(
 
 @dataclass
 class SequenceStep:
-    """One task's output: the assembled checkpoint plus the merge report
-    (``None`` for the base task, which passes through verbatim)."""
+    """One task's output checkpoint as a stream, plus the merge report
+    (``None`` for the base task, which passes through verbatim).
+
+    ``layout`` maps each name, in checkpoint order, to an array or a
+    :class:`~duet.tensors.TensorLayout` of its dtype and shape, for
+    :func:`~duet.checkpoint.write_checkpoint`'s header.  ``layers`` is a
+    one-shot stream of the ``(name, layer)`` pairs in that order, each made
+    as it is read.  Read it before asking for the next step: the driver
+    first finishes a stream left unread.
+    """
 
     task_index: int
-    checkpoint: NamedTensorMap
-    report: MergeReport | None
+    layout: dict
+    layers: _Stream
+    _report: MergeReport | None = field(repr=False)
+
+    @property
+    def report(self) -> MergeReport | None:
+        """The merge report, always complete: read before ``layers`` has
+        ended, it first runs the stream to its end, and the stream then
+        yields the rest from what it kept."""
+        if self._report is not None:
+            self.layers.finish()
+        return self._report
+
+
+class _Stream:
+    """A step's one-shot stream of layers.  :meth:`finish` runs it to its end
+    ahead of its reader, keeping the pairs still to be read: the driver keeps
+    the same arrays for the next step, so it holds no more."""
+
+    def __init__(self, layers: Iterator[tuple[str, np.ndarray]]):
+        self._layers = layers
+        self._ahead: deque = deque()
+
+    def __iter__(self) -> _Stream:
+        return self
+
+    def __next__(self) -> tuple[str, np.ndarray]:
+        if self._ahead:
+            return self._ahead.popleft()
+        return next(self._layers)
+
+    def finish(self) -> None:
+        self._ahead.extend(self._layers)
 
 
 def _as_map(item, stack: ExitStack):
@@ -581,9 +658,12 @@ def iter_incremental_sequence(
     the concat axis of its grown head tensors) before task 1 is yielded.
     Between steps only the base shared map, the previous step's shared layers
     (the arrays it yielded) and the previous concatenated head are retained;
-    ``threads > 1`` adds up to ``2 * threads`` layers in flight.  A step
-    walks its layers once, dropping each previous layer as it goes, so a
-    consumer that drops each step before advancing keeps the driver near two
+    ``threads > 1`` adds up to ``2 * threads`` layers in flight.  Each step
+    (:class:`SequenceStep`) is its layout and a one-shot stream of its
+    layers, for ``write_checkpoint(step.layout, path, step.layers)``; a
+    later step's stream merges each shared layer as it is read, dropping the
+    previous one, and its head follows.  A consumer that reads each stream
+    and drops each step before advancing keeps the driver near two
     shared-partition-sized maps.
     """
     _check_order(head_order)
@@ -633,18 +713,12 @@ def _sequence(
                 iter_head_concat(
                     prev_head, prev_head, spec.head_concat_axis, head_order, replace_names
                 )
-                yield SequenceStep(task_index, full, None)
+                # A map of arrays is its own layout.
+                yield SequenceStep(task_index, full, _Stream(iter(full.items())), None)
                 del full
             else:
                 assert prev_shared is not None and prev_head is not None
-                # Both task vectors are formed a layer at a time; each previous
-                # output layer is dropped once its delta is taken.
-                tau_old = _Deltas(base_shared, prev_shared.pop)
-                tau_curr = _Deltas(base_shared, shared.__getitem__)
-                report, layers = _merge_layers(
-                    base_shared, base_fingerprint, tau_old, tau_curr, config, threads, shared_header
-                )
-                prev_shared = dict(layers)
+                # The small head first: the step's layout, for the header, needs it.
                 prev_head = incremental_head_concat(
                     prev_head,
                     curr_head,
@@ -652,11 +726,33 @@ def _sequence(
                     order=head_order,
                     replace_names=replace_names,
                 )
+                # Both task vectors are formed a layer at a time; each previous
+                # output layer is dropped once its delta is taken.
+                tau_old = _Deltas(base_shared, prev_shared.pop)
+                tau_curr = _Deltas(base_shared, shared.__getitem__)
+                report, layers = _merge_layers(
+                    base_shared, base_fingerprint, tau_old, tau_curr, config, threads, shared_header
+                )
+                merged: NamedTensorMap = {}
+                layers = _Stream(_kept(layers, merged, prev_head))
                 # The partition makes the shared and head names disjoint.
-                yield SequenceStep(task_index, {**prev_shared, **prev_head}, report)
+                yield SequenceStep(task_index, {**base_shared, **prev_head}, layers, report)
+                deque(layers, maxlen=0)  # the caller may have left it unread
+                prev_shared = merged
             produced += 1
     if produced == 0:
         raise EmptyInputError("incremental sequence needs at least the first fine-tuned checkpoint")
+
+
+def _kept(
+    merged_layers: Iterator[tuple[str, np.ndarray]], merged: NamedTensorMap, head: NamedTensorMap
+) -> Iterator[tuple[str, np.ndarray]]:
+    """A step's stream: the merged shared layers, each kept in ``merged`` for
+    the next step as it passes, then the head's."""
+    for name, layer in merged_layers:
+        merged[name] = layer
+        yield name, layer
+    yield from head.items()
 
 
 def _vector_stack(

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from typing import Iterable, Iterator, NamedTuple
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,23 @@ def make_map(rng: np.random.Generator, n_tensors: int, max_elems: int = 64, dtyp
         size = int(rng.integers(1, max_elems))
         out[f"layer_{i:02d}"] = rng.normal(0.0, 1.0, size=size).astype(dtype)
     return out
+
+
+class ReadStep(NamedTuple):
+    """A sequence step with its stream read into a map."""
+
+    task_index: int
+    checkpoint: dict
+    report: object
+
+
+def read_steps(steps: Iterable) -> Iterator[ReadStep]:
+    """Each step of ``iter_incremental_sequence`` with its layers collected,
+    read before the next step is asked for (the driver finishes an unread
+    stream itself, so a later read would find it empty)."""
+    for step in steps:
+        yield ReadStep(step.task_index, dict(step.layers), step.report)
+        del step  # its layout is not held while the driver makes the next step
 
 
 @pytest.fixture

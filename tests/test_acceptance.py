@@ -37,6 +37,7 @@ from duet.checkpoint import (
 from duet.cli import main
 from duet.merge import MergeConfig, duet_merge, iter_incremental_sequence
 from duet.task_vectors import compute_task_vector
+from tests.conftest import read_steps
 
 
 def _report(name: str, passed: bool, detail: str | None = ""):
@@ -143,9 +144,9 @@ def _streaming_peak(base_path: Path, task_paths: list[Path], threads: int = 1) -
     tracemalloc.start()
     stale_refs: list[weakref.ref] = []
     leaked = False
-    for step in iter_incremental_sequence(
+    for step in read_steps(iter_incremental_sequence(
         base_path, task_paths, _SEQ_SPEC, MergeConfig(), threads=threads
-    ):
+    )):
         gc.collect()
         leaked = leaked or any(ref() is not None for ref in stale_refs)
         stale_refs = [

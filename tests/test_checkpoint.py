@@ -246,6 +246,16 @@ class TestMalformedContainers:
             parse_checkpoint(build_container(header, b"\x00" * payload_size))
         assert str(info.value) == f"<buffer>: {message}"
 
+    @pytest.mark.parametrize("name", ["\ud800", "a\udfff", "é\udc80"])
+    def test_a_name_utf8_cannot_carry_is_refused_at_open(self, name):
+        # json.dumps writes the lone surrogate as its "\ud800" escape.
+        header = {"ok": _entry([1], 0, 4), name: _entry([1], 4, 8)}
+        with pytest.raises(CheckpointFormatError) as info:
+            parse_checkpoint(build_container(header, b"\x00" * 8))
+        assert str(info.value) == (
+            f"<buffer>: tensor name {name!r} holds a lone surrogate, which UTF-8 cannot encode"
+        )
+
     def test_header_len_exceeds_file(self):
         blob = struct.pack("<Q", 1 << 20) + b"{}"
         with pytest.raises(CheckpointFormatError, match="exceeds file size"):
@@ -361,9 +371,11 @@ class TestMalformedContainers:
 
 def _parses_or_refuses(blob: bytes):
     try:
-        parse_checkpoint(blob)
+        tensor_map = parse_checkpoint(blob)
     except CheckpointFormatError:
-        pass
+        return
+    if tensor_map:  # what the reader accepts can be written again
+        fingerprint_map(tensor_map)
 
 
 _JSON_VALUES = st.recursive(
@@ -629,6 +641,160 @@ class TestStreamedWriter:
 
         write_checkpoint(tensor_map, tmp_path / "out.safetensors", layers())
         assert ended == [True]
+
+
+class TestIOThread:
+    """The one ordered I/O thread: what a writer hands it is written in
+    order, and an error on either side leaves no file behind."""
+
+    def test_a_producer_error_after_a_hand_off_leaves_no_file(self, tmp_path):
+        path = tmp_path / "m.safetensors"
+        path.write_bytes(b"earlier")
+        big = np.ones(2 * checkpoint._HANDOFF_BYTES // 4, np.float32)  # goes to the thread
+
+        def failing():
+            yield "big", big
+            raise ShapeError("found mid-walk")
+
+        with pytest.raises(ShapeError, match="found mid-walk"):
+            write_checkpoint({"big": big, "next": big}, path, failing())
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+    def test_a_write_error_on_the_thread_is_raised_on_the_producer(self, tmp_path, monkeypatch):
+        import threading
+
+        writes = []
+        write_all = checkpoint._write_all
+
+        taken = threading.Event()
+
+        def failing(fh, chunks):
+            writes.append(threading.current_thread() is threading.main_thread())
+            if not writes[-1]:
+                taken.set()
+                raise OSError(28, "No space left on device")
+            write_all(fh, chunks)
+
+        monkeypatch.setattr(checkpoint, "_write_all", failing)
+        big = np.ones(checkpoint._HANDOFF_BYTES // 4, np.float32)
+        tensor_map = {"small": np.ones(3, np.float32), "big": big, "after": np.ones(3, np.float32)}
+
+        def layers():
+            yield from tensor_map.items()
+            # The stream ends once the thread has taken the large layer: a
+            # writer waiting for it sooner might write it itself.
+            assert taken.wait(timeout=60)
+
+        with pytest.raises(OSError, match="No space left"):
+            write_checkpoint(tensor_map, tmp_path / "m.safetensors", layers())
+        # The header and the small layer here, the large layer on the thread.
+        assert writes == [True, True, False]
+        assert list(tmp_path.iterdir()) == []
+
+    def test_large_and_small_layers_are_written_in_order(self, tmp_path, rng):
+        sizes = [5, 300_000, 7, 11, 400_000, 3, 262_144, 1]
+        tensor_map = {f"t{i}": rng.normal(size=n).astype(np.float32) for i, n in enumerate(sizes)}
+        path = tmp_path / "m.safetensors"
+        write_checkpoint(tensor_map, path)
+        assert path.read_bytes() == serialize_checkpoint(tensor_map)
+
+    def test_lanes_keep_their_order_under_contention(self):
+        import sys
+        import threading
+
+        results = {lane: [] for lane in range(6)}  # more producers than cores
+
+        def produce(lane_id):
+            with checkpoint._Lane() as lane:
+                for k in range(300):
+                    lane.put(results[lane_id].append, k)
+                lane.wait()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            producers = [threading.Thread(target=produce, args=(i,)) for i in results]
+            for producer in producers:
+                producer.start()
+            for producer in producers:
+                producer.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(producer.is_alive() for producer in producers)
+        assert all(done == list(range(300)) for done in results.values())
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_starts_its_own_io_thread(self, tmp_path):
+        import time
+        import warnings
+
+        big = np.ones(checkpoint._HANDOFF_BYTES // 4, np.float32)
+        write_checkpoint({"big": big}, tmp_path / "parent.st")  # the thread runs here now
+        with warnings.catch_warnings():  # Python 3.12 warns of fork in a threaded process
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:  # the child: its queue would have no thread behind it
+            code = 1
+            try:
+                write_checkpoint({"big": big}, tmp_path / "child.st")
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done == (0, 0):
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's write never finished")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert (tmp_path / "child.st").read_bytes() == (tmp_path / "parent.st").read_bytes()
+
+    def test_a_producer_runs_a_job_the_thread_has_not_started(self):
+        import threading
+
+        release, ran_on = threading.Event(), []
+        with checkpoint._Lane() as busy, checkpoint._Lane() as lane:
+            busy.put(release.wait, 60)  # holds the thread
+            lane.wait(lane.put(lambda: ran_on.append(threading.current_thread())))
+            assert ran_on == [threading.current_thread()]
+            assert not release.is_set()
+            release.set()
+        checkpoint.wait_for_io()
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs CPU affinity and two CPUs",
+    )
+    def test_the_thread_keeps_off_the_cpu_of_its_starter(self):
+        import threading
+
+        checkpoint._io_queue()
+        checkpoint.wait_for_io()  # the thread has placed itself before its first job
+        (io,) = [t for t in threading.enumerate() if t.name == "duet-io"]
+        allowed = os.sched_getaffinity(0)
+        assert os.sched_getaffinity(io.native_id) < allowed
+        assert len(os.sched_getaffinity(io.native_id)) == len(allowed) - 1
+
+    def test_a_failed_job_skips_the_rest_of_its_lane(self):
+        import threading
+
+        ran, release = [], threading.Event()
+
+        def fail():
+            release.wait(timeout=60)
+            raise ValueError("job failed")
+
+        with checkpoint._Lane() as lane:
+            lane.put(fail)
+            lane.put(ran.append, "queued behind the failure")
+            release.set()
+            with pytest.raises(ValueError, match="job failed"):
+                lane.wait()
+            with pytest.raises(ValueError, match="job failed"):
+                lane.put(ran.append, "after it")
+        assert ran == []
 
 
 class TestPartition:

@@ -341,6 +341,70 @@ class TestSequenceCommand:
         task1_bytes = (out_dir / "task01.safetensors").read_bytes()
         assert task1_bytes == trio["task1"].read_bytes()
 
+    @staticmethod
+    def large_sequence(tmp_path, rng, n_tasks=3) -> list:
+        """``sequence`` argv over models with a shared layer large enough to
+        be written and hashed on the I/O thread."""
+        import duet.checkpoint
+
+        big = duet.checkpoint._HANDOFF_BYTES // 4 + 1
+
+        def model(rows):
+            return {"backbone.big": rng.normal(size=big).astype(np.float32),
+                    "backbone.small": rng.normal(size=5).astype(np.float32),
+                    "head.cls": rng.normal(size=(rows, 3)).astype(np.float32)}
+
+        paths = []
+        for i in range(n_tasks + 1):
+            paths.append(tmp_path / f"m{i}.st")
+            write_checkpoint(model(i + 1), paths[-1])
+        partition = tmp_path / "partition.json"
+        partition.write_text(json.dumps({"shared": ["backbone.*"], "task_specific": ["head.*"],
+                                         "head_concat_axis": 0}))
+        return ["sequence", *paths, "--partition", partition, "-o", tmp_path / "seq"]
+
+    def test_a_write_error_on_the_io_thread_exits_2(self, capsys, tmp_path, rng, monkeypatch):
+        import threading
+
+        import duet.checkpoint
+
+        write_all = duet.checkpoint._write_all
+        on_thread = []
+
+        def failing(fh, chunks):
+            on_thread.append(threading.current_thread() is not threading.main_thread())
+            if on_thread[-1]:
+                raise OSError(28, "No space left on device")
+            write_all(fh, chunks)
+
+        argv = self.large_sequence(tmp_path, rng)
+        monkeypatch.setattr(duet.checkpoint, "_write_all", failing)
+        # Every hand-off then runs on the thread, however late it starts.
+        monkeypatch.setattr(duet.checkpoint._Lane, "_take_over", False)
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == {"type": "OSError",
+                                            "message": "[Errno 28] No space left on device"}
+        assert True in on_thread
+        assert list((tmp_path / "seq").iterdir()) == []
+
+    def test_a_non_finite_last_task_exits_2_without_hanging(self, tmp_path, rng):
+        from tests.test_streaming import poison
+
+        argv = self.large_sequence(tmp_path, rng)
+        poison(argv[-5], "backbone.big")  # the last task's
+        src = Path(duet.__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "duet.cli", *map(str, argv)], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)}, timeout=120,
+        )
+        assert done.returncode == 2, done.stderr
+        error = json.loads(done.stderr)["error"]
+        assert error["type"] == "CheckpointFormatError"
+        assert "'backbone.big' contains non-finite values" in error["message"]
+        assert sorted(p.name for p in (tmp_path / "seq").iterdir()) == [
+            "task01.safetensors", "task02.report.json", "task02.safetensors"]
+
     def test_bad_concat_axis_is_refused_before_task_1_is_written(self, capsys, trio, tmp_path):
         partition = json.loads(Path(trio["partition"]).read_text())
         partition["head_concat_axis"] = 5
@@ -621,6 +685,25 @@ class TestCliContract:
         )
         assert code == 2
         assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+    def test_a_name_utf8_cannot_carry_exits_2(self, capsys, trio, tmp_path):
+        import struct
+
+        header = {"backbone.\ud800": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}}
+        text = json.dumps(header).encode()  # the lone surrogate as its "\ud800" escape
+        path = tmp_path / "surrogate.st"
+        path.write_bytes(struct.pack("<Q", len(text)) + text + bytes(4))
+        code, out, err = run_cli(
+            capsys,
+            ["task-vector", trio["base"], path, "--partition", trio["partition"],
+             "-o", tmp_path / "tv"],
+        )
+        assert code == 2 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "CheckpointFormatError"
+        assert error["message"].endswith(
+            "tensor name 'backbone.\\ud800' holds a lone surrogate, which UTF-8 cannot encode")
+        assert not (tmp_path / "tv").exists()
 
     def test_dtype_check_flags_mixed_inputs(self, capsys, trio, tmp_path, rng):
         from duet.checkpoint import write_checkpoint

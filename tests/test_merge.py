@@ -29,7 +29,7 @@ from duet.checkpoint import (
     partition_checkpoint,
     write_checkpoint,
 )
-from duet.cli import _csv_pieces, _write_pieces
+from duet.cli import _csv_pieces, _joined, _write_pieces
 from duet.diagnostics import (
     SignConflictReport,
     TensorSignConflicts,
@@ -65,8 +65,8 @@ from duet.task_vectors import (
     save_task_vector,
     zero_task_vector,
 )
-from duet.tensors import TensorLayout, l1_norm
-from tests.conftest import make_map
+from duet.tensors import _BLOCK, TensorLayout, l1_norm
+from tests.conftest import make_map, read_steps
 from tests.test_tensors import BLOCK_EDGE_LENGTHS, spread_values, with_warning_kinds
 
 
@@ -469,7 +469,7 @@ def staged_sequence_oracle(base, fine, spec, cfg):
 class TestIncrementalSequence:
     def test_single_task_passes_through_verbatim(self, simple_spec, rng):
         base, fine = build_sequence_inputs(rng, 1, simple_spec)
-        steps = list(iter_incremental_sequence(base, fine, simple_spec))
+        steps = list(read_steps(iter_incremental_sequence(base, fine, simple_spec)))
         checkpoints = [step.checkpoint for step in steps]
         assert [step.report for step in steps] == [None]
         assert list(checkpoints[0]) == list(fine[0])
@@ -479,7 +479,7 @@ class TestIncrementalSequence:
     def test_identical_tasks_keep_shared_weights(self, simple_spec, rng):
         base, fine = build_sequence_inputs(rng, 1, simple_spec)
         fine = [fine[0], {k: v.copy() for k, v in fine[0].items()}]
-        steps = iter_incremental_sequence(base, fine, simple_spec)
+        steps = read_steps(iter_incremental_sequence(base, fine, simple_spec))
         checkpoints = [step.checkpoint for step in steps]
         for name in ("backbone.w", "neck.w"):
             expected = fine[0][name].astype(np.float64)
@@ -492,7 +492,7 @@ class TestIncrementalSequence:
     def test_three_stage_sequence_matches_staged_oracle(self, simple_spec, rng):
         cfg = MergeConfig()
         base, fine = build_sequence_inputs(rng, 3, simple_spec)
-        steps = list(iter_incremental_sequence(base, fine, simple_spec, cfg))
+        steps = list(read_steps(iter_incremental_sequence(base, fine, simple_spec, cfg)))
         expected = staged_sequence_oracle(base, fine, simple_spec, cfg)
         assert len(steps) == 3
         for got, want in zip([step.checkpoint for step in steps], expected):
@@ -511,8 +511,8 @@ class TestIncrementalSequence:
             path = tmp_path / f"ft{i}.st"
             write_checkpoint(ckpt, path)
             paths.append(path)
-        from_files = list(iter_incremental_sequence(base_path, paths, simple_spec, cfg))
-        in_memory = list(iter_incremental_sequence(base, fine, simple_spec, cfg))
+        from_files = list(read_steps(iter_incremental_sequence(base_path, paths, simple_spec, cfg)))
+        in_memory = list(read_steps(iter_incremental_sequence(base, fine, simple_spec, cfg)))
         assert len(from_files) == len(in_memory) == 3
         for got, want in zip(from_files, in_memory):
             got, want = got.checkpoint, want.checkpoint
@@ -535,7 +535,7 @@ class TestIncrementalSequence:
         base = model(2)
         fine = [model(int(rng.integers(1, 4))) for _ in range(4)]
         serial, threaded = (
-            list(iter_incremental_sequence(base, fine, simple_spec, threads=threads))
+            list(read_steps(iter_incremental_sequence(base, fine, simple_spec, threads=threads)))
             for threads in (1, 2)
         )
         assert len(serial) == len(threaded) == 4
@@ -552,7 +552,7 @@ class TestIncrementalSequence:
     def test_reports_fingerprint_the_task_vectors(self, simple_spec, rng):
         base, fine = build_sequence_inputs(rng, 3, simple_spec)
         base_shared, _ = partition_checkpoint(base, simple_spec)
-        steps = list(iter_incremental_sequence(base, fine, simple_spec))
+        steps = list(read_steps(iter_incremental_sequence(base, fine, simple_spec)))
         checkpoints, reports = [s.checkpoint for s in steps], [s.report for s in steps]
         for k in (1, 2):
             old = compute_task_vector(partition_checkpoint(checkpoints[k - 1], simple_spec)[0],
@@ -599,7 +599,7 @@ class TestIncrementalSequence:
                     [(name, arr.dtype, arr.tobytes()) for name, arr in step.checkpoint.items()],
                     step.report.to_json() if step.report else None,
                 )
-                for step in iter_incremental_sequence(base_input, items, simple_spec)
+                for step in read_steps(iter_incremental_sequence(base_input, items, simple_spec))
             ]
 
         in_memory = run(base, fine)
@@ -622,10 +622,11 @@ class TestIncrementalSequence:
         for name, ckpt in zip(("base.st", "ft0.st", "ft1.st"), (base, *fine)):
             write_checkpoint(ckpt, tmp_path / name)
         entries = {entry.name: entry for entry in os.scandir(tmp_path)}
-        from_entries = iter_incremental_sequence(
+        from_entries = read_steps(iter_incremental_sequence(
             entries["base.st"], [entries["ft0.st"], entries["ft1.st"]], simple_spec
-        )
-        for got, want in zip(from_entries, iter_incremental_sequence(base, fine, simple_spec)):
+        ))
+        in_memory = read_steps(iter_incremental_sequence(base, fine, simple_spec))
+        for got, want in zip(from_entries, in_memory):
             assert got.checkpoint.keys() == want.checkpoint.keys()
             assert all(got.checkpoint[n].tobytes() == a.tobytes() for n, a in want.checkpoint.items())
 
@@ -674,12 +675,84 @@ class TestIncrementalSequence:
         assert len(opened) == 1 and opened[0]() is None
         assert next(steps).report is not None
 
+    def test_an_unread_stream_is_finished_before_the_next_step(self, simple_spec, rng):
+        base, fine = build_sequence_inputs(rng, 3, simple_spec)
+        read = list(read_steps(iter_incremental_sequence(base, fine, simple_spec)))
+        steps = iter_incremental_sequence(base, fine, simple_spec)
+        first, second = next(steps), next(steps)  # neither stream is read
+        third = next(steps)
+        assert list(second.layers) == []  # the driver read it to its end
+        assert second.report.to_json() == read[1].report.to_json()
+        got = dict(third.layers)
+        assert list(got) == list(read[2].checkpoint)
+        assert all(got[name].tobytes() == arr.tobytes() for name, arr in read[2].checkpoint.items())
+        assert third.report.to_json() == read[2].report.to_json()
+
+    def test_a_report_read_before_its_stream_is_complete(self, simple_spec, rng):
+        base, fine = build_sequence_inputs(rng, 3, simple_spec)
+        read = list(read_steps(iter_incremental_sequence(base, fine, simple_spec)))
+        for already_read in (0, 1):
+            steps = iter_incremental_sequence(base, fine, simple_spec)
+            next(steps)
+            second = next(steps)
+            got = dict(next(second.layers) for _ in range(already_read))
+            assert second.report.to_json() == read[1].report.to_json()
+            got.update(second.layers)  # the stream yields the rest from what it kept
+            assert list(got) == list(read[1].checkpoint)
+            assert all(got[name].tobytes() == arr.tobytes()
+                       for name, arr in read[1].checkpoint.items())
+            third = next(steps)
+            assert third.report.to_json() == read[2].report.to_json()
+
     def test_mismatched_shared_keys_rejected(self, simple_spec, rng):
         base, fine = build_sequence_inputs(rng, 1, simple_spec)
         del fine[0]["neck.w"]
         fine[0]["neck.other"] = np.zeros(2, dtype=np.float32)
         with pytest.raises(KeyMismatchError):
             list(iter_incremental_sequence(base, fine, simple_spec))
+
+
+class TestDigestOrder:
+    """Each vector's digest takes its layers in base order, whichever thread
+    hashes them: large layers go to the I/O thread while they merge, windows
+    of small ones are hashed as they are consumed."""
+
+    SIZES = (10, _BLOCK + 8, 7, 9, 2 * _BLOCK, _BLOCK + 1, 5, 3 * _BLOCK, 3, 11, _BLOCK + 16)
+
+    def models(self, rng) -> tuple[dict, dict, dict]:
+        base = {f"backbone.l{i:02d}": rng.normal(size=n).astype(np.float32)
+                for i, n in enumerate(self.SIZES)}
+        old, curr = ({name: arr + rng.normal(scale=0.01, size=arr.size).astype(np.float32)
+                      for name, arr in base.items()} for _ in range(2))
+        return base, old, curr
+
+    @pytest.mark.parametrize("threads", [1, 2, 4])
+    @pytest.mark.parametrize("form", ["maps", "lazy", "sequence"])
+    def test_the_fingerprints_are_those_of_the_deltas(self, rng, threads, form):
+        base, old, curr = self.models(rng)
+        deltas = [dict(compute_task_vector(model, base, "fp").deltas) for model in (old, curr)]
+
+        def run() -> tuple:
+            if form == "sequence":
+                head = {"head.cls": np.ones((1, 3), np.float32)}
+                steps = read_steps(iter_incremental_sequence(
+                    base | head, [old | head, curr | head], _SPEC, threads=threads))
+                *_, last = steps
+                return last.report, last.checkpoint
+            if form == "maps":
+                vectors = [tv(d) for d in deltas]
+            else:
+                vectors = [compute_task_vector(model, base, "fp") for model in (old, curr)]
+            report, layers = iter_duet_merge(base, "fp", *vectors, threads=threads)
+            return report, dict(layers)
+
+        report, merged = run()
+        assert (report.old_fingerprint, report.curr_fingerprint) == tuple(
+            fingerprint_map(d) for d in deltas)
+        again, merged_again = run()
+        assert again.to_json() == report.to_json()
+        assert [a.tobytes() for a in merged.values()] == [
+            a.tobytes() for a in merged_again.values()]
 
 
 class TestBaselineMergers:
@@ -876,7 +949,8 @@ class TestWindowedMerge:
         ]
 
         def run():
-            steps = list(iter_incremental_sequence(base | head, fine, _SPEC, threads=threads))
+            steps = list(read_steps(
+                iter_incremental_sequence(base | head, fine, _SPEC, threads=threads)))
             return _outputs(steps[-1].checkpoint, [step.report for step in steps[1:]])
 
         windowed = run()
@@ -1032,7 +1106,8 @@ class TestZeroDimensionalLayers:
         outputs = []
         for base, old, curr in (scalars, vectors):
             merged, report = duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
-            steps = list(iter_incremental_sequence(base, [old, curr], _SPEC, threads=threads))
+            steps = list(read_steps(iter_incremental_sequence(base, [old, curr], _SPEC,
+                                                              threads=threads)))
             outputs.append((merged, self.records(report), steps[-1].checkpoint,
                             self.records(steps[-1].report)))
         (merged, report, last, last_report), (merged_1d, report_1d, last_1d, last_report_1d) = outputs
@@ -1111,6 +1186,13 @@ class TestReportJson:
         _write_pieces(path, _csv_pieces(report.csv_rows()))
         rows = path.read_text(encoding="utf-8").splitlines()[1:]
         assert [row.split(",")[0] for row in rows] == ["a\\ud800", "é"]
+
+    def test_each_write_is_a_fresh_buffer(self):
+        # The writer may write a chunk after the producer has resumed.
+        pieces = ["x" * 400_000, "y" * 400_000] * 4
+        chunks = list(_joined(pieces))
+        assert len(chunks) > 2 and len({id(chunk) for chunk in chunks}) == len(chunks)
+        assert b"".join(chunks) == "".join(pieces).encode()
 
     def test_a_producer_that_raises_midway_leaves_no_file(self, tmp_path):
         def pieces():
