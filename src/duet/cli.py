@@ -398,11 +398,12 @@ def _cmd_sequence(args) -> int:
     _require_output(args)
     config = MergeConfig(gamma=args.gamma, alpha_base=args.alpha_base, epsilon=args.epsilon)
     out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
     summaries = []
     for step in iter_incremental_sequence(
         args.base, args.fine_tuned, spec, config, head_order=args.head_order, threads=args.threads
     ):
+        # Made once a step is ready: a run refused before task 1 leaves nothing.
+        out_dir.mkdir(parents=True, exist_ok=True)
         ckpt_path = out_dir / f"task{step.task_index:02d}.safetensors"
         write_checkpoint(step.layout, ckpt_path, step.layers)
         entry = {"task": step.task_index, "checkpoint": str(ckpt_path)}

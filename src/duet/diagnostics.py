@@ -167,15 +167,7 @@ def layer_sign_conflicts(left: np.ndarray, right: np.ndarray) -> TensorSignConfl
     """
     check_same_shape("layer_sign_conflicts", left=left, right=right)
     counts = _blockwise((left, right), _sign_counts, *_sign_scratch(left.dtype, right.dtype))
-    return TensorSignConflicts(*counts.tolist())
-
-
-def _sign_count_rows(left: np.ndarray, right: np.ndarray) -> tuple:
-    """``(conflicts, comparable)`` of each row of two stacked matrices of layers."""
-    nonzero = (left != 0) & (right != 0)
-    comparable = np.count_nonzero(nonzero, axis=1)
-    nonzero &= np.sign(left) != np.sign(right)
-    return np.count_nonzero(nonzero, axis=1), comparable
+    return TensorSignConflicts(*counts[:, 0].tolist())
 
 
 def _sign_scratch(left_dtype, right_dtype) -> tuple:
@@ -185,15 +177,23 @@ def _sign_scratch(left_dtype, right_dtype) -> tuple:
 
 def _sign_counts(left, right, nonzero, differ, left_sign, right_sign) -> np.ndarray:
     """The sign-count leaf of a blocked walk: ``(conflicts, comparable)``, in
-    :class:`TensorSignConflicts`' field order, of one pair of blocks, from
-    comparisons of ``np.sign`` values, through :func:`_sign_scratch` blocks."""
+    :class:`TensorSignConflicts`' field order, of each row of one pair of
+    blocks, from comparisons of ``np.sign`` values, through
+    :func:`_sign_scratch` blocks."""
     np.not_equal(left, 0, out=nonzero)
     nonzero &= np.not_equal(right, 0, out=differ)
     np.sign(left, out=left_sign)
     np.sign(right, out=right_sign)
     np.not_equal(left_sign, right_sign, out=differ)
     differ &= nonzero
-    return np.array((np.count_nonzero(differ), np.count_nonzero(nonzero)))
+    return np.array((_row_counts(differ), _row_counts(nonzero)))
+
+
+def _row_counts(mask: np.ndarray):
+    """The true values in each row of a block.  numpy counts along an axis by
+    a cast sum, several times slower than its count of a whole array, so a
+    block of one row is counted whole."""
+    return np.count_nonzero(mask, axis=-1) if len(mask) > 1 else [np.count_nonzero(mask)]
 
 
 def sign_conflicts(a: TaskVector | NamedTensorMap, b: TaskVector | NamedTensorMap) -> SignConflictReport:

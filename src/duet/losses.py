@@ -66,7 +66,7 @@ def update_sign_conflicts(tau_t, tau_prev, tau_prev2) -> TensorSignConflicts:
     :func:`successive_updates`, a block at a time."""
     counts = _walk_updates("update_sign_conflicts", tau_t, tau_prev, tau_prev2, _sign_counts,
                            *_sign_scratch(np.float64, np.float64))
-    return TensorSignConflicts(*counts.tolist())
+    return TensorSignConflicts(*counts[:, 0].tolist())
 
 
 def dc_term(

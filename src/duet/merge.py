@@ -23,11 +23,12 @@ layer at a time, so it holds about two shared-partition-sized maps regardless
 of sequence length.  A step is yielded as its layout and a one-shot stream of
 its layers, so a header-first writer writes each merged layer as it is made.
 
-Both task vectors' digests take their layers in base order.  A large layer's
-deltas are handed to :mod:`~duet.checkpoint`'s one I/O thread when the
-layer is fetched, hashed there while its statistics and combine run, and
-released only once hashed; small layers are hashed as their window is
-consumed.
+Every unit of the merge is a stack of rows, a large layer as one row or a
+window's small layers one row each, and takes one fetch, one statistics walk
+and one :func:`combine`.  Both task vectors' digests take a unit's deltas in
+base order as it is fetched: a large layer's on :mod:`~duet.checkpoint`'s
+I/O thread while it merges, a window's on the fetching thread or behind the
+lane's jobs.  A unit's deltas are released only once hashed.
 
 A :class:`MergeReport` is written as a stream of JSON text pieces
 (:meth:`MergeReport.json_pieces`), a few hundred records per piece.
@@ -64,7 +65,6 @@ from .diagnostics import (
     _json_items,
     _json_scalar,
     _object_template,
-    _sign_count_rows,
     _sign_counts,
     _sign_scratch,
 )
@@ -80,9 +80,7 @@ from .tensors import (
     _BLOCK,
     NamedTensorMap,
     TensorLayout,
-    _abs_sum,
     _blockwise,
-    _layer_args,
     _walk,
     check_aligned,
     check_layout_entry,
@@ -205,29 +203,35 @@ class MergeReport:
         yield from map(_record_values, self.layers)
 
 
-def _layer_statistics_blocks(old: np.ndarray, curr: np.ndarray) -> tuple:
-    """A large layer's statistics: the L1 norms of its deltas and of their
-    float64 sum, and its sign counts, in one blocked walk.  A block's L1
-    leaves over ``old``, ``curr`` and their float64 sum share one float64
-    scratch block, beside the sign-count leaf.
-    The walk adds the five block results up numpy's pairwise tree, so each
-    norm has the bits of :func:`l1_norm` of the row-major layer; the counts,
-    added as float64, are exact below 2**53 elements."""
-
-    def leaf(block_old, block_curr, wide: np.ndarray, *signs: np.ndarray) -> np.ndarray:
-        norms = [_abs_sum(block_old, wide), _abs_sum(block_curr, wide)]
-        norms.append(_abs_sum(np.add(block_old, block_curr, out=wide, dtype=np.float64), wide))
-        return np.array((*norms, *_sign_counts(block_old, block_curr, *signs)))
-
+def _statistics(old: np.ndarray, curr: np.ndarray) -> tuple[list, list]:
+    """The statistics of each row of a stack of deltas, from one blocked
+    walk: the L1 norms of ``old``, ``curr`` and their float64 sum, as three
+    lists of floats, and the sign counts, as two lists of ints.  A row's
+    norms have the bits of :func:`l1_norm` of its layer, row-major; its
+    counts, added as float64, are exact below 2**53 elements."""
     scratch = (np.float64, *_sign_scratch(old.dtype, curr.dtype))
-    *norms, conflicts, comparable = _blockwise((old, curr), leaf, *scratch).tolist()
-    return (*norms, TensorSignConflicts(int(conflicts), int(comparable)))
+    statistics = _blockwise((old, curr), _statistics_leaf, *scratch, rows=len(old))
+    return statistics[:3].tolist(), statistics[3:].astype(np.int64).tolist()
 
 
-def _hash_deltas(digests: list, deltas: tuple[np.ndarray, np.ndarray]) -> None:
-    """Add a layer's two deltas to their vectors' digests."""
-    for digest, layer in zip(digests, deltas):
-        digest.update(canonical_payload(layer))
+def _statistics_leaf(old, curr, wide: np.ndarray, *signs: np.ndarray) -> np.ndarray:
+    # The L1 leaves over old, curr and their float64 sum share one float64
+    # scratch block, beside the sign-count leaf.
+    return np.array((
+        l1_norm(old, wide),
+        l1_norm(curr, wide),
+        l1_norm(np.add(old, curr, out=wide, dtype=np.float64), wide),
+        *_sign_counts(old, curr, *signs),
+    ))
+
+
+def _hash_deltas(digests: list, rows: list) -> None:
+    """Add layers' deltas, ``(old, curr)`` pairs in base order, to their
+    vectors' digests."""
+    old_digest, curr_digest = digests
+    for old, curr in rows:
+        old_digest.update(canonical_payload(old))
+        curr_digest.update(canonical_payload(curr))
 
 
 def _coefficients(
@@ -256,59 +260,53 @@ def _coefficients(
     return record, warnings
 
 
-def _windows(layout: dict) -> Iterator[str | list[str]]:
-    """The merge's units of work, in base order: the name of each layer of
-    more than ``_BLOCK`` elements, and lists of the consecutive layers
-    between them, cut into windows of at most ``_BLOCK`` elements."""
+def _windows(layout: dict) -> Iterator[list[str]]:
+    """The merge's units of work, in base order: each layer of more than
+    ``_BLOCK`` elements alone, and the consecutive layers between them, cut
+    into windows of at most ``_BLOCK`` elements."""
     window: list[str] = []
     total = 0
     for name, layer in layout.items():
         size = getattr(layer, "size", _BLOCK + 1)  # not an array: alone, refused there
-        if size > _BLOCK or total + size > _BLOCK:
-            if window:
-                yield window
+        if window and total + size > _BLOCK:
+            yield window
             window, total = [], 0
-        if size > _BLOCK:
-            yield name
-        else:
-            window.append(name)
-            total += size
+        window.append(name)
+        total += size
     if window:
         yield window
 
 
-def _merge_group(
-    names: list[str], layers: list[list[np.ndarray]], subtract: bool, config: MergeConfig
-) -> list[tuple]:
-    """Merge small layers of one shape and one dtype triple, one or many, as
-    rows of stacked row-major matrices.  With ``subtract`` the fetched
-    layers are models, and the deltas are taken here from the base.
+def _stack(layers: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Same-shape layers as the rows of one row-major stack: a layer alone is
+    a reshaped view, copied only if it is not row-major; several are copied."""
+    stack = layers[0] if len(layers) == 1 else np.array(layers)
+    return stack.reshape(len(layers), -1)
 
-    Every step is elementwise except the norms, and a row sum of a
-    C-contiguous float64 matrix is numpy's pairwise sum of that row, the
-    sum :func:`l1_norm` takes of the layer alone, row-major.
-    """
-    shape, size = layers[0][0].shape, layers[0][0].size
-    base, old, curr = (np.array(column).reshape(len(names), size) for column in zip(*layers))
-    if subtract:
-        old, curr = (_subtract(names[0], x, base) for x in (old, curr))
-    norms = [l1_norm(x, axis=1) for x in (old, curr, np.add(old, curr, dtype=np.float64))]
-    conflicts, comparable = (counts.tolist() for counts in _sign_count_rows(old, curr))
-    coefficients = [
-        _coefficients(name, *row, config)
-        for name, row in zip(names, zip(*(n.tolist() for n in norms)))
-    ]
-    alpha = np.array([[record.alpha] for record, _ in coefficients])
-    beta = np.array([[record.beta] for record, _ in coefficients])
-    # combine's float64 arithmetic, inline: a flat walk cannot broadcast per-row coefficients.
-    merged = base.astype(np.float64) + np.multiply(alpha, old, dtype=np.float64)
-    merged = (merged + np.multiply(beta, curr, dtype=np.float64)).astype(base.dtype, copy=False)
-    merged.flags.writeable = False
-    return [
-        (name, record, merged[i].reshape(shape), warnings, old[i], curr[i],
-         TensorSignConflicts(conflicts=conflicts[i], comparable=comparable[i]))
-        for i, (name, (record, warnings)) in enumerate(zip(names, coefficients))
-    ]
+
+def _merge_stacks(stacks: list[tuple], count: int, config: MergeConfig) -> deque:
+    """Merge a unit's ``count`` layers, given as stacks of the rows of
+    same-shape layers of one dtype triple, each with the rows' positions in
+    the unit, names and fetched layers: one statistics walk and one
+    :func:`combine` per stack, with a column of each row's coefficients.
+    The entries come out in the unit's order."""
+    entries: list = [None] * count
+    for positions, names, layers, base, old, curr in stacks:
+        shape = layers[0][0].shape
+        norms, counts = _statistics(old, curr)
+        coefficients = [
+            _coefficients(name, *row, config) for name, row in zip(names, zip(*norms))
+        ]
+        alpha = np.array([[record.alpha] for record, _ in coefficients])
+        beta = np.array([[record.beta] for record, _ in coefficients])
+        merged = combine(((1.0, base), (alpha, old), (beta, curr)), base.dtype)
+        for position, name, (record, warnings), layer, signs in zip(
+            positions, names, coefficients, merged, zip(*counts)
+        ):
+            entries[position] = (
+                name, record, layer.reshape(shape), warnings, TensorSignConflicts(*signs)
+            )
+    return deque(entries)
 
 
 def _merge_layers(
@@ -327,85 +325,66 @@ def _merge_layers(
     vectors' fingerprints as it is yielded; the fingerprints and the sign
     conflicts are set when the stream ends.  Once a layer is yielded its
     inputs are never read again.  Any map may be lazy, and the vectors may
-    be of different forms: only layouts are read before the walk, and each
-    layer is looked up on the consuming thread.  ``header`` is the canonical
-    header of ``tau_old``'s layout, when the caller has it.
+    be of different forms: only layouts are read before the walk.
+    ``header`` is the canonical header of ``tau_old``'s layout, when the
+    caller has it.
 
-    A layer of more than ``_BLOCK`` elements is merged alone in two blocked
-    walks: one for its norms and sign counts, one for :func:`combine`.  The
-    consuming thread only fetches its deltas (a :class:`_Deltas` vector
-    subtracts there) and, when every earlier layer is hashed, hands them to
-    the I/O thread to be hashed while the layer merges; otherwise it hashes
-    them when the layer is consumed.  The others are walked in windows
-    (:func:`_windows`): a window's layers of one shape and dtypes, one or
-    many, are merged as one stacked group (:func:`_merge_group`).  When both
-    vectors are :class:`_Deltas` over ``base_shared`` itself, as in a
-    sequence step, a group takes their loaded layers and subtracts the base
-    from them at once.
+    The layers are walked in units (:func:`_windows`): a layer of more than
+    ``_BLOCK`` elements alone, the others in windows.  The consuming thread
+    fetches each unit, checks its layers in base order and stacks them: a
+    window's layers of one shape and dtypes, one or many, as the rows of one
+    stack, and a large layer as one row.  When both vectors are
+    :class:`_Deltas` over ``base_shared`` itself, as in a sequence step, a
+    window of several layers subtracts the base once per stack.  It then
+    hashes the unit's deltas, or hands them to the I/O thread (a large
+    layer, or while the lane has jobs), and the unit is merged by
+    :func:`_merge_stacks`, on the pool at ``threads`` above 1.
     """
     maps = {"base": base_shared, "tau_old": tau_old, "tau_curr": tau_curr}
     check_aligned("duet_merge", maps)
     vectors = (tau_old, tau_curr)
-    # Grouped subtraction needs _Deltas over this very base (a sequence step);
-    # any other pair of vectors is looked up delta by delta.
+    # When both vectors are _Deltas over this very base (a sequence step), a
+    # window of several layers loads them and subtracts the base once per
+    # stack.  A unit of one layer takes its deltas as they are looked up, so
+    # that its two loaded layers are not held at once.
     subtract = all(isinstance(v, _Deltas) and v.base is base_shared for v in vectors)
-    lookups = [base_shared.__getitem__, *(v.raw if subtract else v.__getitem__ for v in vectors)]
+    deltas = [base_shared.__getitem__, tau_old.__getitem__, tau_curr.__getitem__]
+    loads = [base_shared.__getitem__, tau_old.raw, tau_curr.raw] if subtract else deltas
 
-    def fetch_raw(name: str) -> list:
-        # The checks of fetch_alone, in its order.  A _Deltas vector's layer
-        # was checked against the base, so two of them need no more.
-        layers = [lookup(name) for lookup in lookups]
-        if not subtract:
-            check_shapes("duet_merge", maps, name, layers)
-            _check_layer_pair(name, layers[1], layers[2])
-        return layers
-
-    def fetch_alone(name: str) -> list:
-        # Checked here, not in a worker, so the first fault in base order
-        # raises at any thread count.
-        args = _layer_args("duet_merge", maps, name)
-        _check_layer_pair(name, args[2], args[3])
-        return args
-
-    def merge_alone(name, base_l, old_l, curr_l) -> deque:
-        *norms, signs = _layer_statistics_blocks(old_l, curr_l)
-        record, warnings = _coefficients(name, *norms, config)
-        terms = ((1.0, base_l), (record.alpha, old_l), (record.beta, curr_l))
-        return deque([(name, record, combine(terms, base_l.dtype), warnings, old_l, curr_l, signs)])
-
-    def merge_window(names: list[str], layers: list[list[np.ndarray]]) -> deque:
-        groups: dict[tuple, list[int]] = {}
-        for i, (base_l, old_l, curr_l) in enumerate(layers):
-            groups.setdefault((base_l.shape, base_l.dtype, old_l.dtype, curr_l.dtype), []).append(i)
-        entries: list = [None] * len(names)
+    def fetch(names: list[str]) -> tuple[int, partial]:
+        # On the consuming thread, in base order, so the first fault in base
+        # order raises at any thread count and the digests take the deltas in
+        # order.  Returns the ticket of the unit's hash job (0: hashed here).
+        stacked = subtract and len(names) > 1  # subtract the base once per stack
+        lookups = loads if stacked else deltas
+        groups: dict[tuple, list] = {}
+        for position, name in enumerate(names):
+            base_l, old_l, curr_l = layers = [lookup(name) for lookup in lookups]
+            if not subtract:  # a _Deltas vector's layer was checked against the base
+                check_shapes("duet_merge", maps, name, layers)
+                _check_layer_pair(name, old_l, curr_l)
+            key = (base_l.shape, base_l.dtype, old_l.dtype, curr_l.dtype)
+            groups.setdefault(key, []).append((position, name, layers))
+        stacks = []
+        rows: list = [None] * len(names)
         for members in groups.values():
-            group = _merge_group([names[i] for i in members], [layers[i] for i in members],
-                                 subtract, config)
-            for i, entry in zip(members, group):
-                entries[i] = entry
-        return deque(entries)
-
-    # Units whose deltas are hashed or handed to the I/O thread, a prefix of
-    # the walk; and the ticket of each large unit handed over when fetched.
-    hashed = 0
-    tickets: dict[int, int] = {}
-
-    def hash_early(index: int, call: partial) -> partial:
-        # Hands a large layer's deltas to the I/O thread, to be hashed while
-        # the layer merges, when every earlier layer is hashed: base order holds.
-        nonlocal hashed
-        if hashed == index:
-            tickets[index] = lane.put(_hash_deltas, digests, call.args[2:])
-            hashed += 1
-        return call
-
-    def calls():
-        # No local holds a unit's layers while the next unit is fetched.
-        for index, unit in enumerate(_windows(layout_of(base_shared))):
-            if isinstance(unit, str):
-                yield index, hash_early(index, partial(merge_alone, *fetch_alone(unit)))
-            else:
-                yield index, partial(merge_window, unit, [fetch_raw(name) for name in unit])
+            positions, group, layers = zip(*members)
+            base, old, curr = (_stack(column) for column in zip(*layers))
+            if stacked:
+                old, curr = (_subtract(group[0], x, base) for x in (old, curr))
+            for row, position in enumerate(positions):
+                rows[position] = (old[row], curr[row])
+            # The fetched layers are held until the stack is merged: freed
+            # before the merge makes its outputs, they leave gaps in the heap
+            # that raised the peak RSS of a sequence of 10,000 small layers
+            # by about 2 MB.
+            stacks.append((positions, group, layers, base, old, curr))
+        call = partial(_merge_stacks, stacks, len(names), config)
+        # A large layer is hashed on the I/O thread while it merges.
+        if rows[0][0].size <= _BLOCK and lane.idle():
+            _hash_deltas(digests, rows)
+            return 0, call
+        return lane.put(_hash_deltas, digests, rows), call
 
     layouts = [layout_of(v) for v in vectors]
     # Each digest opens with its vector's own header (a vector may hold f64
@@ -422,23 +401,16 @@ def _merge_layers(
     lane = _Lane()
 
     def layers() -> Iterator[tuple[str, np.ndarray]]:
-        nonlocal hashed
         counts = {}
         with lane:
-            for index, entries in _walk(calls(), threads):
-                ticket = tickets.pop(index, None)
-                while entries:
-                    name, record, merged_layer, warnings, old_l, curr_l, signs = entries.popleft()
+            for ticket, entries in _walk(map(fetch, _windows(layout_of(base_shared))), threads):
+                lane.wait(ticket)  # the unit's deltas are not held past it
+                while entries:  # popped: not held by the deque while the next unit is made
+                    name, record, merged_layer, warnings, signs = entries.popleft()
                     report.layers.append(record)
                     report.warnings.extend(warnings)
                     counts[name] = signs
-                    if ticket is None:
-                        _hash_deltas(digests, (old_l, curr_l))
-                    else:  # hashed on the I/O thread while the layer merged
-                        lane.wait(ticket)
-                    del old_l, curr_l  # not held while the next layer is formed
                     yield name, merged_layer
-                hashed = max(hashed, index + 1)
         # The digests took the layers in base order; a vector stored in
         # another order is hashed again, a layer at a time.
         report.old_fingerprint, report.curr_fingerprint = (

@@ -9,10 +9,14 @@ maps: every per-tensor operation goes through its key and shape checks.
 A map may also be a :class:`LazyTensorMap`, whose layers are made when
 they are looked up; its :attr:`~LazyTensorMap.layout` gives each layer's
 dtype and shape without making it.
-:func:`_blockwise` is the one walk within a tensor: every per-layer kernel
-(:func:`combine`, the merge statistics, the sign counts, the DC-loss terms and
-the distance sums) streams a tensor through small scratch blocks instead of
-whole-tensor temporaries, with the same bits as the whole-tensor expressions.
+:func:`_blockwise` is the one walk within tensors: every per-layer kernel
+(:func:`combine`, the merge statistics, the sign counts, the DC-loss terms
+and the distance sums) takes a stack of rows, one tensor as a single row or
+same-shape small tensors as one row each, through small scratch blocks of
+its columns instead of whole-tensor temporaries, with the same bits in each
+row as the whole-tensor expressions.  Given a scratch block, :func:`l1_norm`
+is the L1 leaf of such a walk; over a whole tensor it is that leaf on the
+tensor as one row.
 """
 
 from __future__ import annotations
@@ -170,44 +174,51 @@ def check_same_shape(op: str, **arrays: np.ndarray):
             raise ShapeError(f"{op}: shape mismatch between {a} {x.shape} and {b} {y.shape}")
 
 
-def _blockwise(arrays: Iterable[np.ndarray], leaf: Callable, *scratch) -> object:
-    """``leaf(*blocks, *scratch_blocks)`` over consecutive blocks of aligned
-    arrays of one size, the results added up the tree of numpy's pairwise
+def _blockwise(arrays: Iterable[np.ndarray], leaf: Callable, *scratch, rows: int = 1) -> object:
+    """``leaf(*blocks, *scratch_blocks)`` over consecutive blocks of the
+    columns of aligned arrays of one size, each walked as a stack of
+    ``rows`` equal rows, the results added up the tree of numpy's pairwise
     summation.
 
-    Each array is walked flat, row-major (a non-row-major one is copied
-    first); its blocks are views, so a leaf may write into them.  The scratch
-    blocks are views of one fresh array per ``scratch`` dtype, at most one
-    block long and made once per walk, so concurrent walks share nothing.  A
-    span longer than ``_BLOCK`` splits where numpy's pairwise sum splits it,
-    at half its length rounded down to a multiple of 8, so each block is a
-    node of that tree: float64 block sums added this way equal ``np.sum``
-    over the whole span bit for bit.  Elementwise leaves return 0.
+    Each array is walked row-major (a non-row-major one is copied first);
+    its blocks are views, so a leaf may write into them.  The scratch blocks
+    are views of one fresh array per ``scratch`` dtype, ``rows`` by at most
+    one block of columns and made once per walk, so concurrent walks share
+    nothing.  A span of more than ``_BLOCK`` columns splits where numpy's
+    pairwise sum splits it, at half its length rounded down to a multiple
+    of 8, so each block is a node of that tree: float64 sums along a
+    block's rows, added this way, equal ``np.sum`` over each whole row bit
+    for bit.  A stack of at most ``_BLOCK`` columns is one leaf call.
+    Elementwise leaves return 0.
     """
-    flats = [x.reshape(-1) for x in arrays]
-    size = flats[0].size
-    buffers = [np.empty(min(size, _BLOCK), dtype) for dtype in scratch]
-    return _node(0, size, leaf, flats, buffers)
+    stacks = [x.reshape(rows, -1) for x in arrays]
+    size = stacks[0].shape[1]
+    buffers = [np.empty((rows, min(size, _BLOCK)), dtype) for dtype in scratch]
+    return _node(0, size, leaf, stacks, buffers)
 
 
-def _node(lo: int, hi: int, leaf: Callable, flats: list, buffers: list) -> object:
+def _node(lo: int, hi: int, leaf: Callable, stacks, buffers: list) -> object:
     # Module level, not a closure: a self-referencing closure is a cycle that
     # would keep the walk's scratch and tensors alive until the next GC pass.
     if hi - lo <= _BLOCK:
-        return leaf(*[x[lo:hi] for x in flats], *[buffer[: hi - lo] for buffer in buffers])
+        return leaf(*[x[:, lo:hi] for x in stacks], *[buffer[:, : hi - lo] for buffer in buffers])
     half = (hi - lo) // 2
     mid = lo + half - half % 8
-    return _node(lo, mid, leaf, flats, buffers) + _node(mid, hi, leaf, flats, buffers)
+    return _node(lo, mid, leaf, stacks, buffers) + _node(mid, hi, leaf, stacks, buffers)
 
 
 def combine(terms, dtype) -> np.ndarray:
     """Read-only ``sum(c * x for c, x in terms)``, rounded once to ``dtype``,
-    a block at a time.  Each ``c`` is a number; callers check that the ``x``
-    share one shape.  Products and the left-to-right sum are float64 (under
-    numpy 2 a Python float times a float32 array stays float32).
+    a block at a time.  Each ``c`` is a number, or a float64 column
+    ``(rows, 1)`` of one coefficient per row of stacks ``(rows, n)``; with
+    numbers alone, each ``x`` is walked flat, as one row.  Callers check
+    that the ``x`` share one shape.  Products and the left-to-right sum are
+    float64 (under numpy 2 a Python float times a float32 array stays
+    float32).
     """
     (c0, *rest), arrays = zip(*terms)
     out = np.empty(np.shape(arrays[0]), dtype)
+    rows = np.broadcast(c0, *rest).size
 
     def leaf(out_block, x0, *blocks_and_scratch) -> int:
         *blocks, total, product = blocks_and_scratch
@@ -217,24 +228,23 @@ def combine(terms, dtype) -> np.ndarray:
         out_block[...] = total
         return 0
 
-    _blockwise((out, *arrays), leaf, np.float64, np.float64)
+    _blockwise((out, *arrays), leaf, np.float64, np.float64, rows=rows)
     out.flags.writeable = False
     return out
 
 
-def _abs_sum(block: np.ndarray, scratch: np.ndarray) -> np.float64:
-    """The L1 leaf of a blocked walk: the float64 sum of ``|block|``, taken
-    through a float64 ``scratch`` block as long as ``block`` (which may be
-    ``scratch`` itself)."""
-    return np.sum(np.abs(block, out=scratch))
+def l1_norm(x: np.ndarray, scratch: np.ndarray | None = None):
+    """The sum of ``|x|``, accumulated in float64 along numpy's pairwise tree.
 
-
-def l1_norm(x: np.ndarray, axis=None):
-    """Sum of absolute values, accumulated in float64 in a fixed reduction
-    order: a float, or with numpy's reduction ``axis`` a float64 array."""
-    check_tensor(x)
-    norms = np.sum(np.abs(x.astype(np.float64, copy=False)), axis=axis, dtype=np.float64)
-    return float(norms) if axis is None else norms
+    Given a float64 ``scratch`` of its shape (which may be ``x`` itself),
+    ``x`` is a block of a stack and the result is the float64 sum of each of
+    its rows: the L1 leaf of every blocked walk.  Otherwise the result is the
+    float sum over the whole tensor, in the order of its elements in memory.
+    """
+    if scratch is None:
+        row = np.abs(check_tensor(x), dtype=np.float64).ravel(order="K")[np.newaxis]
+        return float(l1_norm(row, row)[0])
+    return np.sum(np.abs(x, out=scratch), axis=-1)
 
 
 def inner_product(x: np.ndarray, y: np.ndarray) -> float:

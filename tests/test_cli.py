@@ -419,7 +419,23 @@ class TestSequenceCommand:
         assert code == 1 and stdout == ""
         error = json.loads(err)["error"]
         assert error["type"] == "AxisError" and "head.cls.weight" in error["message"]
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("missing", ["base", "task1"])
+    def test_a_missing_input_exits_2_without_making_the_output(self, capsys, trio, tmp_path,
+                                                                missing):
+        inputs = {"base": trio["base"], "task1": trio["task1"]}
+        inputs[missing] = tmp_path / "missing.safetensors"
+        out_dir = tmp_path / "out" / "seq"
+        code, stdout, err = run_cli(
+            capsys,
+            ["sequence", inputs["base"], inputs["task1"], trio["task2"],
+             "--partition", trio["partition"], "-o", out_dir],
+        )
+        assert code == 2 and stdout == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "FileNotFoundError" and "missing.safetensors" in error["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestDcLossCommand:

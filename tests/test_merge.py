@@ -715,7 +715,7 @@ class TestIncrementalSequence:
 class TestDigestOrder:
     """Each vector's digest takes its layers in base order, whichever thread
     hashes them: large layers go to the I/O thread while they merge, windows
-    of small ones are hashed as they are consumed."""
+    of small ones are hashed as they are fetched, or queued behind."""
 
     SIZES = (10, _BLOCK + 8, 7, 9, 2 * _BLOCK, _BLOCK + 1, 5, 3 * _BLOCK, 3, 11, _BLOCK + 16)
 
@@ -840,15 +840,14 @@ class TestBaselineMergers:
 
 # -- the windowed merge against the per-layer path --------------------------
 
-_SIZES = (1, 7, 8, 9, 127, 128, 129, 4096)
+_SIZES = (1, 7, 8, 9, 127, 128, 129, 4096, 40_000)
 # (base dtype, delta dtype): a vector may hold f64 deltas over an f32 base.
 _DTYPES = ((np.float32, np.float32), (np.float64, np.float64), (np.float32, np.float64))
 
 
 def _per_layer(layout):
-    """Every layer as its own unit: a large layer alone, a small one as a
-    window of one."""
-    return iter([name if layout[name].size > 32768 else [name] for name in layout])
+    """Every layer as its own unit, a window of one layer."""
+    return iter([[name] for name in layout])
 
 
 def _alone_statistics(old: np.ndarray, curr: np.ndarray) -> list:
@@ -951,11 +950,14 @@ class TestWindowedMerge:
         def run():
             steps = list(read_steps(
                 iter_incremental_sequence(base | head, fine, _SPEC, threads=threads)))
-            return _outputs(steps[-1].checkpoint, [step.report for step in steps[1:]])
+            return _outputs(steps[-1].checkpoint, [step.report for step in steps[1:]]), steps
 
-        windowed = run()
+        windowed, steps = run()
         with patch.object(duet.merge, "_windows", _per_layer):
-            assert run() == windowed
+            assert run()[0] == windowed
+        # Task 2 merges the first two tasks' deltas, each taken in the base dtype.
+        deltas = [{name: fine[k][name] - base[name] for name in base} for k in (0, 1)]
+        _check_against_the_kernels(steps[1].report, *deltas)
 
     @pytest.mark.parametrize("threads", [1, 2])
     @pytest.mark.parametrize(
@@ -1060,13 +1062,16 @@ class TestFusedMerge:
     @pytest.mark.parametrize("dtypes", _DTYPES, ids=["f32", "f64", "f64_over_f32"])
     def test_merge_matches_the_separate_kernels(self, dtypes, threads):
         base, old, curr = _large_layout(*dtypes)
-        walk = duet.merge._layer_statistics_blocks
-        with patch.object(duet.merge, "_layer_statistics_blocks", wraps=walk) as fused:
+        walk = duet.merge._statistics
+        with patch.object(duet.merge, "_statistics", wraps=walk) as fused:
             (merged, report), _ = with_warning_kinds(
                 lambda: duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
             )
-        # Every layer past one block took the walk, the column-major one too.
-        assert fused.call_count == sum(arr.size > 32768 for arr in old.values())
+        # Every layer past one block took the walk as a stack of one row, the
+        # column-major one too.
+        alone = [call.args[0] for call in fused.call_args_list if call.args[0].size > 32768]
+        assert [stack.shape[0] for stack in alone] == [1] * len(alone)
+        assert len(alone) == sum(arr.size > 32768 for arr in old.values())
         _check_against_the_kernels(report, old, curr)
         for record in report.layers:
             name = record.layer_name

@@ -18,7 +18,7 @@ from duet.diagnostics import (
 )
 from duet.errors import DTypeError, ShapeError
 from duet.losses import dc_term, update_sign_conflicts
-from duet.merge import _layer_statistics_blocks, duet_merge
+from duet.merge import _statistics, duet_merge
 from duet.task_vectors import TaskVector, _subtract
 from duet.tensors import _BLOCK, inner_product, combine, l1_norm, tensor
 
@@ -181,7 +181,7 @@ class TestBlockedKernels:
         if length > 2 * 32768:  # the data tells a fixed-chunk sum from numpy's tree
             assert abs_sum_by_fixed_chunks(x64) != expected
         assert l1_norm(x) == expected
-        assert _layer_statistics_blocks(x, x)[0] == expected  # the merge's blocked L1 leaves
+        assert one_row_statistics(x, x)[0] == expected  # the merge's blocked L1 leaves
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
@@ -231,6 +231,13 @@ def separate_statistics(x: np.ndarray, y: np.ndarray) -> tuple:
     return l1_norm(x), l1_norm(y), norm_sum, numpy_sign_counts(x, y)
 
 
+def one_row_statistics(x: np.ndarray, y: np.ndarray) -> tuple:
+    """The three norms and the sign counts of a layer from the merge's one
+    statistics walk (``merge._statistics``), the layer as a stack of one row."""
+    ([norm_old], [norm_curr], [norm_sum]), counts = _statistics(x.reshape(1, -1), y.reshape(1, -1))
+    return norm_old, norm_curr, norm_sum, TensorSignConflicts(*[count for [count] in counts])
+
+
 def merge_statistics(x: np.ndarray, y: np.ndarray) -> tuple:
     """The record and the sign counts of a one-layer merge of ``x`` and ``y``
     onto a zero base."""
@@ -257,14 +264,15 @@ def with_warning_kinds(fn: Callable) -> tuple:
 
 class TestFusedStatistics:
     """A large layer's three norms and its sign counts come from one blocked
-    walk (``merge._layer_statistics_blocks``); each keeps the bits that
-    ``l1_norm`` gives on its own, and whole-array numpy's sign counts."""
+    walk over it as a stack of one row (``merge._statistics``, the walk of
+    every stack); each keeps the bits that ``l1_norm`` gives on its own, and
+    whole-array numpy's sign counts."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("length", BLOCK_EDGE_LENGTHS)
     def test_one_walk_equals_the_separate_kernels(self, dtype, length):
         x, y = order_sensitive_pair(length, dtype, lambda x, y: np.add(x, y, dtype=np.float64))
-        fused = _layer_statistics_blocks(x, y)
+        fused = one_row_statistics(x, y)
         assert statistics_bits(fused) == statistics_bits(separate_statistics(x, y))
         counts = fused[3]
         assert type(counts.conflicts) is int and type(counts.comparable) is int
@@ -284,9 +292,9 @@ class TestFusedStatistics:
         mixed = np.where(rng.random(length) < 0.5, zeros, negative)
         spread = spread_values(rng, length, dtype)
         for x, y in ((zeros, zeros), (negative, mixed), (mixed, spread), (spread, negative)):
-            fused = _layer_statistics_blocks(x, y)
+            fused = one_row_statistics(x, y)
             assert statistics_bits(fused) == statistics_bits(separate_statistics(x, y))
-        assert statistics_bits(_layer_statistics_blocks(negative, mixed)) == (
+        assert statistics_bits(one_row_statistics(negative, mixed)) == (
             [(0.0).hex()] * 3 + [TensorSignConflicts(0, 0)]
         )
 
@@ -299,7 +307,7 @@ class TestFusedStatistics:
         length = 2 * 32768 + 3
         x = np.full(length, np.finfo(np.float64).max * scale)
         y = sign * x
-        fused, fused_warnings = with_warning_kinds(lambda: _layer_statistics_blocks(x, y))
+        fused, fused_warnings = with_warning_kinds(lambda: one_row_statistics(x, y))
         separate, separate_warnings = with_warning_kinds(lambda: separate_statistics(x, y))
         assert statistics_bits(fused) == statistics_bits(separate)
         assert fused_warnings == separate_warnings
@@ -396,8 +404,8 @@ ROW_LENGTHS = (*range(1, 18), *range(120, 138), 255, 256, 257, 1000, 4096)
 
 class TestRowSums:
     """The merge stacks same-shape small layers and takes their norms as row
-    sums (``merge._merge_group``): each must be the sum numpy takes of that
-    layer alone, bit for bit."""
+    sums (the L1 leaf of ``merge._statistics``): each must be the sum numpy
+    takes of that layer alone, bit for bit."""
 
     @pytest.mark.parametrize("rows", [1, 2, 33])
     @pytest.mark.parametrize("length", ROW_LENGTHS)
@@ -405,6 +413,7 @@ class TestRowSums:
         rng = np.random.default_rng(length)
         matrix = np.abs(spread_values(rng, rows * length, np.float64)).reshape(rows, length)
         sums = np.sum(matrix, axis=1)
+        assert np.array(_statistics(matrix, matrix)[0][0]).tobytes() == sums.tobytes()
         for i, row in enumerate(matrix):
             assert sums[i].tobytes() == np.sum(row).tobytes()
             if length % 2 == 0:  # a two-dimensional layer sums as its flat row
