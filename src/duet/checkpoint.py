@@ -53,8 +53,8 @@ from .tensors import (
     LazyTensorMap,
     NamedTensorMap,
     TensorLayout,
+    _check_array,
     _Subset,
-    check_layout_entry,
     check_tensor,
     layout_of,
 )
@@ -87,8 +87,7 @@ _LANE_DEPTH = 2
 
 
 def _dtype_tag(spec, name: str) -> str:
-    check_layout_entry(spec, name)
-    return _KIND_TO_TAG[spec.dtype.itemsize]
+    return _KIND_TO_TAG[check_tensor(spec, name).dtype.itemsize]
 
 
 class CheckpointReader(LazyTensorMap):
@@ -414,7 +413,7 @@ def _check_layer(where, name, arr, want_name, want) -> None:
         due = "past the layout's end" if want_name is None else f"where {want_name!r} is due"
         raise KeyMismatchError(f"{where}: tensor {name!r} arrives out of layout order, {due}")
     if not (isinstance(arr, np.ndarray) and arr.dtype.type in SUPPORTED_DTYPES):
-        check_tensor(arr, f"{where}: tensor {name!r}")  # raises, naming the fault
+        _check_array(arr, f"{where}: tensor {name!r}")  # raises, naming the fault
     if arr.shape != want.shape:
         raise ShapeError(
             f"{where}: tensor {name!r} has shape {arr.shape}, but its layout says {want.shape}"

@@ -398,6 +398,12 @@ def _cmd_sequence(args) -> int:
     _require_output(args)
     config = MergeConfig(gamma=args.gamma, alpha_base=args.alpha_base, epsilon=args.epsilon)
     out_dir = Path(args.output)
+    # Files of later tasks, left by a longer run, would pass for this run's.
+    tasks = len(args.fine_tuned)
+    numbers = {path.name: path.name.split(".")[0][4:] for path in out_dir.glob("task*.*")}
+    stale = sorted(name for name, number in numbers.items() if number.isdecimal() and int(number) > tasks)
+    if stale:
+        raise DuetError(f"{out_dir} holds files of tasks beyond this run's {tasks}: {', '.join(stale)}")
     summaries = []
     for step in iter_incremental_sequence(
         args.base, args.fine_tuned, spec, config, head_order=args.head_order, threads=args.threads

@@ -83,15 +83,15 @@ from .tensors import (
     _blockwise,
     _walk,
     check_aligned,
-    check_layout_entry,
     check_same_keys,
     check_shapes,
+    check_tensor,
     combine,
     l1_norm,
     layout_of,
     map_layers,
 )
-from .task_vectors import TaskVector, _check_bases, _check_layer_pair, _Deltas, _subtract
+from .task_vectors import TaskVector, _check_bases, _check_layer_pair, _check_layout, _Deltas, _subtract
 
 # Slack on the |p| <= 1 bound; the triangle inequality caps the exact ratio at
 # 1, so anything above this is data corruption worth flagging.
@@ -267,12 +267,11 @@ def _windows(layout: dict) -> Iterator[list[str]]:
     window: list[str] = []
     total = 0
     for name, layer in layout.items():
-        size = getattr(layer, "size", _BLOCK + 1)  # not an array: alone, refused there
-        if window and total + size > _BLOCK:
+        if window and total + layer.size > _BLOCK:
             yield window
             window, total = [], 0
         window.append(name)
-        total += size
+        total += layer.size
     if window:
         yield window
 
@@ -325,44 +324,39 @@ def _merge_layers(
     vectors' fingerprints as it is yielded; the fingerprints and the sign
     conflicts are set when the stream ends.  Once a layer is yielded its
     inputs are never read again.  Any map may be lazy, and the vectors may
-    be of different forms: only layouts are read before the walk.
+    be of different forms: only layouts are read, and checked name by name
+    in base order (shapes, then the vectors' dtypes), before the walk; two
+    :class:`_Deltas` over ``base_shared`` itself have its layout, unchecked.
     ``header`` is the canonical header of ``tau_old``'s layout, when the
     caller has it.
 
     The layers are walked in units (:func:`_windows`): a layer of more than
     ``_BLOCK`` elements alone, the others in windows.  The consuming thread
-    fetches each unit, checks its layers in base order and stacks them: a
-    window's layers of one shape and dtypes, one or many, as the rows of one
-    stack, and a large layer as one row.  When both vectors are
-    :class:`_Deltas` over ``base_shared`` itself, as in a sequence step, a
-    window of several layers subtracts the base once per stack.  It then
-    hashes the unit's deltas, or hands them to the I/O thread (a large
-    layer, or while the lane has jobs), and the unit is merged by
-    :func:`_merge_stacks`, on the pool at ``threads`` above 1.
+    fetches each unit in base order and stacks it: a window's layers of one
+    shape and dtypes, one or many, as the rows of one stack (two such
+    :class:`_Deltas` loaded, less the base once per stack), and a large layer
+    as one row.  It then hashes the unit's deltas, or hands them to the I/O
+    thread (a large layer, or while the lane has jobs), and the unit is
+    merged by :func:`_merge_stacks`, on the pool at ``threads`` above 1.
     """
     maps = {"base": base_shared, "tau_old": tau_old, "tau_curr": tau_curr}
     check_aligned("duet_merge", maps)
     vectors = (tau_old, tau_curr)
-    # When both vectors are _Deltas over this very base (a sequence step), a
-    # window of several layers loads them and subtracts the base once per
-    # stack.  A unit of one layer takes its deltas as they are looked up, so
-    # that its two loaded layers are not held at once.
+    # A unit of one layer takes its deltas as they are looked up, so that its
+    # two loaded layers are not held at once.
     subtract = all(isinstance(v, _Deltas) and v.base is base_shared for v in vectors)
     deltas = [base_shared.__getitem__, tau_old.__getitem__, tau_curr.__getitem__]
-    loads = [base_shared.__getitem__, tau_old.raw, tau_curr.raw] if subtract else deltas
+    loads = [base_shared.__getitem__, tau_old.load, tau_curr.load] if subtract else deltas
 
     def fetch(names: list[str]) -> tuple[int, partial]:
-        # On the consuming thread, in base order, so the first fault in base
-        # order raises at any thread count and the digests take the deltas in
-        # order.  Returns the ticket of the unit's hash job (0: hashed here).
+        # On the consuming thread, in base order, so the first payload fault in
+        # base order raises at any thread count and the digests take the deltas
+        # in order.  Returns the ticket of the unit's hash job (0: hashed here).
         stacked = subtract and len(names) > 1  # subtract the base once per stack
         lookups = loads if stacked else deltas
         groups: dict[tuple, list] = {}
         for position, name in enumerate(names):
             base_l, old_l, curr_l = layers = [lookup(name) for lookup in lookups]
-            if not subtract:  # a _Deltas vector's layer was checked against the base
-                check_shapes("duet_merge", maps, name, layers)
-                _check_layer_pair(name, old_l, curr_l)
             key = (base_l.shape, base_l.dtype, old_l.dtype, curr_l.dtype)
             groups.setdefault(key, []).append((position, name, layers))
         stacks = []
@@ -371,7 +365,7 @@ def _merge_layers(
             positions, group, layers = zip(*members)
             base, old, curr = (_stack(column) for column in zip(*layers))
             if stacked:
-                old, curr = (_subtract(group[0], x, base) for x in (old, curr))
+                old, curr = (_subtract(x, base) for x in (old, curr))
             for row, position in enumerate(positions):
                 rows[position] = (old[row], curr[row])
             # The fetched layers are held until the stack is merged: freed
@@ -395,6 +389,11 @@ def _merge_layers(
         hashlib.sha256(header if layout is layouts[0] else canonical_header(layout))
         for layout in layouts
     ]
+    if not subtract:
+        for name, base_l in layout_of(base_shared).items():
+            old_l, curr_l = entries = [layout[name] for layout in layouts]
+            check_shapes("duet_merge", maps, name, [base_l, *entries])
+            _check_layer_pair(name, old_l, curr_l)
     report = MergeReport(
         config=config, base_fingerprint=base_fingerprint, old_fingerprint="", curr_fingerprint=""
     )
@@ -432,7 +431,7 @@ def iter_duet_merge(
 ) -> tuple[MergeReport, Iterator[tuple[str, np.ndarray]]]:
     """:func:`duet_merge` as a stream: the report, complete once the lazy
     ``(name, merged_layer)`` stream (base order, base dtypes and shapes) has
-    ended.  The bases, key sets and vector headers are checked now."""
+    ended.  The bases, key sets, vector headers and layouts are checked now."""
     config = config or MergeConfig()
     _check_bases("duet_merge", base_fingerprint, tau_old, tau_curr)
     return _merge_layers(
@@ -490,8 +489,8 @@ def iter_head_concat(
     axes: dict[str, int] = {}
     for name, curr in layout_of(curr_head).items():
         prev = prev_layout[name]
-        check_layout_entry(curr, name)
-        check_layout_entry(prev, name)
+        check_tensor(curr, name)
+        check_tensor(prev, name)
         if prev.dtype != curr.dtype:
             raise DTypeError(f"tensor {name!r}: dtype mismatch {prev.dtype} vs {curr.dtype}")
         if name in replace:
@@ -625,9 +624,9 @@ def iter_incremental_sequence(
     :class:`CheckpointReader` (read as a map and left open) or an in-memory
     map.  Task 1 is yielded verbatim; every later task merges the
     previous incremental model's task vector with the current one and
-    concatenates the heads.  ``head_order`` is checked now, and what every
-    later task relies on in task 1 (its shared layers' dtypes and shapes, and
-    the concat axis of its grown head tensors) before task 1 is yielded.
+    concatenates the heads.  ``head_order`` is checked now, each item's
+    shared layout against the base's before any of its layers is read, and
+    task 1's head concat axis before task 1 is yielded.
     Between steps only the base shared map, the previous step's shared layers
     (the arrays it yielded) and the previous concatenated head are retained;
     ``threads > 1`` adds up to ``2 * threads`` layers in flight.  Each step
@@ -648,10 +647,8 @@ def _sequence(
 ) -> Iterator[SequenceStep]:
     with ExitStack() as stack:
         base = _as_map(base, stack)
-        if isinstance(base, CheckpointReader):
-            base_fingerprint = base.fingerprint()
-        else:
-            base_fingerprint = fingerprint_map(base)
+        reader = isinstance(base, CheckpointReader)
+        base_fingerprint = base.fingerprint() if reader else fingerprint_map(base)
         base_shared = dict(partition_checkpoint(base, spec)[0])
     del base  # a reader opened here is closed; its entry table is not kept
     # The header both task vectors of every merge open with, built once.  A
@@ -673,18 +670,19 @@ def _sequence(
                     f"task {task_index}: shared keys differ from base; "
                     f"only in task: {only_ft}; only in base: {only_base}"
                 )
+            # From the file's header alone, before any of its layers is read.
+            reader = isinstance(source, CheckpointReader)
+            _check_layout(source.layout_for(base_shared) if reader else source, base_shared)
             replace_names = {name for name in curr_head if spec.is_replace(name)}
 
             if task_index == 1:
-                full = dict(source)
-                for name in base_shared:  # the checks task 2 relies on, made before task 1 is out
-                    _check_layer_pair(name, full[name], base_shared[name])
-                prev_shared = {name: full[name] for name in base_shared}
-                prev_head = {name: full[name] for name in curr_head}
                 # Task 2's head concat, checked from task 1's head layout alone.
                 iter_head_concat(
-                    prev_head, prev_head, spec.head_concat_axis, head_order, replace_names
+                    curr_head, curr_head, spec.head_concat_axis, head_order, replace_names
                 )
+                full = dict(source)
+                prev_shared = {name: full[name] for name in base_shared}
+                prev_head = {name: full[name] for name in curr_head}
                 # A map of arrays is its own layout.
                 yield SequenceStep(task_index, full, _Stream(iter(full.items())), None)
                 del full

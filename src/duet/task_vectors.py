@@ -22,14 +22,7 @@ import numpy as np
 
 from .checkpoint import CheckpointReader, read_json, write_atomically, write_checkpoint
 from .errors import BaseMismatchError, CheckpointFormatError, DTypeError, ShapeError
-from .tensors import (
-    LazyTensorMap,
-    NamedTensorMap,
-    check_aligned,
-    check_layout_entry,
-    check_tensor,
-    layout_of,
-)
+from .tensors import SUPPORTED_DTYPES, LazyTensorMap, NamedTensorMap, check_aligned, check_tensor, layout_of
 
 _DELTAS_FILE = "deltas.safetensors"
 _META_FILE = "meta.json"
@@ -57,7 +50,7 @@ def _check_bases(op: str, base_fingerprint: str, *vectors: TaskVector):
             )
 
 
-def _check_layer_pair(name: str, a: np.ndarray, b: np.ndarray):
+def _check_layer_pair(name: str, a, b):
     check_tensor(a, name)
     check_tensor(b, name)
     if a.shape != b.shape:
@@ -66,12 +59,21 @@ def _check_layer_pair(name: str, a: np.ndarray, b: np.ndarray):
         raise DTypeError(f"tensor {name!r}: dtype mismatch {a.dtype} vs {b.dtype}")
 
 
-def _subtract(name: str, minuend: np.ndarray, subtrahend: np.ndarray) -> np.ndarray:
+def _check_layout(layout: dict, base_layout: dict):
+    """:func:`_check_layer_pair` of each entry of ``layout`` against the base's,
+    in base order, made only for a pair not of one float dtype and one shape."""
+    for name, base in base_layout.items():
+        entry = layout[name]
+        if (getattr(entry, "shape", None) != getattr(base, "shape", 0)
+                or entry.dtype != base.dtype or base.dtype.type not in SUPPORTED_DTYPES):
+            _check_layer_pair(name, entry, base)
+
+
+def _subtract(minuend: np.ndarray, subtrahend: np.ndarray) -> np.ndarray:
     """Read-only ``minuend - subtrahend`` in their one dtype: the exact
     difference rounded once.  These are the bits of ``combine(((1.0,
     minuend), (-1.0, subtrahend)), dtype)``, whose float64 difference,
     rounded again to float32, moves no bit (53 >= 2 * 24 + 2)."""
-    _check_layer_pair(name, minuend, subtrahend)
     difference = np.empty(subtrahend.shape, subtrahend.dtype)
     np.subtract(minuend, subtrahend, out=difference)
     difference.flags.writeable = False
@@ -81,23 +83,17 @@ def _subtract(name: str, minuend: np.ndarray, subtrahend: np.ndarray) -> np.ndar
 class _Deltas(LazyTensorMap):
     """A task vector computed on lookup: ``load(name) - base[name]``.
 
-    Its names, dtypes and shapes are the base's.  A walk looks each name up
-    once, on the consuming thread, so ``load`` may read a file or pop a map.
+    Its layout is the base's, checked by its maker.  A walk looks each name
+    up once, on the consuming thread, so ``load`` may read a file or pop a map.
     """
 
     def __init__(self, base, load: Callable[[str], np.ndarray]):
         self.base = base
         self.layout = layout_of(base)
-        self._load = load
+        self.load = load
 
     def __getitem__(self, name: str) -> np.ndarray:
-        return _subtract(name, self._load(name), self.base[name])
-
-    def raw(self, name: str) -> np.ndarray:
-        """The loaded layer before the subtraction, with its checks."""
-        layer = self._load(name)
-        _check_layer_pair(name, layer, self.base[name])
-        return layer
+        return _subtract(self.load(name), self.base[name])
 
 
 class _Zeros(LazyTensorMap):
@@ -122,9 +118,10 @@ def compute_task_vector(
 ) -> TaskVector:
     """Per-tensor ``fine_tuned - base``, rounded once to the base dtype, each
     delta taken when it is looked up from the layers of the two maps (either
-    may be lazy).  The key sets are checked now; each layer pair's dtype and
-    shape on lookup."""
+    may be lazy).  The key sets are checked now, then each layer pair's
+    dtype and shape, from the two layouts."""
     check_aligned("compute_task_vector", {"base": base_shared, "fine_tuned": fine_tuned_shared})
+    _check_layout(layout_of(fine_tuned_shared), layout_of(base_shared))
     deltas = _Deltas(base_shared, fine_tuned_shared.__getitem__)
     return TaskVector(deltas=deltas, base_fingerprint=base_fingerprint, label=label)
 
@@ -134,7 +131,7 @@ def zero_task_vector(base_shared: NamedTensorMap, base_fingerprint: str, label: 
     base's dtypes and shapes; each zero layer is made when it is looked up."""
     layout = layout_of(base_shared)
     for name, spec in layout.items():
-        check_layout_entry(spec, name)
+        check_tensor(spec, name)
     return TaskVector(deltas=_Zeros(layout), base_fingerprint=base_fingerprint, label=label)
 
 

@@ -8,7 +8,7 @@ function of its inputs.  :func:`map_layers` is the one walk over aligned
 maps: every per-tensor operation goes through its key and shape checks.
 A map may also be a :class:`LazyTensorMap`, whose layers are made when
 they are looked up; its :attr:`~LazyTensorMap.layout` gives each layer's
-dtype and shape without making it.
+dtype and shape without making it; each input is checked from it once.
 :func:`_blockwise` is the one walk within tensors: every per-layer kernel
 (:func:`combine`, the merge statistics, the sign counts, the DC-loss terms
 and the distance sums) takes a stack of rows, one tensor as a single row or
@@ -60,8 +60,11 @@ class LazyTensorMap:
     """A read-only tensor map whose layers are made one at a time, when they
     are looked up.  ``layout`` maps each name, in map order, to an array or a
     :class:`TensorLayout` of its layer's dtype and shape; a subclass sets it
-    and defines ``__getitem__``.  ``items()`` and ``values()`` make each layer
-    once, in order, so a walk over them never holds the whole map."""
+    and defines ``__getitem__``, which returns that dtype and shape.  Every
+    lazy map in the package keeps this contract, so the checks read layouts
+    and no layer is checked again (the writer still checks each streamed
+    layer).  ``items()`` and ``values()`` make each layer once, in order, so
+    a walk over them never holds the whole map."""
 
     layout: dict
 
@@ -149,21 +152,20 @@ def tensor(values, dtype="f64") -> np.ndarray:
     return arr
 
 
-def check_tensor(x: np.ndarray, name: str = "tensor") -> np.ndarray:
-    if not isinstance(x, np.ndarray):
+def check_tensor(x, name: str = "tensor"):
+    """``x``, an array or a :class:`TensorLayout`, if float32 or float64."""
+    if not isinstance(x, (np.ndarray, TensorLayout)):
         raise DTypeError(f"{name}: expected a numpy array, got {type(x).__name__}")
     if x.dtype.type not in SUPPORTED_DTYPES:
         raise DTypeError(f"{name}: unsupported dtype {x.dtype}; expected float32 or float64")
     return x
 
 
-def check_layout_entry(x, name: str = "tensor"):
-    """:func:`check_tensor` for a layout entry, an array or a :class:`TensorLayout`."""
-    if not isinstance(x, TensorLayout):
-        return check_tensor(x, name)
-    if x.dtype.type not in SUPPORTED_DTYPES:
-        raise DTypeError(f"{name}: unsupported dtype {x.dtype}; expected float32 or float64")
-    return x
+def _check_array(x, name: str = "tensor") -> np.ndarray:
+    """:func:`check_tensor` of a tensor's values, which a layout entry lacks."""
+    if isinstance(x, TensorLayout):
+        raise DTypeError(f"{name}: expected a numpy array, got {type(x).__name__}")
+    return check_tensor(x, name)
 
 
 def check_same_shape(op: str, **arrays: np.ndarray):
@@ -242,7 +244,7 @@ def l1_norm(x: np.ndarray, scratch: np.ndarray | None = None):
     float sum over the whole tensor, in the order of its elements in memory.
     """
     if scratch is None:
-        row = np.abs(check_tensor(x), dtype=np.float64).ravel(order="K")[np.newaxis]
+        row = np.abs(_check_array(x), dtype=np.float64).ravel(order="K")[np.newaxis]
         return float(l1_norm(row, row)[0])
     return np.sum(np.abs(x, out=scratch), axis=-1)
 
@@ -253,7 +255,7 @@ def inner_product(x: np.ndarray, y: np.ndarray) -> float:
     The elementwise products are commutative and the reduction tree is fixed,
     so ``inner_product(x, y) == inner_product(y, x)`` bit-exactly.
     """
-    check_same_shape("inner_product", x=check_tensor(x, "x"), y=check_tensor(y, "y"))
+    check_same_shape("inner_product", x=_check_array(x, "x"), y=_check_array(y, "y"))
     if x.dtype != y.dtype:
         raise DTypeError(f"inner_product: dtype mismatch between x ({x.dtype}) and y ({y.dtype})")
     return float(
@@ -278,12 +280,14 @@ def map_layers(
     """Lazily yield ``(name, fn(name, *layers))`` over aligned tensor maps.
 
     ``maps`` maps a label (for error messages) to a tensor map.  The first map
-    sets the order and the key set (KeyMismatchError, checked now); each
-    name's layers must share one shape (ShapeError, checked on reaching it).
+    sets the order and the key set (KeyMismatchError); each name's layers
+    must share one shape (ShapeError).  Both are checked now, from layouts.
     """
     check_aligned(op, maps)
-    names = next(iter(maps.values()))
-    calls = ((name, partial(fn, *_layer_args(op, maps, name))) for name in names)
+    layouts = [layout_of(tensor_map) for tensor_map in maps.values()]
+    for name in layouts[0]:
+        check_shapes(op, maps, name, [layout[name] for layout in layouts])
+    calls = ((name, partial(fn, name, *[m[name] for m in maps.values()])) for name in layouts[0])
     return _walk(calls, threads)
 
 
@@ -294,14 +298,8 @@ def check_aligned(op: str, maps: dict[str, NamedTensorMap]):
         check_same_keys(other, first, op, label, first_label)
 
 
-def _layer_args(op: str, maps: dict, name: str) -> list:
-    layers = [tensor_map[name] for tensor_map in maps.values()]
-    check_shapes(op, maps, name, layers)
-    return [name, *layers]
-
-
 def check_shapes(op: str, labels: Iterable[str], name: str, layers: list):
-    """The check of :func:`map_layers`: one name's layers, one per label, share one shape."""
+    """The check of :func:`map_layers`: one name's entries, one per label, share one shape."""
     shapes = [getattr(layer, "shape", None) for layer in layers]
     if shapes.count(shapes[0]) != len(shapes):
         listed = " vs ".join(f"{label} {shape}" for label, shape in zip(labels, shapes))

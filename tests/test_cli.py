@@ -437,6 +437,53 @@ class TestSequenceCommand:
         assert error["type"] == "FileNotFoundError" and "missing.safetensors" in error["message"]
         assert not (tmp_path / "out").exists()
 
+    def test_files_of_later_tasks_in_the_output_are_refused(self, capsys, tmp_path, rng):
+        argv = self.large_sequence(tmp_path, rng, n_tasks=3)
+        out_dir = argv[-1]
+        assert run_cli(capsys, argv)[0] == 0
+        written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        # A rerun of as many tasks rewrites its own files.
+        assert run_cli(capsys, argv)[0] == 0
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == written
+        shorter = [*argv[:4], *argv[5:]]  # the base and tasks 1 and 2
+        code, stdout, err = run_cli(capsys, shorter)
+        assert code == 1 and stdout == ""
+        assert json.loads(err)["error"] == {
+            "type": "DuetError",
+            "message": f"{out_dir} holds files of tasks beyond this run's 2: "
+                       "task03.report.json, task03.safetensors",
+        }
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == written
+
+    def test_a_layout_fault_in_task_3_is_refused_before_its_payload(self, capsys, tmp_path, rng,
+                                                                     monkeypatch):
+        from tests.test_streaming import poison
+
+        argv = self.large_sequence(tmp_path, rng, n_tasks=3)
+        task3 = argv[4]
+        with CheckpointReader(task3) as reader:
+            model = dict(reader)
+        # Its late shared layer in F64, and a NaN in an earlier one.
+        model["backbone.small"] = model["backbone.small"].astype(np.float64)
+        write_checkpoint(model, task3)
+        poison(task3, "backbone.big")
+        loaded = []
+        load = CheckpointReader.load
+        monkeypatch.setattr(CheckpointReader, "load",
+                            lambda reader, name: loaded.append(reader._path) or load(reader, name))
+        code, stdout, err = run_cli(capsys, argv)
+        assert code == 1 and stdout == ""
+        assert json.loads(err)["error"] == {
+            "type": "DTypeError", "message": "tensor 'backbone.small': dtype mismatch float64 vs float32"}
+        assert str(task3) not in loaded and str(argv[3]) in loaded
+        # Tasks 1 and 2 are those of a run that ends before task 3.
+        out_dir = argv[-1]
+        written = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        argv[-1] = tmp_path / "two"
+        assert run_cli(capsys, [*argv[:4], *argv[5:]])[0] == 0
+        assert written == {path.name: path.read_bytes() for path in argv[-1].iterdir()}
+        assert sorted(written) == ["task01.safetensors", "task02.report.json", "task02.safetensors"]
+
 
 class TestDcLossCommand:
     def test_loss_with_default_zero_prev2(self, capsys, trio, tmp_path):

@@ -1025,6 +1025,34 @@ class TestWindowedMerge:
         with pytest.raises(DTypeError, match="^tensor 'a': dtype mismatch float32 vs float64$"):
             duet_merge(base, "fp", tv(old), tv(curr), threads=threads)
 
+    def test_bundle_layouts_are_checked_at_the_call_before_any_payload(self, tmp_path,
+                                                                       monkeypatch):
+        # "a" holds a NaN and a dtype fault, "b" a shape fault: the call
+        # raises the first layout fault in base order, and reads no payload.
+        from tests.test_streaming import poison
+
+        base = {"a": np.zeros(4, np.float32), "b": np.zeros(3, np.float32)}
+        old = {"a": np.ones(4, np.float32), "b": np.ones(3, np.float32)}
+        curr = {"a": np.ones(4), "b": np.ones(5, np.float32)}
+        for label, deltas in (("old", old), ("curr", curr)):
+            save_task_vector(tv(deltas, label=label), tmp_path / label)
+        poison(tmp_path / "curr" / "deltas.safetensors", "a")
+        # With "a" mended, "b"'s shape is the first fault.
+        save_task_vector(tv({**curr, "a": np.ones(4, np.float32)}), tmp_path / "mended")
+        loads = []
+        load = CheckpointReader.load
+        monkeypatch.setattr(CheckpointReader, "load",
+                            lambda reader, name: loads.append(name) or load(reader, name))
+        with ExitStack() as stack:
+            vectors = [open_task_vector(tmp_path / label, stack) for label in ("old", "curr")]
+            with pytest.raises(DTypeError, match="^tensor 'a': dtype mismatch float32 vs float64$"):
+                iter_duet_merge(base, "fp", *vectors)
+            vectors[1] = open_task_vector(tmp_path / "mended", stack)
+            with pytest.raises(ShapeError, match=r"^duet_merge: tensor 'b': shape mismatch base "
+                                                 r"\(3,\) vs tau_old \(3,\) vs tau_curr \(5,\)$"):
+                iter_duet_merge(base, "fp", *vectors)
+        assert loads == []
+
 
 # -- the fused statistics walk against the separate kernels -----------------
 

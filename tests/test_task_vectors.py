@@ -70,17 +70,14 @@ class TestComputeTaskVector:
         with pytest.raises(KeyMismatchError, match=r"\['c'\].*\['b'\]"):
             compute_task_vector(fine, base, "fp", "t")
 
+    # The layouts are checked at the call, before any delta is looked up.
     def test_shape_mismatch(self):
-        vector = compute_task_vector({"w": np.zeros(3)}, {"w": np.zeros(2)}, "fp", "t")
-        with pytest.raises(ShapeError):
-            vector.deltas["w"]
+        with pytest.raises(ShapeError, match=r"^tensor 'w': shape mismatch \(3,\) vs \(2,\)$"):
+            compute_task_vector({"w": np.zeros(3)}, {"w": np.zeros(2)}, "fp", "t")
 
     def test_mixed_dtype_rejected(self):
-        vector = compute_task_vector(
-            {"w": np.zeros(2, dtype=np.float32)}, {"w": np.zeros(2)}, "fp", "t"
-        )
-        with pytest.raises(DTypeError, match="dtype mismatch"):
-            vector.deltas["w"]
+        with pytest.raises(DTypeError, match="^tensor 'w': dtype mismatch float32 vs float64$"):
+            compute_task_vector({"w": np.zeros(2, dtype=np.float32)}, {"w": np.zeros(2)}, "fp", "t")
 
     def test_each_delta_is_made_on_lookup(self, rng):
         base = {f"w{i}": np.ones(100_000, np.float32) for i in range(8)}
@@ -166,7 +163,7 @@ def combine_difference(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def assert_same_difference(x: np.ndarray, y: np.ndarray):
-    got, expected = _subtract("w", x, y), combine_difference(x, y)
+    got, expected = _subtract(x, y), combine_difference(x, y)
     assert got.dtype == expected.dtype and got.shape == expected.shape
     assert not got.flags.writeable
     assert got.tobytes() == expected.tobytes()
@@ -183,7 +180,7 @@ class TestSubtract:
         x, y = (np.ascontiguousarray(grid) for grid in np.meshgrid(values, values))
         assert_same_difference(x, y)
         assert_same_difference(x.T, y.T)  # column-major
-        difference = _subtract("w", x, y)
+        difference = _subtract(x, y)
         assert np.isinf(difference).any() and (difference == 0).any()
         assert (np.signbit(difference) & (difference == 0)).any()  # -0 - +0 is -0
 
@@ -205,7 +202,7 @@ class TestSubtract:
     def test_zero_dimensional_pair(self, dtype):
         x, y = np.array(0.75, dtype), np.array(-0.5, dtype)
         assert_same_difference(x, y)
-        assert float(_subtract("w", x, y)) == 1.25
+        assert float(_subtract(x, y)) == 1.25
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.sampled_from([32, 64]), st.integers(1, 16)).flatmap(

@@ -19,7 +19,7 @@ from duet.diagnostics import (
 from duet.errors import DTypeError, ShapeError
 from duet.losses import dc_term, update_sign_conflicts
 from duet.merge import _statistics, duet_merge
-from duet.task_vectors import TaskVector, _subtract
+from duet.task_vectors import TaskVector, compute_task_vector
 from duet.tensors import _BLOCK, inner_product, combine, l1_norm, tensor
 
 finite_floats = st.floats(
@@ -93,15 +93,15 @@ class TestLinearCombine:
         expected = [0.3 * 1.0 + 0.7 * 0.0, 0.3 * 0.0 + 0.7 * 10.0, 0.3 * -2.0 + 0.7 * 1.0]
         assert combine_two(0.3, x, 0.7, y).tolist() == expected
 
-    # combine leaves pair checks to its callers: the subtraction that forms
-    # every task vector, in the library and in the merge, checks its pair.
+    # combine leaves pair checks to its callers: a task vector's layouts are
+    # checked where it is made, before any subtraction that forms it.
     def test_shape_mismatch_raises(self):
         with pytest.raises(ShapeError, match="shape mismatch"):
-            _subtract("w", tensor([1.0, 2.0]), tensor([1.0, 2.0, 3.0]))
+            compute_task_vector({"w": tensor([1.0, 2.0])}, {"w": tensor([1.0, 2.0, 3.0])}, "fp")
 
     def test_dtype_mismatch_raises(self):
         with pytest.raises(DTypeError, match="dtype mismatch"):
-            _subtract("w", tensor([1.0], dtype="f32"), tensor([1.0], dtype="f64"))
+            compute_task_vector({"w": tensor([1.0], dtype="f32")}, {"w": tensor([1.0], dtype="f64")}, "fp")
 
     @given(vector_pairs())
     def test_identity_coefficients_return_first_operand(self, pair):
